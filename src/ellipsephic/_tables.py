@@ -1,0 +1,217 @@
+"""Exact tables of s-fold power sums over weighted factors.
+
+Every count in the library is built from one object: the table v -> m(v),
+where m(v) is the total weight of the ordered tuples (x_1, ..., x_n) whose
+keys add up to v, with x_i running over the i-th factor.  It is built here by
+repeated ordered convolution, one factor at a time, starting from the table
+{0: 1} of the empty sum.
+
+The backend is selected from the input:
+
+* dense -- one key component, no modulus, all keys >= 0, and the array fits
+  the byte budget: a 1-D array indexed by key value, grown by one shifted add
+  per factor entry.
+* sparse -- otherwise: each key tuple is packed into one integer in mixed
+  radix, every pairwise sum of table and factor entries is formed at once, and
+  equal keys are merged by a sort and ``np.add.reduceat``.
+
+dtypes are chosen from a-priori bounds, never after the fact: packed keys are
+int64 when the packed range fits, masses are int64 when the product of the
+factors' total absolute masses fits, and otherwise both are Python integers
+(object arrays).  Float weights use float64.  Rational weights become integer
+numerators over one common denominator D, so a table of n factors holds
+numerators over D**n and is divided only when its values are read.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from .errors import BudgetError, InvariantError
+
+_INT64_LIMIT = 1 << 63
+_OBJECT_ITEM_BYTES = 40  # one pointer plus a small Python int
+
+
+@dataclass(frozen=True)
+class Table:
+    """Keys (n, k) in increasing lexicographic order and their masses.
+
+    With ``denom`` set the masses are integer numerators over it (exact mode);
+    otherwise they are the values themselves (unit or float weights).
+    """
+
+    keys: np.ndarray
+    masses: np.ndarray
+    denom: int | None
+    mass_bound: object  # a-priori bound on the sum of |masses|
+
+    def values(self) -> list:
+        vals = self.masses.tolist()
+        return vals if self.denom is None else [Fraction(v, self.denom) for v in vals]
+
+    def sum_squares(self):
+        """sum_v m(v)**2 as an int, a Fraction in exact mode, or a float."""
+        m = self.masses
+        if m.dtype == np.int64 and self.mass_bound**2 >= _INT64_LIMIT:
+            m = m.astype(object)
+        raw = (m * m).sum()
+        if m.dtype == np.float64:
+            return float(raw)
+        return int(raw) if self.denom is None else Fraction(int(raw), self.denom**2)
+
+
+def check_multisets(y: int, s: int, max_tuples: int) -> None:
+    """Refuse an s-fold table over y entries when C(y+s-1, s) exceeds the budget."""
+    n_multisets = math.comb(y + s - 1, s)
+    if n_multisets > max_tuples:
+        raise BudgetError(
+            f"{n_multisets} multisets exceed the tuple budget {max_tuples}"
+        )
+
+
+def _item_bytes(dtype) -> int:
+    return _OBJECT_ITEM_BYTES if dtype == object else 8
+
+
+def power_sum_table(
+    factors: Sequence[tuple[Sequence[Sequence[int]], Sequence | None]],
+    *,
+    modulus: int | None = None,
+    cap: int | None = None,
+    max_bytes: int,
+) -> Table:
+    """Exact table of the sums key(x_1) + ... + key(x_n), x_i over factor i.
+
+    Each factor is ``(columns, weights)``: ``columns[j]`` holds component j of
+    every entry's key, and ``weights`` the entry weights (None for unit).
+    Weights are unit when no factor has any, exact when all are int or
+    Fraction, and float otherwise.  ``modulus`` reduces every key component
+    modulo it; ``cap`` drops keys with any component above it.  Each step
+    refuses with BudgetError before allocating more than ``max_bytes``.
+    Without a cap the total mass must equal the product of the factor masses
+    (checked in the exact dtypes, skipped for floats); a mismatch is an
+    InvariantError.
+    """
+    if modulus is not None:
+        factors = [
+            ([[c % modulus for c in col] for col in cols], ws) for cols, ws in factors
+        ]
+    masses_in, denom, is_float = _scaled_masses(factors)
+    mass_bound = math.prod(sum(abs(w) for w in ms) for ms in masses_in)
+    if is_float:
+        mass_dtype = np.float64
+    else:
+        mass_dtype = np.int64 if mass_bound < _INT64_LIMIT else object
+
+    keys = None
+    values = [cols[0] for cols, _ in factors]
+    nonnegative = all(min(v, default=0) >= 0 for v in values)
+    if len(factors[0][0]) == 1 and modulus is None and nonnegative:
+        top = sum(max(v, default=0) for v in values)
+        length = (top if cap is None else max(-1, min(top, cap))) + 1
+        if 2 * length * _item_bytes(mass_dtype) <= max_bytes:
+            dense = _dense(values, masses_in, length, mass_dtype)
+            nz = np.flatnonzero(dense)
+            keys, masses = nz.reshape(-1, 1), dense[nz]
+    if keys is None:
+        keys, masses = _sparse(factors, masses_in, modulus, mass_dtype, max_bytes)
+        if cap is not None:
+            keep = (keys <= cap).all(axis=1)
+            keys, masses = keys[keep], masses[keep]
+
+    if cap is None and not is_float:
+        total = int(masses.sum())
+        expected = math.prod(sum(ms) for ms in masses_in)
+        if total != expected:
+            raise InvariantError(
+                f"table mass {total} != product of factor masses {expected}"
+            )
+    return Table(keys, masses, denom, mass_bound)
+
+
+def _scaled_masses(factors) -> tuple[list[list], int | None, bool]:
+    """Per-factor masses, the denominator of the final table, and float mode.
+
+    Exact weights become integer numerators over their least common
+    denominator D, so a table of n factors is over D**n.
+    """
+    weights = [w for _, ws in factors if ws is not None for w in ws]
+    is_float = not all(isinstance(w, (int, Fraction)) for w in weights)
+    lcd = 1 if is_float else math.lcm(*(Fraction(w).denominator for w in weights))
+    masses_in = []
+    for cols, ws in factors:
+        ws = [1] * len(cols[0]) if ws is None else ws
+        masses_in.append([float(w) if is_float else int(Fraction(w) * lcd) for w in ws])
+    exact = weights and not is_float
+    return masses_in, lcd ** len(factors) if exact else None, is_float
+
+
+def _dense(values: list, masses_in: list, length: int, dtype) -> np.ndarray:
+    """Shifted-add convolution into an array indexed by key value below length."""
+    cur = np.ones(1, dtype=dtype)
+    top = 0
+    for f_values, f_masses in zip(values, masses_in):
+        top += max(f_values, default=0)
+        nxt = np.zeros(min(length, top + 1), dtype=dtype)
+        for a, w in zip(f_values, f_masses):
+            n = min(len(cur), len(nxt) - a)
+            if n > 0:
+                nxt[a : a + n] += cur[:n] if w == 1 else cur[:n] * w
+        cur = nxt
+    return cur
+
+
+def _sparse(factors, masses_in, modulus, mass_dtype, max_bytes):
+    """Keys (n, k) and masses by pairwise sums of mixed-radix packed keys.
+
+    Component 0 is the most significant digit, so packed order is
+    lexicographic order.  Equal keys are merged by sort and np.add.reduceat.
+    """
+    k = len(factors[0][0])
+    if modulus is not None:
+        lo = [[0] * k for _ in factors]  # residues are packed as they are
+        widths = [2 * modulus - 1] * k  # two residues add without carry
+    else:
+        lo = [[min(col, default=0) for col in cols] for cols, _ in factors]
+        widths = [1] * k
+        for (cols, _), f_lo in zip(factors, lo):
+            for j, col in enumerate(cols):
+                widths[j] += max(col, default=0) - f_lo[j]
+    offsets = [sum(f_lo[j] for f_lo in lo) for j in range(k)]
+    strides = [math.prod(widths[j + 1 :]) for j in range(k)]
+    key_dtype = np.int64 if math.prod(widths) < _INT64_LIMIT else object
+    step_bytes = 2 * (_item_bytes(key_dtype) + _item_bytes(mass_dtype)) + 8
+
+    keys = np.zeros(1, dtype=key_dtype)
+    masses = np.ones(1, dtype=mass_dtype)
+    for (cols, _), f_masses, f_lo in zip(factors, masses_in, lo):
+        need = len(keys) * len(cols[0]) * step_bytes
+        if need > max_bytes:
+            raise BudgetError(
+                f"table step needs ~{need} bytes > memory budget {max_bytes}"
+            )
+        packed = [
+            sum((c - low) * st for c, low, st in zip(entry, f_lo, strides))
+            for entry in zip(*cols)
+        ]
+        cand = (keys[:, None] + np.array(packed, dtype=key_dtype)[None, :]).ravel()
+        cand_mass = np.outer(masses, np.array(f_masses, dtype=mass_dtype)).ravel()
+        if modulus is not None:
+            for stride in strides:
+                cand[cand // stride % widths[0] >= modulus] -= modulus * stride
+        order = np.argsort(cand, kind="stable")
+        cand, cand_mass = cand[order], cand_mass[order]
+        new = np.ones(len(cand), dtype=bool)
+        new[1:] = cand[1:] != cand[:-1]
+        first = np.flatnonzero(new)
+        keys, masses = cand[first], np.add.reduceat(cand_mass, first)
+    if any(abs(off) + w >= _INT64_LIMIT for w, off in zip(widths, offsets)):
+        keys = keys.astype(object)  # narrow packed range, components beyond int64
+    comps = [keys // st % w + off for st, w, off in zip(strides, widths, offsets)]
+    return np.stack(comps, axis=1), masses

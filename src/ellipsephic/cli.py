@@ -326,7 +326,9 @@ def _run_lift(cfg, out: Path, header: str, budget, workers) -> None:
     if task == "decompose":
         depth = _get_int(cfg, "d")
         bound = _get_int(cfg, "X")
-        weights = lf.unit_tuple_weights(list(dg.iter_members(ds, bound)), t)
+        members = list(dg.iter_members(ds, bound))
+        lf.check_pair_budget(len(members) ** t, budget)
+        weights = lf.unit_tuple_weights(members, t)
         dec = lf.carry_decomposition(ds.base, t, depth, weights, budget=budget)
         rows = [
             [":".join(str(v) for v in lam), dec.table[lam]]
@@ -435,7 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("subcommand", choices=_SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int, default=1, help="accepted; selects nothing"
+    )
     parser.add_argument("--budget-tuples", type=int, default=mv.DEFAULT_BUDGET.max_tuples)
     args = parser.parse_args(argv)
 

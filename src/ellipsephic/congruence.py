@@ -25,7 +25,8 @@ import numpy as np
 
 from .digits import DigitSet, count_members
 from .errors import BudgetError, InvariantError, ValidationError
-from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem, multiplicity_table
+from ._tables import check_multisets, power_sum_table
+from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem, _phi_columns, mitm_count
 
 __all__ = [
     "GRID_BUDGET",
@@ -263,7 +264,8 @@ def discrete_integral(
     With residue None the unrestricted sum f is integrated (h = 0).  The
     default "count" mode evaluates the equal-by-orthogonality congruence
     count exactly; "grid" mode averages over the p**(kB) grid points and is
-    refused above GRID_BUDGET points.
+    refused above GRID_BUDGET points.  ``workers`` is accepted for
+    compatibility and selects nothing.
     """
     system, weights = spec.system, spec.weights
     if residue is None:
@@ -278,16 +280,14 @@ def discrete_integral(
     entries = split[key]
     rho_sq = sum(w * w for _, w in entries)
     if mode == "count":
-        table = multiplicity_table(
+        raw = mitm_count(
             system,
             spec.s,
             [x for x, _ in entries],
             dict(entries),
             modulus=spec.modulus,
             budget=budget,
-            workers=workers,
-        )
-        raw = sum(v * v for v in table.values())
+        ).count
         return raw / rho_sq**spec.s
     if mode == "grid":
         n_points = spec.modulus**system.k
@@ -377,31 +377,17 @@ def two_class_mean_value(
                 system, split_b[res_b], norms_b[res_b], spec.modulus, s - big_r
             )
             return float(np.mean(va * vb))
-        table_a = multiplicity_table(
-            system,
-            big_r,
-            [x for x, _ in split_a[res_a]],
-            dict(split_a[res_a]),
+        xs_a, ws_a = zip(*split_a[res_a])
+        xs_b, ws_b = zip(*split_b[res_b])
+        check_multisets(len(xs_a), big_r, budget.max_tuples)
+        check_multisets(len(xs_b), s - big_r, budget.max_tuples)
+        factor_a = (_phi_columns(system, xs_a), ws_a)
+        factor_b = (_phi_columns(system, xs_b), ws_b)
+        raw = power_sum_table(
+            [factor_a] * big_r + [factor_b] * (s - big_r),
             modulus=spec.modulus,
-            budget=budget,
-        )
-        table_b = multiplicity_table(
-            system,
-            s - big_r,
-            [x for x, _ in split_b[res_b]],
-            dict(split_b[res_b]),
-            modulus=spec.modulus,
-            budget=budget,
-        )
-        combined: dict = {}
-        for ka, va in table_a.items():
-            for kb, vb in table_b.items():
-                key = tuple((x + yv) % spec.modulus for x, yv in zip(ka, kb))
-                if key in combined:
-                    combined[key] = combined[key] + va * vb
-                else:
-                    combined[key] = va * vb
-        raw = sum(v * v for v in combined.values())
+            max_bytes=budget.max_table_bytes,
+        ).sum_squares()
         return raw / (norms_a[res_a] ** big_r * norms_b[res_b] ** (s - big_r))
 
     if (xi is None) != (eta is None):

@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ._tables import power_sum_table
 from .errors import BudgetError, ValidationError
 
 __all__ = [
@@ -290,9 +291,9 @@ def rep_profile(
 ) -> RepProfile:
     """Exact ordered t-tuple representation counts for all 0 <= n <= horizon.
 
-    Computed by iterated truncated convolution of the source indicator.  Counts
-    use a 64-bit numpy path when the a-priori bound (#source)**t rules out
-    overflow, and fall back to Python integers otherwise.
+    Computed by t ordered convolutions of the source values up to the horizon
+    (the dense backend of ``_tables``).  Counts are 64-bit when the a-priori
+    bound (#source)**t rules out overflow, and Python integers otherwise.
     """
     if t < 2:
         raise ValidationError(f"t must be >= 2, got {t}")
@@ -303,34 +304,11 @@ def rep_profile(
         raise BudgetError(
             f"profile of horizon {horizon} needs ~{need} bytes > budget {max_bytes}"
         )
-    elems = source.up_to(horizon)
-    if len(elems) ** t < 1 << 62:
-        ind = np.zeros(horizon + 1, dtype=np.int64)
-        if elems:
-            ind[np.asarray(elems)] = 1
-        counts = ind.copy()
-        for _ in range(t - 1):
-            nxt = np.zeros(horizon + 1, dtype=np.int64)
-            for a in elems:
-                if a > horizon:
-                    break
-                nxt[a:] += counts[: horizon + 1 - a]
-            counts = nxt
-        table = tuple(int(c) for c in counts)
-    else:
-        # big-integer fallback; exactness over speed
-        counts_l = [0] * (horizon + 1)
-        for a in elems:
-            counts_l[a] = 1
-        for _ in range(t - 1):
-            nxt_l = [0] * (horizon + 1)
-            for a in elems:
-                for n in range(a, horizon + 1):
-                    if counts_l[n - a]:
-                        nxt_l[n] += counts_l[n - a]
-            counts_l = nxt_l
-        table = tuple(counts_l)
-    return RepProfile(source, t, horizon, table)
+    factor = ([source.up_to(horizon)], None)
+    table = power_sum_table([factor] * t, cap=horizon, max_bytes=max_bytes)
+    counts = np.zeros(horizon + 1, dtype=table.masses.dtype)
+    counts[table.keys[:, 0]] = table.masses
+    return RepProfile(source, t, horizon, tuple(counts.tolist()))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ __all__ = [
     "unit_tuple_weights",
     "sum_congruence_count",
     "Decomposition",
+    "check_pair_budget",
     "carry_decomposition",
     "LiftStep",
     "LiftingChain",
@@ -207,6 +208,16 @@ class Decomposition:
     total: object
 
 
+def check_pair_budget(n_tuples: int, budget: Budget) -> None:
+    """Refuse a pairwise scan over n_tuples weighted tuples beyond the tuple budget.
+
+    Callers that build the tuple weights themselves can apply it to the
+    predicted tuple count first, before any weight exists.
+    """
+    if n_tuples * n_tuples > budget.max_tuples:
+        raise BudgetError(f"{n_tuples}**2 pairs exceed the tuple budget")
+
+
 def carry_decomposition(
     base: int,
     t: int,
@@ -224,9 +235,7 @@ def carry_decomposition(
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    n_tuples = len(weights)
-    if n_tuples * n_tuples > budget.max_tuples:
-        raise BudgetError(f"{n_tuples}**2 pairs exceed the tuple budget")
+    check_pair_budget(len(weights), budget)
     if (2 * t - 1) ** depth > budget.max_tuples:
         raise BudgetError("carry table would exceed the tuple budget")
     modulus = base**depth

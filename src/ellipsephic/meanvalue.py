@@ -6,26 +6,26 @@ ellipsephic enumeration in the intended use).  Two counters are provided:
 
 * brute_force_count -- scans every (x, y) tuple pair; the ground-truth oracle.
 * mitm_count -- meet-in-the-middle: builds the multiplicity table m(v) of
-  power-sum keys over one tuple side and returns sum_v m(v)^2.  The tuple side
-  enumerates unordered multisets with multinomial weights, which is what makes
-  larger runs feasible; brute-force equality guards its correctness.
+  power-sum keys over ordered s-tuples of one side and returns sum_v m(v)^2.
+  The table comes from the shared power-sum kernel in ``_tables`` (s ordered
+  convolutions of the member list); brute-force equality guards its
+  correctness.
 
 Keys may optionally be reduced modulo a fixed modulus (congruence counting)
-or capped componentwise (Waring reconciliation).
+or capped componentwise (Waring reconciliation).  Results do not depend on
+the ``workers`` argument, which no longer selects a code path.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._tables import Table, check_multisets, power_sum_table
 from .errors import BudgetError, ValidationError
 from .digits import _is_prime
 
@@ -42,11 +42,6 @@ __all__ = [
     "fit_exponent",
     "key_hex",
 ]
-
-_LOG = logging.getLogger(__name__)
-
-_CHUNK = 64  # leading-index block size; fixed so results never depend on worker count
-
 
 @dataclass(frozen=True)
 class SpacedSystem:
@@ -218,64 +213,21 @@ def brute_force_count(
 
 # --- meet-in-the-middle engine ----------------------------------------------
 
-def _weight_mode(weights: Mapping[int, object] | None) -> str:
-    if weights is None:
-        return "unit"
-    if all(isinstance(w, (int, Fraction)) for w in weights.values()):
-        return "exact"
-    return "float"
+def _members(members: Sequence[int], weights: Mapping[int, object] | None) -> list[int]:
+    """Sorted distinct members, without those of zero weight."""
+    mem = sorted(set(int(m) for m in members))
+    if weights is not None:
+        mem = [m for m in mem if weights.get(m, 0) != 0]
+    return mem
 
 
-def _chunk_ranges(y: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, y)) for lo in range(0, y, _CHUNK)]
-
-
-def _chunk_table(args) -> dict:
-    """Multiplicity table over multisets whose leading index lies in [lo, hi).
-
-    Enumerates non-decreasing index tuples; each multiset contributes its
-    multinomial ordered count times the product of its member weights.
-    """
-    cols, wvec, s, modulus, lo, hi = args
-    y = len(cols[0])
-    k = len(cols)
-    s_fact = math.factorial(s)
-    table: dict = {}
-
-    def emit(key, wprod, denom):
-        mult = s_fact // denom
-        val = mult if wvec is None else wprod * mult
-        if key in table:
-            table[key] = table[key] + val
-        else:
-            table[key] = val
-
-    def rec(prev, depth, key, wprod, denom, run):
-        if depth == s:
-            emit(key, wprod, denom)
-            return
-        for idx in range(prev, y):
-            if idx == prev:
-                nrun = run + 1
-                ndenom = denom * nrun
-            else:
-                nrun = 1
-                ndenom = denom
-            if modulus is None:
-                nkey = tuple(key[j] + cols[j][idx] for j in range(k))
-            else:
-                nkey = tuple((key[j] + cols[j][idx]) % modulus for j in range(k))
-            nw = wprod if wvec is None else wprod * wvec[idx]
-            rec(idx, depth + 1, nkey, nw, ndenom, nrun)
-
-    for i in range(lo, hi):
-        if modulus is None:
-            key0 = tuple(cols[j][i] for j in range(k))
-        else:
-            key0 = tuple(cols[j][i] % modulus for j in range(k))
-        w0 = 1 if wvec is None else wvec[i]
-        rec(i, 1, key0, w0, 1, 1)
-    return table
+def _table(system, s, mem, weights, modulus, cap, budget) -> Table:
+    check_multisets(len(mem), s, budget.max_tuples)
+    masses = None if weights is None else [weights[m] for m in mem]
+    factor = (_phi_columns(system, mem), masses)
+    return power_sum_table(
+        [factor] * s, modulus=modulus, cap=cap, max_bytes=budget.max_table_bytes
+    )
 
 
 def multiplicity_table(
@@ -290,112 +242,20 @@ def multiplicity_table(
 ) -> dict:
     """Map power-sum key -> (weighted) number of ordered s-tuples with that key.
 
-    Zero-weight members are dropped.  Work is split into fixed leading-index
-    blocks merged in block order, so the result is identical for any worker
-    count: exactly equal in unit/rational modes and bitwise equal for floats.
+    Zero-weight members are dropped.  Values are ints for unit weights,
+    Fractions for int/Fraction weights and floats otherwise.  The table is
+    built by s ordered convolutions of the member list (see ``_tables``);
+    refused when C(Y+s-1, s) exceeds the tuple budget or a step would exceed
+    the table memory budget.  ``workers`` is accepted for compatibility and
+    selects nothing: every call runs the same single-process code.
     """
     if s < 0:
         raise ValidationError(f"s must be >= 0, got {s}")
-    mem = sorted(set(int(m) for m in members))
-    if weights is not None:
-        mem = [m for m in mem if weights.get(m, 0) != 0]
-    y = len(mem)
-    if s == 0 or y == 0:
+    mem = _members(members, weights)
+    if s == 0 or not mem:
         return {(0,) * system.k: 1} if s == 0 else {}
-    n_multisets = math.comb(y + s - 1, s)
-    if n_multisets > budget.max_tuples:
-        raise BudgetError(
-            f"{n_multisets} multisets exceed the tuple budget {budget.max_tuples}"
-        )
-
-    cols = [tuple(col) for col in _phi_columns(system, mem)]
-    mode = _weight_mode(weights)
-    if mode == "unit":
-        wvec = None
-    elif mode == "exact":
-        wvec = tuple(Fraction(weights[m]) for m in mem)
-    else:
-        wvec = tuple(float(weights[m]) for m in mem)
-
-    jobs = [(cols, wvec, s, modulus, lo, hi) for lo, hi in _chunk_ranges(y)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_table, jobs))
-    else:
-        parts = [_chunk_table(job) for job in jobs]
-
-    table: dict = {}
-    size_check = 0
-    for part in parts:
-        for key, val in part.items():
-            if key in table:
-                table[key] = table[key] + val
-            else:
-                table[key] = val
-                size_check += 1
-                if size_check % 65536 == 0 and size_check * 150 > budget.max_table_bytes:
-                    raise BudgetError("multiplicity table exceeds the memory budget")
-    return table
-
-
-def _fast_unit_table_k1(phi: list[int], s: int, budget: Budget) -> np.ndarray:
-    """Unit-weight k=1 table as a dense int64 array indexed by key value.
-
-    Same multiset-with-multinomials enumeration as _chunk_table, with the last
-    multiset slot vectorised.  Exactness: every accumulated float is an integer
-    below 2**53 because Y**s stays under the tuple budget.
-    """
-    y = len(phi)
-    top = s * max(phi)
-    if (top + 1) * 8 > budget.max_table_bytes:
-        raise BudgetError("dense key table exceeds the memory budget")
-    table = np.zeros(top + 1, dtype=np.float64)
-    s_fact = math.factorial(s)
-    arr = np.asarray(phi, dtype=np.int64)
-    buf_k: list[np.ndarray] = []
-    buf_w: list[np.ndarray] = []
-    buf_n = 0
-
-    def flush():
-        nonlocal buf_n
-        if buf_n:
-            kk = np.concatenate(buf_k)
-            ww = np.concatenate(buf_w)
-            table[:] += np.bincount(kk, weights=ww, minlength=top + 1)
-            buf_k.clear()
-            buf_w.clear()
-            buf_n = 0
-
-    def rec(prev, depth, partial, denom, run):
-        nonlocal buf_n
-        if depth == s - 1:
-            same = s_fact // (denom * (run + 1))
-            buf_k.append(np.array([partial + phi[prev]], dtype=np.int64))
-            buf_w.append(np.array([float(same)]))
-            buf_n += 1
-            if prev + 1 < y:
-                rest = partial + arr[prev + 1 :]
-                buf_k.append(rest)
-                buf_w.append(np.full(len(rest), float(s_fact // denom)))
-                buf_n += len(rest)
-            if buf_n >= 1 << 20:
-                flush()
-            return
-        for idx in range(prev, y):
-            if idx == prev:
-                rec(idx, depth + 1, partial + phi[idx], denom * (run + 1), run + 1)
-            else:
-                rec(idx, depth + 1, partial + phi[idx], denom, 1)
-
-    for i in range(y):
-        if s == 1:
-            buf_k.append(np.array([phi[i]], dtype=np.int64))
-            buf_w.append(np.array([1.0]))
-            buf_n += 1
-        else:
-            rec(i, 1, phi[i], 1, 1)
-    flush()
-    return table.astype(np.int64)
+    table = _table(system, s, mem, weights, modulus, None, budget)
+    return dict(zip(map(tuple, table.keys.tolist()), table.values()))
 
 
 def mitm_count(
@@ -415,56 +275,17 @@ def mitm_count(
     Equals brute_force_count exactly with unit weights, and to rational
     exactness with Fraction weights.  ``modulus`` reduces keys mod that value;
     ``key_cap`` drops keys with any component above the cap before summing.
+    ``workers`` is accepted for compatibility and selects nothing.
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
     t0 = time.perf_counter()
-    mem = sorted(set(int(m) for m in members))
-    if weights is not None:
-        mem = [m for m in mem if weights.get(m, 0) != 0]
+    mem = _members(members, weights)
     y = len(mem)
     bound = x_bound if x_bound is not None else (mem[-1] if mem else 0)
     if y == 0:
         return CountResult(0, s, system.k, bound, 0, "mitm", time.perf_counter() - t0)
-
-    use_fast = (
-        weights is None
-        and system.k == 1
-        and modulus is None
-        and key_cap is None
-        and s >= 2
-    )
-    if use_fast:
-        phi = [system.phi(1, x) for x in mem]
-        key_mag = s * max(abs(v) for v in phi)
-        if min(phi) < 0 or key_mag >= 1 << 62 or y**s * math.factorial(s) >= 1 << 53:
-            use_fast = False
-            _LOG.info(
-                "key magnitude %d exceeds the fixed-width fast path; "
-                "using arbitrary-precision tables",
-                key_mag,
-            )
-        if use_fast and math.comb(y + s - 1, s) > budget.max_tuples:
-            raise BudgetError(
-                f"{math.comb(y + s - 1, s)} multisets exceed the tuple budget"
-            )
-    if use_fast:
-        dense = _fast_unit_table_k1(phi, s, budget)
-        if int(dense.sum()) != y**s:
-            raise ValidationError("internal: table mass mismatch")  # pragma: no cover
-        if y ** (2 * s) < 1 << 62:
-            total: object = int(np.dot(dense, dense))
-        else:
-            total = sum(int(v) ** 2 for v in dense if v)
-    else:
-        table = multiplicity_table(
-            system, s, mem, weights, modulus=modulus, budget=budget, workers=workers
-        )
-        if key_cap is not None:
-            items = (v for key, v in table.items() if all(c <= key_cap for c in key))
-        else:
-            items = iter(table.values())
-        total = sum(v * v for v in items)
+    total = _table(system, s, mem, weights, modulus, key_cap, budget).sum_squares()
     return CountResult(total, s, system.k, bound, y, "mitm", time.perf_counter() - t0)
 
 

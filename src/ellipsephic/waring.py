@@ -7,13 +7,13 @@ exact Cauchy-Schwarz lower bound N >= (sum R)^2 / (sum R^2).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._tables import check_multisets, power_sum_table
 from .digits import DigitSet, iter_members
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .meanvalue import Budget, DEFAULT_BUDGET
 
 __all__ = [
@@ -72,10 +72,13 @@ def representation_table(
     *,
     budget: Budget = DEFAULT_BUDGET,
 ) -> RepresentationTable:
-    """Exact R(n) for all n <= bound, by multiset enumeration of members.
+    """Exact R(n) for all n <= bound, by s ordered convolutions of the k-th powers.
 
     Only members with x**k <= bound can occur in a representation, so the
     member list is the ellipsephic enumeration up to the integer k-th root.
+    Partial sums above the bound are dropped as they arise, and the overflow
+    is the remaining mass Y**s - sum R(n).  Refused when C(Y+s-1, s) exceeds
+    the tuple budget.
     """
     if s < 1 or k < 1:
         raise ValidationError("representation_table needs s >= 1 and k >= 1")
@@ -83,30 +86,11 @@ def representation_table(
         raise ValidationError("bound must be >= 1")
     members = list(iter_members(digit_set, integer_root(bound, k)))
     y = len(members)
-    n_multisets = math.comb(y + s - 1, s) if y else 0
-    if n_multisets > budget.max_tuples:
-        raise BudgetError(
-            f"{n_multisets} multisets exceed the tuple budget {budget.max_tuples}"
-        )
-    powers = [m**k for m in members]
-    s_fact = math.factorial(s)
-    counts: dict[int, int] = {}
-    overflow = 0
-    for combo in itertools.combinations_with_replacement(range(y), s):
-        total = 0
-        for idx in combo:
-            total += powers[idx]
-        mult = s_fact
-        run = 1
-        for a, b in zip(combo, combo[1:]):
-            run = run + 1 if a == b else 1
-            if run > 1:
-                mult //= run
-        if total <= bound:
-            counts[total] = counts.get(total, 0) + mult
-        else:
-            overflow += mult
-    return RepresentationTable(s, k, bound, y, counts, overflow)
+    check_multisets(y, s, budget.max_tuples)
+    factor = ([[m**k for m in members]], None)
+    table = power_sum_table([factor] * s, cap=bound, max_bytes=budget.max_table_bytes)
+    counts = dict(zip(table.keys[:, 0].tolist(), table.values()))
+    return RepresentationTable(s, k, bound, y, counts, y**s - sum(counts.values()))
 
 
 def represented_count(table: RepresentationTable) -> int:

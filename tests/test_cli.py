@@ -142,6 +142,19 @@ def test_lift_decompose_output(tmp_path):
     assert lines[2].startswith("0:0,")
 
 
+def test_lift_decompose_refuses_before_weights(tmp_path, capsys, monkeypatch):
+    from ellipsephic import lifting
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("tuple weights built before the pair budget refused")
+
+    monkeypatch.setattr(lifting, "unit_tuple_weights", unbuilt)
+    config = "task=decompose\ndigitset=p=3;digits=0,1,2\nstrict=off\nt=2\nd=1\nX=27\n"
+    code, _ = run_cli(tmp_path, "lift", config, extra=["--budget-tuples", "1000"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error kind=budget")
+
+
 def test_lift_chain_output(tmp_path):
     config = (
         "task=chain\ndigitset=p=3;digits=0,1\nt=2\nc=1\nB=3\npsi=0,0,1\nX=27\n"

@@ -1,6 +1,7 @@
 """Digit-set construction, enumeration, membership, and representation profiles."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,9 @@ def test_rep_profile_higher_t():
             1 for tup in itertools.product(elems, repeat=3) if sum(tup) == n
         )
         assert profile.count(n) == direct
+    # 2**70 ordered tuples: counts overflow int64 and stay exact
+    profile = rep_profile(DigitSource.explicit([0, 1]), 70, 70)
+    assert profile.counts == tuple(math.comb(70, n) for n in range(71))
 
 
 def test_rep_profile_validation():

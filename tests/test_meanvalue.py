@@ -113,6 +113,14 @@ def test_mitm_equals_brute_small_grid():
                 b = brute_force_count(system, s, members).count
                 m = mitm_count(system, s, members).count
                 assert m == b, (base, digits, k, s)
+    # k = 3 keys beyond 2**62: both engines switch to Python integers, for a
+    # wide key range and for a narrow one far from zero
+    system = SpacedSystem.pure_powers(3, 3)
+    for members in ([1, 5, 2**21 - 1, 2**21], [2**21 - 3, 2**21 - 1, 2**21]):
+        assert (
+            mitm_count(system, 2, members).count
+            == brute_force_count(system, 2, members).count
+        ), members
 
 
 def test_mitm_fast_path_matches_general():
@@ -136,15 +144,21 @@ def test_mitm_golden_k2():
 
 
 def test_mitm_weighted_exact():
-    sys1 = SpacedSystem.pure_powers(1, 3)
-    weights = {1: Fraction(1, 2), 3: Fraction(1, 3), 4: 1, 9: Fraction(1, 4)}
-    res = mitm_count(sys1, 2, E9, weights)
-    # direct table: ordered pairs with weight products
-    table = Counter()
-    for x, y in itertools.product(E9, repeat=2):
-        table[x + y] += weights[x] * weights[y]
-    assert res.count == sum(v * v for v in table.values())
-    assert isinstance(res.count, Fraction)
+    small = {1: Fraction(1, 2), 3: Fraction(1, 3), 4: 1, 9: Fraction(1, 4)}
+    # numerators near 2**41 push the table masses past int64
+    wide = {x: Fraction(2**41 - x, 2**41 + 1) for x in E9}
+    for k, modulus, weights in itertools.product((1, 2), (None, 3**3), (small, wide)):
+        system = SpacedSystem.pure_powers(k, 3)
+        res = mitm_count(system, 2, E9, weights, modulus=modulus)
+        # direct table: ordered pairs with weight products
+        table = Counter()
+        for x, y in itertools.product(E9, repeat=2):
+            key = system.key((x, y))
+            if modulus is not None:
+                key = tuple(v % modulus for v in key)
+            table[key] += weights[x] * weights[y]
+        assert res.count == sum(v * v for v in table.values()), (k, modulus, weights)
+        assert isinstance(res.count, Fraction)
 
 
 def test_mitm_weighted_float_close():
@@ -191,6 +205,11 @@ def test_mitm_budget_refusal():
     sys1 = SpacedSystem.pure_powers(1, 3)
     with pytest.raises(BudgetError):
         mitm_count(sys1, 4, list(range(1, 60)), budget=Budget(max_tuples=10))
+    # a table far below 65536 entries still refuses before it is allocated
+    sys2 = SpacedSystem.pure_powers(2, 3)
+    members = list(iter_members(DigitSet(3, (0, 1)), 81))
+    with pytest.raises(BudgetError):
+        multiplicity_table(sys2, 2, members, budget=Budget(max_table_bytes=1000))
 
 
 @given(st.data())
@@ -200,9 +219,20 @@ def test_mitm_equals_brute_property(data):
     members = data.draw(
         st.lists(st.integers(1, 40), min_size=1, max_size=7, unique=True)
     )
-    s = data.draw(st.integers(1, 2))
-    k = data.draw(st.integers(1, 2))
-    system = SpacedSystem.pure_powers(k, base)
+    s = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        system = SpacedSystem.pure_powers(k, base)
+    else:
+        # phi_j = z^j + base * psi_j with negative coefficients: negative keys
+        psi = data.draw(
+            st.lists(
+                st.lists(st.integers(-3, 2), min_size=1, max_size=3),
+                min_size=k,
+                max_size=k,
+            )
+        )
+        system = SpacedSystem.perturbed(base, 1, psi)
     assert (
         mitm_count(system, s, members).count
         == brute_force_count(system, s, members).count
