@@ -4,12 +4,10 @@ from .errors import BudgetError, EllipsephicError, InvariantError, ValidationErr
 from .digits import (
     DigitSet,
     DigitSource,
-    Enumeration,
     EtStarReport,
     RepProfile,
     count_members,
     digit_set_text,
-    enumerate_members,
     et_star_report,
     is_member,
     iter_members,

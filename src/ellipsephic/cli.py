@@ -49,18 +49,18 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _escape(value: str) -> str:
-    # ';' separates pairs in the canonical line, so it cannot appear raw in values
-    return value.replace("%", "%25").replace(";", "%3B")
+def _escape(text: str) -> str:
+    # ';' separates pairs in the canonical line, so keys and values escape it
+    return text.replace("%", "%25").replace(";", "%3B")
 
 
-def _unescape(value: str) -> str:
-    return value.replace("%3B", ";").replace("%25", "%")
+def _unescape(text: str) -> str:
+    return text.replace("%3B", ";").replace("%25", "%")
 
 
 def canonical_config(subcommand: str, cfg: dict[str, str]) -> str:
     """One-line canonical form used in reproducibility headers; lossless."""
-    body = ";".join(f"{k}={_escape(cfg[k])}" for k in sorted(cfg))
+    body = ";".join(f"{_escape(k)}={_escape(cfg[k])}" for k in sorted(cfg))
     return f"{subcommand};{body}" if body else subcommand
 
 
@@ -73,7 +73,7 @@ def parse_canonical(text: str) -> tuple[str, dict[str, str]]:
             key, sep, value = part.partition("=")
             if not sep:
                 raise ValidationError(f"malformed canonical fragment: {part!r}")
-            cfg[key] = _unescape(value)
+            cfg[_unescape(key)] = _unescape(value)
     return subcommand, cfg
 
 
@@ -178,14 +178,14 @@ def _write_json(path: Path, header: str, payload: dict) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
-def _run_enumerate(cfg, out: Path, header: str, budget, workers) -> None:
+def _run_enumerate(cfg, out: Path, header: str, budget) -> None:
     ds = _digit_set(cfg)
     bound = _get_int(cfg, "X")
     members = dg.iter_members(ds, bound)
     _write_lines(out / "enumerate.txt", header, (str(m) for m in members))
 
 
-def _run_etstar(cfg, out: Path, header: str, budget, workers) -> None:
+def _run_etstar(cfg, out: Path, header: str, budget) -> None:
     source = _source(cfg)
     t = _get_int(cfg, "t")
     horizon = _get_int(cfg, "N")
@@ -211,7 +211,7 @@ def _run_etstar(cfg, out: Path, header: str, budget, workers) -> None:
     )
 
 
-def _run_count(cfg, out: Path, header: str, budget, workers) -> None:
+def _run_count(cfg, out: Path, header: str, budget) -> None:
     ds = _digit_set(cfg)
     s = _get_int(cfg, "s")
     k = _get_int(cfg, "k")
@@ -227,9 +227,7 @@ def _run_count(cfg, out: Path, header: str, budget, workers) -> None:
         if method == "brute":
             res = mv.brute_force_count(system, s, members, budget=budget, x_bound=bound)
         else:
-            res = mv.mitm_count(
-                system, s, members, budget=budget, workers=workers, x_bound=bound
-            )
+            res = mv.mitm_count(system, s, members, budget=budget, x_bound=bound)
         seconds = repr(round(res.seconds, 6)) if timing else "NA"
         rows.append([bound, res.y, s, k, res.count, method, seconds])
     _write_csv(
@@ -239,16 +237,14 @@ def _run_count(cfg, out: Path, header: str, budget, workers) -> None:
         if len(bounds) != 1:
             raise ValidationError("histogram output needs a single X")
         members = list(dg.iter_members(ds, bounds[0]))
-        table = mv.multiplicity_table(
-            system, s, members, budget=budget, workers=workers
-        )
+        table = mv.multiplicity_table(system, s, members, budget=budget)
         hist_rows = [
             [mv.key_hex(key), table[key]] for key in sorted(table.keys())
         ]
         _write_csv(out / "histogram.csv", header, ["key_hex", "multiplicity"], hist_rows)
 
 
-def _run_congruence(cfg, out: Path, header: str, budget, workers) -> None:
+def _run_congruence(cfg, out: Path, header: str, budget) -> None:
     task = cfg.get("task")
     ds = _digit_set(cfg)
     s = _get_int(cfg, "s")
@@ -261,7 +257,7 @@ def _run_congruence(cfg, out: Path, header: str, budget, workers) -> None:
             bound = _get_int(cfg, "X", ds.base**b_level)
             weights = cg.WeightAssignment.unit(dg.iter_members(ds, bound))
             spec = cg.MeanValueSpec(system, weights, s, b_level, 0)
-            rr = cg.restriction_ratio(spec, ds, budget=budget, workers=workers)
+            rr = cg.restriction_ratio(spec, ds, budget=budget)
             rows.append(
                 [b_level, rr.level, 0, s, k, rr.u_b, rr.u_bh, rr.ratio, "q^H"]
             )
@@ -300,7 +296,7 @@ def _run_congruence(cfg, out: Path, header: str, budget, workers) -> None:
         k_value = cg.two_class_mean_value(spec, t, r, a, b, nu, budget=budget)
         level = -(-b_level // k)
         spec_h = cg.MeanValueSpec(system, weights, s, b_level, level)
-        u_bh = cg.congruence_mean_value(spec_h, budget=budget, workers=workers)
+        u_bh = cg.congruence_mean_value(spec_h, budget=budget)
         n_classes = len(cg.class_norms(weights, ds.base, level).table)
         rows = []
         for delta in deltas:
@@ -319,7 +315,7 @@ def _run_congruence(cfg, out: Path, header: str, budget, workers) -> None:
     raise ValidationError("congruence task must be lambda or K")
 
 
-def _run_lift(cfg, out: Path, header: str, budget, workers) -> None:
+def _run_lift(cfg, out: Path, header: str, budget) -> None:
     task = cfg.get("task")
     ds = _digit_set(cfg)
     t = _get_int(cfg, "t")
@@ -353,7 +349,7 @@ def _run_lift(cfg, out: Path, header: str, budget, workers) -> None:
     raise ValidationError("lift task must be decompose or chain")
 
 
-def _run_waring(cfg, out: Path, header: str, budget, workers) -> None:
+def _run_waring(cfg, out: Path, header: str, budget) -> None:
     ds = _digit_set(cfg)
     s = _get_int(cfg, "s")
     k = _get_int(cfg, "k")
@@ -378,7 +374,7 @@ def _run_waring(cfg, out: Path, header: str, budget, workers) -> None:
     )
 
 
-def _run_fit(cfg, out: Path, header: str, budget, workers) -> None:
+def _run_fit(cfg, out: Path, header: str, budget) -> None:
     _require(cfg, "input")
     path = Path(cfg["input"])
     if not path.exists():
@@ -438,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
-        "--workers", type=int, default=1, help="accepted; selects nothing"
+        "--workers", type=int, default=1, help="accepted and ignored (one process)"
     )
     parser.add_argument("--budget-tuples", type=int, default=mv.DEFAULT_BUDGET.max_tuples)
     args = parser.parse_args(argv)
@@ -452,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         budget = mv.Budget(max_tuples=args.budget_tuples)
-        _RUNNERS[args.subcommand](cfg, out, header, budget, max(1, args.workers))
+        _RUNNERS[args.subcommand](cfg, out, header, budget)
     except ValidationError as exc:
         print(f'error kind=validation msg="{exc}"', file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ import numpy as np
 from .digits import DigitSet, count_members
 from .errors import BudgetError, InvariantError, ValidationError
 from ._tables import check_multisets, power_sum_table
-from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem, _phi_columns, mitm_count
+from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem, _phi_columns
 
 __all__ = [
     "GRID_BUDGET",
@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 GRID_BUDGET = 10**6  # grid mode is refused above this many grid points
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("count", "grid"):
+        raise ValidationError(f"unknown mode {mode!r}; expected count or grid")
 
 
 @dataclass(frozen=True)
@@ -112,13 +117,6 @@ class ClassNorms:
     base: int
     level: int
     table: dict[int, object]
-
-    @property
-    def modulus(self) -> int:
-        return self.base**self.level
-
-    def norm_sq(self, residue: int):
-        return self.table.get(residue % self.modulus, 0)
 
 
 def class_split(
@@ -201,18 +199,24 @@ def restricted_exp_sum(
 
     Empty classes return 0 by convention.  At level 0 this is the full sum f.
     """
+    classes = class_split(weights, system.base, level)
+    entries = classes.get(residue % system.base**level, [])
+    return _class_exp_sum(system, entries, sum(w * w for _, w in entries), point)
+
+
+def _class_exp_sum(
+    system: SpacedSystem, entries: list[tuple[int, object]], rho_sq, point: GridPoint
+) -> complex:
+    """f over one class's entries (squared norm rho_sq) at alpha = point; 0 if empty."""
     if len(point.u) != system.k:
         raise ValidationError(
             f"grid point has {len(point.u)} coordinates for a k={system.k} system"
         )
-    norms = class_norms(weights, system.base, level)
-    rho_sq = norms.norm_sq(residue)
-    if rho_sq == 0:
+    if not entries:
         return 0j
     modulus = point.modulus
-    classes = class_split(weights, system.base, level)
     total = 0j
-    for x, w in classes[residue % system.base**level]:
+    for x, w in entries:
         phase = sum(point.u[j - 1] * system.phi(j, x) for j in range(1, system.k + 1))
         total += float(w) * cmath.exp(2j * cmath.pi * (phase % modulus) / modulus)
     return total / math.sqrt(float(rho_sq))
@@ -251,53 +255,67 @@ def _grid_class_power_mean(
     return out / float(rho_sq) ** power
 
 
+def _block_mean(
+    system: SpacedSystem,
+    blocks: Sequence[tuple[list[tuple[int, object]], object, int]],
+    modulus: int,
+    mode: str,
+    budget: Budget,
+):
+    """Grid average of prod_i |f_i(alpha)|**(2 n_i) over alpha = u/modulus.
+
+    Each block ``(entries, rho_sq, n)`` is one class's support entries, its
+    squared norm and its power.  "count" evaluates the equal congruence count
+    from one exact table over all block factors; ``mode`` is checked by callers.
+    """
+    if mode == "grid":
+        n_points = modulus**system.k
+        if n_points > GRID_BUDGET:
+            raise BudgetError(
+                f"grid mode needs {n_points} points > {GRID_BUDGET}; use counting mode"
+            )
+        vals = [
+            _grid_class_power_mean(system, entries, rho_sq, modulus, n)
+            for entries, rho_sq, n in blocks
+        ]
+        return float(np.mean(math.prod(vals)))
+    factors = []
+    for entries, _, n in blocks:
+        xs, ws = zip(*entries)
+        check_multisets(len(xs), n, budget.max_tuples)
+        factors += [(_phi_columns(system, xs), ws)] * n
+    raw = power_sum_table(
+        factors, modulus=modulus, max_bytes=budget.max_table_bytes
+    ).sum_squares()
+    return raw / math.prod(rho_sq**n for _, rho_sq, n in blocks)
+
+
 def discrete_integral(
     spec: MeanValueSpec,
     residue: int | None = None,
     *,
     mode: str = "count",
     budget: Budget = DEFAULT_BUDGET,
-    workers: int = 1,
 ):
     """Grid average of |f_h(alpha, residue)|**(2s) over alpha = u/base**B.
 
     With residue None the unrestricted sum f is integrated (h = 0).  The
     default "count" mode evaluates the equal-by-orthogonality congruence
     count exactly; "grid" mode averages over the p**(kB) grid points and is
-    refused above GRID_BUDGET points.  ``workers`` is accepted for
-    compatibility and selects nothing.
+    refused above GRID_BUDGET points.
     """
+    _check_mode(mode)
     system, weights = spec.system, spec.weights
     if residue is None:
         level = 0
         residue = 0
     else:
         level = spec.class_level
-    split = class_split(weights, system.base, level)
-    key = residue % system.base**level
-    if key not in split:
+    entries = class_split(weights, system.base, level).get(residue % system.base**level)
+    if entries is None:
         return Fraction(0) if weights.exact else 0.0
-    entries = split[key]
     rho_sq = sum(w * w for _, w in entries)
-    if mode == "count":
-        raw = mitm_count(
-            system,
-            spec.s,
-            [x for x, _ in entries],
-            dict(entries),
-            modulus=spec.modulus,
-            budget=budget,
-        ).count
-        return raw / rho_sq**spec.s
-    if mode == "grid":
-        n_points = spec.modulus**system.k
-        if n_points > GRID_BUDGET:
-            raise BudgetError(
-                f"grid mode needs {n_points} points > {GRID_BUDGET}; use counting mode"
-            )
-        vals = _grid_class_power_mean(system, entries, rho_sq, spec.modulus, spec.s)
-        return float(np.mean(vals))
-    raise ValidationError(f"unknown mode {mode!r}")
+    return _block_mean(system, [(entries, rho_sq, spec.s)], spec.modulus, mode, budget)
 
 
 def congruence_mean_value(
@@ -305,7 +323,6 @@ def congruence_mean_value(
     *,
     mode: str = "count",
     budget: Budget = DEFAULT_BUDGET,
-    workers: int = 1,
 ):
     """The class-averaged congruence mean value at the spec's class level h.
 
@@ -313,6 +330,7 @@ def congruence_mean_value(
     h = 0 there is a single class and this is the plain mean value over the
     full congruence system.  Exact (Fraction) in rational mode.
     """
+    _check_mode(mode)
     weights = spec.weights
     norms = class_norms(weights, spec.base, spec.class_level)
     total = Fraction(0) if weights.exact else 0.0
@@ -320,7 +338,7 @@ def congruence_mean_value(
         rho_sq = norms.table[residue]
         if rho_sq == 0:
             continue
-        part = discrete_integral(spec, residue, mode=mode, budget=budget, workers=workers)
+        part = discrete_integral(spec, residue, mode=mode, budget=budget)
         total = total + rho_sq * part
     return total / weights.rho0_sq
 
@@ -347,6 +365,7 @@ def two_class_mean_value(
     class pairs with xi != eta mod base**nu (no exclusion when nu = 0).
     Counting mode is exact with rational weights.
     """
+    _check_mode(mode)
     system, weights, s = spec.system, spec.weights, spec.s
     if not 0 <= r <= system.k:
         raise ValidationError(f"need 0 <= r <= k, got r={r}")
@@ -364,31 +383,11 @@ def two_class_mean_value(
     norms_b = {res: sum(w * w for _, w in part) for res, part in split_b.items()}
 
     def pair_value(res_a: int, res_b: int):
-        if mode == "grid":
-            n_points = spec.modulus**system.k
-            if n_points > GRID_BUDGET:
-                raise BudgetError(
-                    f"grid mode needs {n_points} points > {GRID_BUDGET}"
-                )
-            va = _grid_class_power_mean(
-                system, split_a[res_a], norms_a[res_a], spec.modulus, big_r
-            )
-            vb = _grid_class_power_mean(
-                system, split_b[res_b], norms_b[res_b], spec.modulus, s - big_r
-            )
-            return float(np.mean(va * vb))
-        xs_a, ws_a = zip(*split_a[res_a])
-        xs_b, ws_b = zip(*split_b[res_b])
-        check_multisets(len(xs_a), big_r, budget.max_tuples)
-        check_multisets(len(xs_b), s - big_r, budget.max_tuples)
-        factor_a = (_phi_columns(system, xs_a), ws_a)
-        factor_b = (_phi_columns(system, xs_b), ws_b)
-        raw = power_sum_table(
-            [factor_a] * big_r + [factor_b] * (s - big_r),
-            modulus=spec.modulus,
-            max_bytes=budget.max_table_bytes,
-        ).sum_squares()
-        return raw / (norms_a[res_a] ** big_r * norms_b[res_b] ** (s - big_r))
+        blocks = [
+            (split_a[res_a], norms_a[res_a], big_r),
+            (split_b[res_b], norms_b[res_b], s - big_r),
+        ]
+        return _block_mean(system, blocks, spec.modulus, mode, budget)
 
     if (xi is None) != (eta is None):
         raise ValidationError("give both xi and eta or neither")
@@ -448,19 +447,16 @@ def restriction_ratio(
     digit_set: DigitSet,
     *,
     budget: Budget = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> RestrictionRatio:
     """Compute U^B and U^{B,H} at H = ceil(B/k) and their log ratio."""
     level = -(-spec.modulus_level // spec.system.k)
     u_b = congruence_mean_value(
         MeanValueSpec(spec.system, spec.weights, spec.s, spec.modulus_level, 0),
         budget=budget,
-        workers=workers,
     )
     u_bh = congruence_mean_value(
         MeanValueSpec(spec.system, spec.weights, spec.s, spec.modulus_level, level),
         budget=budget,
-        workers=workers,
     )
     if u_bh <= 0:
         raise ValidationError("degenerate weights: U^{B,H} is zero")
@@ -538,21 +534,24 @@ def class_refinement_check(
             for _ in range(samples)
         ]
 
-    norms_a = class_norms(weights, base, a)
-    norms_b = class_norms(weights, base, b)
     res_a = xi % base**a
-    refining = [res for res in norms_b.table if res % base**a == res_a]
+    coarse = class_split(weights, base, a).get(res_a, [])
+    rho_a = sum(w * w for _, w in coarse)
+    refining = [
+        (part, sum(w * w for _, w in part))
+        for res, part in class_split(weights, base, b).items()
+        if res % base**a == res_a
+    ]
     factor = float(split_factor) ** (w * (b - a))
-    rho_a = float(norms_a.norm_sq(res_a))
     worst = math.inf
     passed = True
     for point in points:
-        fa = restricted_exp_sum(system, weights, point, a, res_a)
-        lhs = rho_a * abs(fa) ** (2 * w)
+        fa = _class_exp_sum(system, coarse, rho_a, point)
+        lhs = float(rho_a) * abs(fa) ** (2 * w)
         rhs = 0.0
-        for res in refining:
-            fb = restricted_exp_sum(system, weights, point, b, res)
-            rhs += float(norms_b.norm_sq(res)) * abs(fb) ** (2 * w)
+        for part, rho_sq in refining:
+            fb = _class_exp_sum(system, part, rho_sq, point)
+            rhs += float(rho_sq) * abs(fb) ** (2 * w)
         rhs *= factor
         if lhs > rhs * (1 + 1e-9):
             passed = False

@@ -22,13 +22,11 @@ from .errors import BudgetError, ValidationError
 __all__ = [
     "DigitSet",
     "DigitSource",
-    "Enumeration",
     "RepProfile",
     "EtStarReport",
     "parse_digit_set",
     "digit_set_text",
     "iter_members",
-    "enumerate_members",
     "is_member",
     "count_members",
     "base_digits",
@@ -199,21 +197,6 @@ class DigitSource:
         return DigitSet(base, tuple(self.up_to(base - 1)), strict)
 
 
-@dataclass(frozen=True)
-class Enumeration:
-    """The sorted members of an ellipsephic set inside [1, bound]."""
-
-    digit_set: DigitSet
-    bound: int
-    members: tuple[int, ...]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def iter_members(digit_set: DigitSet, bound: int) -> Iterator[int]:
     """Yield the ellipsephic members of [1, bound] in increasing order.
 
@@ -242,11 +225,6 @@ def iter_members(digit_set: DigitSet, bound: int) -> Iterator[int]:
                 yield value
         length += 1
         pow_high *= p
-
-
-def enumerate_members(digit_set: DigitSet, bound: int) -> Enumeration:
-    """Materialise iter_members into an Enumeration."""
-    return Enumeration(digit_set, bound, tuple(iter_members(digit_set, bound)))
 
 
 def is_member(digit_set: DigitSet, n: int) -> bool:

@@ -12,8 +12,8 @@ ellipsephic enumeration in the intended use).  Two counters are provided:
   correctness.
 
 Keys may optionally be reduced modulo a fixed modulus (congruence counting)
-or capped componentwise (Waring reconciliation).  Results do not depend on
-the ``workers`` argument, which no longer selects a code path.
+or capped componentwise (Waring reconciliation).  Every count runs in one
+process; the library has no worker pool.
 """
 
 from __future__ import annotations
@@ -238,7 +238,6 @@ def multiplicity_table(
     *,
     modulus: int | None = None,
     budget: Budget = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> dict:
     """Map power-sum key -> (weighted) number of ordered s-tuples with that key.
 
@@ -246,8 +245,7 @@ def multiplicity_table(
     Fractions for int/Fraction weights and floats otherwise.  The table is
     built by s ordered convolutions of the member list (see ``_tables``);
     refused when C(Y+s-1, s) exceeds the tuple budget or a step would exceed
-    the table memory budget.  ``workers`` is accepted for compatibility and
-    selects nothing: every call runs the same single-process code.
+    the table memory budget.
     """
     if s < 0:
         raise ValidationError(f"s must be >= 0, got {s}")
@@ -267,7 +265,6 @@ def mitm_count(
     modulus: int | None = None,
     key_cap: int | None = None,
     budget: Budget = DEFAULT_BUDGET,
-    workers: int = 1,
     x_bound: int | None = None,
 ) -> CountResult:
     """Meet-in-the-middle count: sum over keys v of m(v)**2.
@@ -275,7 +272,6 @@ def mitm_count(
     Equals brute_force_count exactly with unit weights, and to rational
     exactness with Fraction weights.  ``modulus`` reduces keys mod that value;
     ``key_cap`` drops keys with any component above the cap before summing.
-    ``workers`` is accepted for compatibility and selects nothing.
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellipsephic.cli import canonical_config, main, parse_canonical, parse_config_text
 
@@ -34,6 +36,19 @@ def test_canonical_round_trip():
     tricky = {"input": "a%3B;b", "s": "1"}
     sub2, back = parse_canonical(canonical_config("fit", tricky))
     assert back == tricky
+
+
+# small alphabets, so escapes such as "%3B" and "%25" occur as literal text
+_KEYS = st.text(alphabet="a;%3B25#", min_size=1).filter(lambda k: k[0] != "#")
+_VALUES = st.text(alphabet="a;%3B25#= ")
+
+
+@given(st.dictionaries(_KEYS, _VALUES.map(str.strip), max_size=5))
+def test_canonical_round_trip_property(cfg):
+    text = "".join(f"{key}={value}\n" for key, value in cfg.items())
+    parsed = parse_config_text(text)
+    assert parsed == cfg
+    assert parse_canonical(canonical_config("count", parsed)) == ("count", parsed)
 
 
 def test_enumerate_output(tmp_path):

@@ -298,6 +298,22 @@ def test_two_class_grid_agrees():
         assert grid == pytest.approx(float(count), rel=1e-9)
 
 
+def test_unknown_mode_rejected():
+    weights = WeightAssignment.unit(iter_members(DS5, 125))
+    spec = MeanValueSpec(SpacedSystem.pure_powers(2, 5), weights, 2, 2, 0)
+    with pytest.raises(ValidationError, match="unknown mode"):
+        two_class_mean_value(spec, t=2, r=1, a=1, b=1, nu=1, mode="bogus")
+    with pytest.raises(ValidationError, match="unknown mode"):
+        congruence_mean_value(spec, mode="bogus")
+    # an empty class is rejected too, before its value 0 is returned
+    empty = MeanValueSpec(SYS31, W9, 2, 2, 1)
+    assert discrete_integral(empty, 2) == 0
+    with pytest.raises(ValidationError, match="unknown mode"):
+        discrete_integral(empty, 2, mode="bogus")
+    with pytest.raises(ValidationError, match="unknown mode"):
+        two_class_mean_value(empty, t=2, r=1, a=1, b=1, xi=2, eta=0, mode="bogus")
+
+
 def test_two_class_single_pair():
     spec = MeanValueSpec(SYS31, W9, 2, 2, 0)
     value = two_class_mean_value(spec, t=2, r=1, a=1, b=1, nu=1, xi=1, eta=0)

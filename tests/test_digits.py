@@ -13,7 +13,6 @@ from ellipsephic import (
     ValidationError,
     count_members,
     digit_set_text,
-    enumerate_members,
     et_star_report,
     is_member,
     iter_members,
@@ -64,6 +63,21 @@ def test_strict_mode_window():
 
 def test_digits_are_normalised_sorted():
     assert DigitSet(7, (4, 0, 2)).digits == (0, 2, 4)
+
+
+_PRIMES = (3, 5, 7, 11, 13, 101)
+
+
+@given(st.sampled_from(_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), st.sets(st.integers(0, p - 1), min_size=1))))
+def test_text_round_trip_property(base_digits_pair):
+    base, digits = base_digits_pair
+    ds = DigitSet(base, tuple(digits), strict=False)
+    text = digit_set_text(ds)
+    assert parse_digit_set(text, strict=False) == ds
+    assert digit_set_text(parse_digit_set(text, strict=False)) == text
+    if 2 <= len(digits) <= base - 1:
+        assert parse_digit_set(text) == DigitSet(base, tuple(digits))
 
 
 def test_text_round_trip():

@@ -188,17 +188,17 @@ def test_mitm_permutation_invariance():
     assert mitm_count(sys2, 2, members).count == mitm_count(sys2, 2, shuffled).count
 
 
-def test_mitm_workers_equal_sequential():
+def test_mitm_member_order_bitwise_equal():
     ds = DigitSet(3, (0, 1))
     members = list(iter_members(ds, 81))
     system = SpacedSystem.pure_powers(2, 3)
-    seq = mitm_count(system, 2, members, workers=1)
-    par = mitm_count(system, 2, members, workers=2)
-    assert seq.count == par.count
+    fwd = mitm_count(system, 2, members)
+    rev = mitm_count(system, 2, members[::-1])
+    assert fwd.count == rev.count
     weights = {m: 1 / (1 + i) for i, m in enumerate(members)}
-    seq_w = mitm_count(system, 2, members, weights, workers=1)
-    par_w = mitm_count(system, 2, members, weights, workers=2)
-    assert seq_w.count == par_w.count  # bitwise equal floats
+    fwd_w = mitm_count(system, 2, members, weights)
+    rev_w = mitm_count(system, 2, members[::-1], weights)
+    assert fwd_w.count == rev_w.count  # bitwise equal floats
 
 
 def test_mitm_budget_refusal():
