@@ -258,23 +258,12 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
             weights = cg.WeightAssignment.unit(dg.iter_members(ds, bound))
             spec = cg.MeanValueSpec(system, weights, s, b_level, 0)
             rr = cg.restriction_ratio(spec, ds, budget=budget)
-            rows.append(
-                [b_level, rr.level, 0, s, k, rr.u_b, rr.u_bh, rr.ratio, "q^H"]
-            )
-            ratio_classes = rr.ratio_by_classes
-            rows.append(
-                [
-                    b_level,
-                    rr.level,
-                    0,
-                    s,
-                    k,
-                    rr.u_b,
-                    rr.u_bh,
-                    ratio_classes if ratio_classes is not None else "NA",
-                    "classes",
-                ]
-            )
+            for ratio, normalizer in (
+                (rr.ratio, "q^H"),
+                (rr.ratio_by_classes, "classes"),
+            ):
+                row = [b_level, rr.level, 0, s, k, rr.u_b, rr.u_bh]
+                rows.append(row + ["NA" if ratio is None else ratio, normalizer])
         _write_csv(
             out / "congruence_lambda.csv",
             header,

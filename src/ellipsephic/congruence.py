@@ -15,6 +15,7 @@ rational paths never need square roots.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -93,16 +94,9 @@ class WeightAssignment:
         return cls.from_pairs([(x, 1) for x in members])
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.entries)
-
-    @property
     def rho0_sq(self):
         """Sum of squared weights (the squared normalising norm)."""
         return sum(w * w for _, w in self.entries)
-
-    def mapping(self) -> dict[int, object]:
-        return dict(self.entries)
 
 
 @dataclass(frozen=True)
@@ -132,11 +126,18 @@ def class_split(
     return out
 
 
-def class_norms(weights: WeightAssignment, base: int, level: int) -> ClassNorms:
-    table = {
-        residue: sum(w * w for _, w in part)
+def _classes(
+    weights: WeightAssignment, base: int, level: int
+) -> dict[int, tuple[list[tuple[int, object]], object]]:
+    """Per residue class modulo base**level: its support entries and rho^2."""
+    return {
+        residue: (part, sum(w * w for _, w in part))
         for residue, part in class_split(weights, base, level).items()
     }
+
+
+def class_norms(weights: WeightAssignment, base: int, level: int) -> ClassNorms:
+    table = {res: rho_sq for res, (_, rho_sq) in _classes(weights, base, level).items()}
     return ClassNorms(base, level, table)
 
 
@@ -199,9 +200,10 @@ def restricted_exp_sum(
 
     Empty classes return 0 by convention.  At level 0 this is the full sum f.
     """
-    classes = class_split(weights, system.base, level)
-    entries = classes.get(residue % system.base**level, [])
-    return _class_exp_sum(system, entries, sum(w * w for _, w in entries), point)
+    entries, rho_sq = _classes(weights, system.base, level).get(
+        residue % system.base**level, ([], 0)
+    )
+    return _class_exp_sum(system, entries, rho_sq, point)
 
 
 def _class_exp_sum(
@@ -305,17 +307,40 @@ def discrete_integral(
     refused above GRID_BUDGET points.
     """
     _check_mode(mode)
-    system, weights = spec.system, spec.weights
-    if residue is None:
-        level = 0
-        residue = 0
-    else:
-        level = spec.class_level
-    entries = class_split(weights, system.base, level).get(residue % system.base**level)
-    if entries is None:
-        return Fraction(0) if weights.exact else 0.0
-    rho_sq = sum(w * w for _, w in entries)
-    return _block_mean(system, [(entries, rho_sq, spec.s)], spec.modulus, mode, budget)
+    level = 0 if residue is None else spec.class_level
+    classes = _classes(spec.weights, spec.base, level)
+    found = classes.get((residue or 0) % spec.base**level)
+    if found is None:
+        return Fraction(0) if spec.weights.exact else 0.0
+    return _block_mean(spec.system, [(*found, spec.s)], spec.modulus, mode, budget)
+
+
+def _class_average(
+    spec: MeanValueSpec,
+    blocks: Sequence[tuple[int, int]],
+    mode: str,
+    budget: Budget,
+    nu: int = 0,
+):
+    """rho_0^(-2m) * sum over class tuples of prod_i rho_i^2 * _block_mean.
+
+    Block i of the m ``blocks`` ``(level, n)`` ranges over the classes modulo
+    base**level, in sorted order, with power n.  With nu >= 1 the tuples whose
+    first and last residues agree modulo base**nu are left out.
+    """
+    tables = [_classes(spec.weights, spec.base, level) for level, _ in blocks]
+    total = Fraction(0) if spec.weights.exact else 0.0
+    for residues in itertools.product(*(sorted(table) for table in tables)):
+        if nu >= 1 and (residues[0] - residues[-1]) % spec.base**nu == 0:
+            continue
+        parts = [
+            (*table[res], n) for table, res, (_, n) in zip(tables, residues, blocks)
+        ]
+        rho_prod = math.prod(rho_sq for _, rho_sq, _ in parts)
+        total = total + rho_prod * _block_mean(
+            spec.system, parts, spec.modulus, mode, budget
+        )
+    return total / spec.weights.rho0_sq ** len(blocks)
 
 
 def congruence_mean_value(
@@ -331,16 +356,7 @@ def congruence_mean_value(
     full congruence system.  Exact (Fraction) in rational mode.
     """
     _check_mode(mode)
-    weights = spec.weights
-    norms = class_norms(weights, spec.base, spec.class_level)
-    total = Fraction(0) if weights.exact else 0.0
-    for residue in sorted(norms.table):
-        rho_sq = norms.table[residue]
-        if rho_sq == 0:
-            continue
-        part = discrete_integral(spec, residue, mode=mode, budget=budget)
-        total = total + rho_sq * part
-    return total / weights.rho0_sq
+    return _class_average(spec, [(spec.class_level, spec.s)], mode, budget)
 
 
 def two_class_mean_value(
@@ -366,8 +382,8 @@ def two_class_mean_value(
     Counting mode is exact with rational weights.
     """
     _check_mode(mode)
-    system, weights, s = spec.system, spec.weights, spec.s
-    if not 0 <= r <= system.k:
+    s = spec.s
+    if not 0 <= r <= spec.system.k:
         raise ValidationError(f"need 0 <= r <= k, got r={r}")
     if t < 2:
         raise ValidationError("t must be >= 2")
@@ -376,36 +392,17 @@ def two_class_mean_value(
     big_r = t * r * (r + 1) // 2
     if big_r > s:
         raise ValidationError(f"R = t*r(r+1)/2 = {big_r} exceeds s = {s}")
-
-    split_a = class_split(weights, spec.base, a)
-    split_b = class_split(weights, spec.base, b)
-    norms_a = {res: sum(w * w for _, w in part) for res, part in split_a.items()}
-    norms_b = {res: sum(w * w for _, w in part) for res, part in split_b.items()}
-
-    def pair_value(res_a: int, res_b: int):
-        blocks = [
-            (split_a[res_a], norms_a[res_a], big_r),
-            (split_b[res_b], norms_b[res_b], s - big_r),
-        ]
-        return _block_mean(system, blocks, spec.modulus, mode, budget)
-
     if (xi is None) != (eta is None):
         raise ValidationError("give both xi and eta or neither")
-    if xi is not None:
-        res_a = xi % spec.base**a
-        res_b = eta % spec.base**b
-        if res_a not in split_a or res_b not in split_b:
-            return Fraction(0) if weights.exact else 0.0
-        return pair_value(res_a, res_b)
+    if xi is None:
+        return _class_average(spec, [(a, big_r), (b, s - big_r)], mode, budget, nu)
 
-    exclusion = spec.base**nu
-    total = Fraction(0) if weights.exact else 0.0
-    for res_a in sorted(norms_a):
-        for res_b in sorted(norms_b):
-            if nu >= 1 and (res_a - res_b) % exclusion == 0:
-                continue
-            total = total + norms_a[res_a] * norms_b[res_b] * pair_value(res_a, res_b)
-    return total / weights.rho0_sq**2
+    class_a = _classes(spec.weights, spec.base, a).get(xi % spec.base**a)
+    class_b = _classes(spec.weights, spec.base, b).get(eta % spec.base**b)
+    if class_a is None or class_b is None:
+        return Fraction(0) if spec.weights.exact else 0.0
+    blocks = [(*class_a, big_r), (*class_b, s - big_r)]
+    return _block_mean(spec.system, blocks, spec.modulus, mode, budget)
 
 
 def normalized_two_class(k_value, delta: float, r: int, k: int, u_bh, q_h: int) -> float:
@@ -463,9 +460,7 @@ def restriction_ratio(
     q = count_members(digit_set, digit_set.base)
     if q < 2:
         raise ValidationError(f"q = #members in [1, base] is {q}; ratio needs q >= 2")
-    n_classes = len(
-        [1 for v in class_norms(spec.weights, spec.base, level).table.values() if v > 0]
-    )
+    n_classes = len(class_norms(spec.weights, spec.base, level).table)
     log_ratio = math.log(float(u_b)) - math.log(float(u_bh))
     ratio = log_ratio / (level * math.log(q))
     ratio_classes = log_ratio / math.log(n_classes) if n_classes > 1 else None
@@ -535,11 +530,10 @@ def class_refinement_check(
         ]
 
     res_a = xi % base**a
-    coarse = class_split(weights, base, a).get(res_a, [])
-    rho_a = sum(w * w for _, w in coarse)
+    coarse, rho_a = _classes(weights, base, a).get(res_a, ([], 0))
     refining = [
-        (part, sum(w * w for _, w in part))
-        for res, part in class_split(weights, base, b).items()
+        found
+        for res, found in _classes(weights, base, b).items()
         if res % base**a == res_a
     ]
     factor = float(split_factor) ** (w * (b - a))

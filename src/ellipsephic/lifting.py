@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .digits import DigitSet, base_digits
+from .digits import DigitSet
 from .errors import BudgetError, InvariantError, ValidationError
 from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem
 
@@ -68,46 +68,56 @@ class CarryTuple:
 
 @dataclass(frozen=True)
 class CarrySets:
-    """Digit tuples with a prescribed sum, and pairs with a prescribed difference.
+    """Digit tuples with a prescribed sum, and how many pairs differ by each sum.
 
     sums[h] lists the t-tuples over the digit set with digit sum h; diffs[h]
-    lists the pairs of t-tuples whose digit sums differ by h.  Sizes satisfy
-    the convolution identity #diffs[h] = sum_m #sums[m] * #sums[m - h].
+    is the number of pairs of t-tuples whose digit sums differ by h, by the
+    convolution identity diffs[h] = sum_m #sums[m] * #sums[m - h].
     """
 
     base: int
     t: int
     sums: dict[int, tuple[tuple[int, ...], ...]]
-    diffs: dict[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]
+    diffs: dict[int, int]
 
     def sum_size(self, h: int) -> int:
         return len(self.sums.get(h, ()))
 
     def diff_size(self, h: int) -> int:
-        return len(self.diffs.get(h, ()))
+        return self.diffs.get(h, 0)
 
 
 def carry_sets(digit_set: DigitSet, t: int) -> CarrySets:
-    """Enumerate the digit-sum and digit-difference tuple sets for all reachable h."""
+    """Enumerate the digit-sum tuple sets and count the difference sets for all h."""
     if t < 2:
         raise ValidationError("t must be >= 2")
     by_sum: dict[int, list[tuple[int, ...]]] = {}
     for tup in itertools.product(digit_set.digits, repeat=t):
         by_sum.setdefault(sum(tup), []).append(tup)
-    diffs: dict[int, list] = {}
+    diffs: dict[int, int] = {}
     for m1, tups1 in by_sum.items():
         for m2, tups2 in by_sum.items():
-            h = m1 - m2
-            bucket = diffs.setdefault(h, [])
-            for u in tups1:
-                for v in tups2:
-                    bucket.append((u, v))
-    return CarrySets(
-        digit_set.base,
-        t,
-        {h: tuple(v) for h, v in by_sum.items()},
-        {h: tuple(v) for h, v in diffs.items()},
-    )
+            diffs[m1 - m2] = diffs.get(m1 - m2, 0) + len(tups1) * len(tups2)
+    return CarrySets(digit_set.base, t, {h: tuple(v) for h, v in by_sum.items()}, diffs)
+
+
+def _prefix_sums(tup: Sequence[int], powers: Sequence[int]) -> tuple[int, ...]:
+    """P_r = sum_i (x_i mod base**(r+1)) for each power base**(r+1) in ``powers``."""
+    return tuple(sum(v % q for v in tup) for q in powers)
+
+
+def _carries(
+    px: Sequence[int], py: Sequence[int], powers: Sequence[int]
+) -> tuple[int, ...] | None:
+    """Carry vector of a pair from its prefix sums, or None if it is no solution.
+
+    The pair solves sum x = sum y (mod base**d) iff P_(d-1)(x) = P_(d-1)(y)
+    modulo base**d; the carry out of position r is then
+    lambda_r = (P_r(x) - P_r(y)) / base**(r+1), an exact division.
+    """
+    if px and (px[-1] - py[-1]) % powers[-1] != 0:
+        return None
+    return tuple((a - b) // q for a, b, q in zip(px, py, powers))
 
 
 def carry_tuple_for_pair(
@@ -115,32 +125,20 @@ def carry_tuple_for_pair(
 ) -> CarryTuple:
     """Carry vector of the solution pair (x, y) of sum x = sum y (mod base**depth).
 
-    Carries are computed by explicit digitwise propagation, never by search:
-    at position r the running value D_r + carry_(r-1) must be divisible by the
-    base, and the quotient is the next carry.  Raises if the pair is not
+    The carries of the digitwise addition are read off the prefix sums of
+    the two tuples, never found by search.  Raises if the pair is not
     actually a solution.
     """
     t = t if t is not None else len(x)
     if len(x) != len(y):
         raise ValidationError("x and y must have the same length")
-    digs_x = [base_digits(v, base) for v in x]
-    digs_y = [base_digits(v, base) for v in y]
-
-    def digit(ds: list[int], r: int) -> int:
-        return ds[r] if r < len(ds) else 0
-
-    carry = 0
-    out = []
-    for r in range(depth):
-        diff = sum(digit(dx, r) for dx in digs_x) - sum(digit(dy, r) for dy in digs_y)
-        value = diff + carry
-        if value % base != 0:
-            raise InvariantError(
-                f"pair {tuple(x)}, {tuple(y)} is not a solution modulo {base}**{depth}"
-            )
-        carry = value // base
-        out.append(carry)
-    return CarryTuple(t, base, tuple(out))
+    powers = [base ** (r + 1) for r in range(depth)]
+    lam = _carries(_prefix_sums(x, powers), _prefix_sums(y, powers), powers)
+    if lam is None:
+        raise InvariantError(
+            f"pair {tuple(x)}, {tuple(y)} is not a solution modulo {base}**{depth}"
+        )
+    return CarryTuple(t, base, lam)
 
 
 def unit_tuple_weights(members: Sequence[int], t: int) -> dict[tuple[int, ...], Fraction]:
@@ -238,14 +236,18 @@ def carry_decomposition(
     check_pair_budget(len(weights), budget)
     if (2 * t - 1) ** depth > budget.max_tuples:
         raise BudgetError("carry table would exceed the tuple budget")
-    modulus = base**depth
+    powers = [base ** (r + 1) for r in range(depth)]
+    items = []
+    for tup, w in weights.items():
+        if len(tup) != t:
+            raise ValidationError(f"tuple {tup} does not have length {t}")
+        items.append((_prefix_sums(tup, powers), w))
     table: dict[tuple[int, ...], object] = {}
-    items = list(weights.items())
-    for x, wx in items:
-        for y, wy in items:
-            if (sum(x) - sum(y)) % modulus != 0:
+    for px, wx in items:
+        for py, wy in items:
+            lam = _carries(px, py, powers)
+            if lam is None:
                 continue
-            lam = carry_tuple_for_pair(x, y, base, depth, t).values
             contrib = wx * (wy.conjugate() if isinstance(wy, complex) else wy)
             table[lam] = table.get(lam, 0) + contrib
     total = 0
@@ -289,6 +291,12 @@ def congruence_solution_pairs(
     for tup in itertools.product(mem, repeat=t):
         key = tuple(v % modulus for v in system.key(tup))
         by_key.setdefault(key, []).append(tup)
+    # one pair costs a 2-tuple of shared references plus its list slot: 64 bytes
+    pair_bytes = 64 * sum(len(tups) ** 2 for tups in by_key.values())
+    if pair_bytes > budget.max_table_bytes:
+        raise BudgetError(
+            f"solution pairs need {pair_bytes} bytes > {budget.max_table_bytes}"
+        )
     pairs = []
     for tups in by_key.values():
         for x in tups:

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellipsephic import (
     BudgetError,
@@ -41,6 +43,45 @@ def brute_g(base, t, depth, weights):
                 wyc = wy.conjugate() if isinstance(wy, complex) else wy
                 total = total + wx * wyc
     return total
+
+
+def digit_propagation_carries(x, y, base, depth):
+    """Oracle: carries by digitwise propagation, D_r + carry_(r-1) = base * carry_r."""
+    digs_x = [base_digits(v, base) for v in x]
+    digs_y = [base_digits(v, base) for v in y]
+
+    def digit(ds, r):
+        return ds[r] if r < len(ds) else 0
+
+    carry = 0
+    out = []
+    for r in range(depth):
+        diff = sum(digit(d, r) for d in digs_x) - sum(digit(d, r) for d in digs_y)
+        value = diff + carry
+        if value % base != 0:
+            raise InvariantError(f"{x}, {y} is not a solution modulo {base}**{depth}")
+        carry = value // base
+        out.append(carry)
+    return tuple(out)
+
+
+@st.composite
+def carry_instances(draw):
+    """(base, depth, t, tuples) with base in {3, 5, 7}, depth and t in 1..4.
+
+    Each tuple after the first is moved onto the first one's sum residue
+    modulo base**depth with probability one half, so nonzero carries occur.
+    """
+    base = draw(st.sampled_from((3, 5, 7)))
+    depth = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 4))
+    value = st.integers(0, base ** (depth + 1))
+    t_tuple = st.lists(value, min_size=t, max_size=t)
+    tuples = draw(st.lists(t_tuple, min_size=1, max_size=8))
+    for tup in tuples[1:]:
+        if draw(st.booleans()):
+            tup[-1] += (sum(tuples[0]) - sum(tup)) % base**depth
+    return base, depth, t, [tuple(tup) for tup in tuples]
 
 
 # --- carry sets ----------------------------------------------------------------
@@ -96,6 +137,20 @@ def test_carry_for_pair_single_digit_carry():
 def test_carry_for_pair_rejects_non_solutions():
     with pytest.raises(InvariantError):
         carry_tuple_for_pair((1, 1), (2, 1), 3, 1)
+
+
+@given(carry_instances())
+def test_carry_tuple_matches_digit_propagation(instance):
+    base, depth, _, tuples = instance
+    x = tuples[0]
+    for y in tuples:
+        try:
+            expected = digit_propagation_carries(x, y, base, depth)
+        except InvariantError:
+            with pytest.raises(InvariantError):
+                carry_tuple_for_pair(x, y, base, depth)
+        else:
+            assert carry_tuple_for_pair(x, y, base, depth).values == expected
 
 
 def test_carry_zero_for_positionwise_equal_sums():
@@ -196,7 +251,8 @@ def test_decomposition_blocks_lie_in_difference_sets():
             for r in range(2):
                 xd = tuple(base_digits(v, 3)[r] if r < len(base_digits(v, 3)) else 0 for v in x)
                 yd = tuple(base_digits(v, 3)[r] if r < len(base_digits(v, 3)) else 0 for v in y)
-                assert (xd, yd) in cs.diffs[adjusted[r]]
+                assert xd in cs.sums[sum(xd)] and yd in cs.sums[sum(yd)]
+                assert sum(xd) - sum(yd) == adjusted[r]
 
 
 def test_decomposition_all_zero_tuple_is_positionwise_equality():
@@ -217,6 +273,26 @@ def test_decomposition_all_zero_tuple_is_positionwise_equality():
     assert zero_contrib == direct
 
 
+@given(carry_instances(), st.data())
+def test_decomposition_table_matches_digit_propagation(instance, data):
+    base, depth, t, tuples = instance
+    weights = {tup: Fraction(data.draw(st.integers(0, 8)), 8) for tup in tuples}
+    expected = {}
+    for x, wx in weights.items():
+        for y, wy in weights.items():
+            try:
+                lam = digit_propagation_carries(x, y, base, depth)
+            except InvariantError:
+                continue
+            expected[lam] = expected.get(lam, 0) + wx * wy
+    assert carry_decomposition(base, t, depth, weights).table == expected
+
+
+def test_decomposition_rejects_wrong_tuple_length():
+    with pytest.raises(ValidationError):
+        carry_decomposition(3, 2, 1, {(1, 1, 1): 1})
+
+
 def test_decomposition_budget():
     weights = unit_tuple_weights(list(range(1, 40)), 2)
     with pytest.raises(BudgetError):
@@ -234,6 +310,20 @@ def test_lifting_chain_golden():
     assert [st.c_j for st in chain.steps] == [1, 2, 3]
     assert all(st.verified for st in chain.steps)
     assert chain.steps[0].pairs_checked == len(pairs)
+
+
+def test_solution_pairs_budget():
+    system = SpacedSystem.perturbed(3, 1, [[0, 0, 1]])
+    members = list(iter_members(DS3, 27))
+    pairs = congruence_solution_pairs(
+        system, 2, members, 3, budget=Budget(max_table_bytes=64 * 208)
+    )
+    assert len(pairs) == 208
+    for limit in (64 * 208 - 1, 1000):
+        with pytest.raises(BudgetError):
+            congruence_solution_pairs(
+                system, 2, members, 3, budget=Budget(max_table_bytes=limit)
+            )
 
 
 def test_lifting_chain_c_at_least_b():
