@@ -24,9 +24,6 @@ from . import lifting as lf
 from . import meanvalue as mv
 from . import waring as wr
 
-_SUBCOMMANDS = ("enumerate", "etstar", "count", "congruence", "lift", "waring", "fit")
-
-
 # --- config handling --------------------------------------------------------
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -88,10 +85,7 @@ def _get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
         if default is None:
             raise ValidationError(f"config is missing required key: {key}")
         return default
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ValidationError(f"config key {key} is not an integer: {cfg[key]!r}") from exc
+    return _parse_int(cfg[key], f"config key {key}")
 
 
 def _get_int_list(cfg: dict[str, str], key: str) -> list[int]:
@@ -156,6 +150,7 @@ def _fmt(value) -> str:
 
 
 def _write_lines(path: Path, header: str, lines) -> None:
+    lines = list(lines)  # a lazy source that raises must leave no file behind
     with open(path, "w") as fh:
         fh.write(f"# config: {header}\n")
         for line in lines:
@@ -220,6 +215,9 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     if method not in ("brute", "mitm"):
         raise ValidationError(f"method must be brute or mitm, got {method!r}")
     timing = _get_flag(cfg, "timing", False)
+    histogram = _get_flag(cfg, "histogram", False)
+    if histogram and len(bounds) != 1:
+        raise ValidationError("histogram output needs a single X")
     system = mv.SpacedSystem.pure_powers(k, ds.base)
     rows = []
     for bound in bounds:
@@ -233,9 +231,7 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     _write_csv(
         out / "count.csv", header, ["X", "Y", "s", "k", "count", "method", "seconds"], rows
     )
-    if _get_flag(cfg, "histogram", False):
-        if len(bounds) != 1:
-            raise ValidationError("histogram output needs a single X")
+    if histogram:
         members = list(dg.iter_members(ds, bounds[0]))
         table = mv.multiplicity_table(system, s, members, budget=budget)
         hist_rows = [
@@ -419,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="ellipsephic",
         description="Exact counting experiments over digit-restricted integer sets.",
     )
-    parser.add_argument("subcommand", choices=_SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_RUNNERS)
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(

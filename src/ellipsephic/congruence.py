@@ -8,8 +8,10 @@ restriction-ratio diagnostic.
 
 Exact arithmetic policy: counting paths carry Fraction weights end to end;
 grid paths are double-precision complex and are held to 1e-9 relative
-agreement with the counting paths.  Class norms are stored squared so the
-rational paths never need square roots.
+agreement with the counting paths.  In grid mode each class's values over
+the whole grid are one DFT of its weight histogram over the residues
+(phi_j(x) mod p^B)_j.  Class norms are stored squared so the rational paths
+never need square roots.
 """
 
 from __future__ import annotations
@@ -224,13 +226,6 @@ def _class_exp_sum(
     return total / math.sqrt(float(rho_sq))
 
 
-def _grid_points(modulus: int, k: int) -> np.ndarray:
-    """All u in [1, modulus]^k as an (modulus**k, k) int array, in canonical order."""
-    axes = [np.arange(1, modulus + 1, dtype=np.int64)] * k
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _grid_class_power_mean(
     system: SpacedSystem,
     entries: list[tuple[int, object]],
@@ -238,23 +233,24 @@ def _grid_class_power_mean(
     modulus: int,
     power: int,
 ) -> np.ndarray:
-    """|f_class(u/modulus)|**(2*power) over the full grid, as a float vector."""
+    """|f_class(u/modulus)|**(2*power) at every u in (Z/modulus)^k, as a k-D array.
+
+    f_class sees a member x only through (phi_j(x) mod modulus)_j, so the
+    weights are summed into a histogram over those residues first, and the
+    class's grid vector is one DFT of it: the weights are real, so
+    |fftn(histogram)[u]| = |f_class(u/modulus)|, index 0 standing for
+    u = modulus.  Every call returns the grid in the same order.
+    """
     k = system.k
-    pts = _grid_points(modulus, k)
-    phi_mat = np.array(
+    residues = np.array(
         [[system.phi(j, x) % modulus for j in range(1, k + 1)] for x, _ in entries],
         dtype=np.int64,
-    ).T  # shape (k, n_members)
-    wvec = np.array([float(w) for _, w in entries])
-    roots = np.exp(2j * np.pi * np.arange(modulus) / modulus)
-    out = np.empty(len(pts))
-    step = max(1, (1 << 23) // max(1, len(entries)))
-    for lo in range(0, len(pts), step):
-        phases = (pts[lo : lo + step] @ phi_mat) % modulus
-        sums = roots[phases] @ wvec
-        abs2 = sums.real**2 + sums.imag**2
-        out[lo : lo + step] = abs2**power
-    return out / float(rho_sq) ** power
+    )
+    hist = np.zeros((modulus,) * k)
+    np.add.at(hist, tuple(residues.T), [float(w) for _, w in entries])
+    sums = np.fft.fftn(hist)
+    abs2 = sums.real**2 + sums.imag**2
+    return abs2**power / float(rho_sq) ** power
 
 
 def _block_mean(
@@ -267,8 +263,10 @@ def _block_mean(
     """Grid average of prod_i |f_i(alpha)|**(2 n_i) over alpha = u/modulus.
 
     Each block ``(entries, rho_sq, n)`` is one class's support entries, its
-    squared norm and its power.  "count" evaluates the equal congruence count
-    from one exact table over all block factors; ``mode`` is checked by callers.
+    squared norm and its power.  "grid" multiplies the blocks' grid vectors,
+    each one DFT of its class's residue histogram; "count" evaluates the equal
+    congruence count from one exact table over all block factors; ``mode`` is
+    checked by callers.
     """
     if mode == "grid":
         n_points = modulus**system.k

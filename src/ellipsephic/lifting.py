@@ -229,7 +229,9 @@ def carry_decomposition(
     Each pair (x, y) with sum x = sum y (mod base**depth) is assigned the
     unique carry vector of the digitwise addition; contributions w_x *
     conj(w_y) are accumulated per vector and sum exactly to the congruence
-    count.
+    count.  The carry vector depends on a pair only through the two tuples'
+    prefix sums, so the weights are summed per prefix-sum class first and
+    the classes are paired, not the tuples.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
@@ -237,14 +239,15 @@ def carry_decomposition(
     if (2 * t - 1) ** depth > budget.max_tuples:
         raise BudgetError("carry table would exceed the tuple budget")
     powers = [base ** (r + 1) for r in range(depth)]
-    items = []
+    masses: dict[tuple[int, ...], object] = {}
     for tup, w in weights.items():
         if len(tup) != t:
             raise ValidationError(f"tuple {tup} does not have length {t}")
-        items.append((_prefix_sums(tup, powers), w))
+        px = _prefix_sums(tup, powers)
+        masses[px] = masses.get(px, 0) + w
     table: dict[tuple[int, ...], object] = {}
-    for px, wx in items:
-        for py, wy in items:
+    for px, wx in masses.items():
+        for py, wy in masses.items():
             lam = _carries(px, py, powers)
             if lam is None:
                 continue

@@ -111,6 +111,21 @@ def test_count_histogram(tmp_path):
     assert sum(m * m for m in mults) == 28
 
 
+@pytest.mark.parametrize(
+    "subcommand, config",
+    [
+        ("count", "digitset=p=3;digits=0,1\ns=2\nk=1\nX=9,27\nhistogram=on\n"),
+        ("enumerate", "digitset=p=3;digits=0,1\nX=0\n"),
+    ],
+    ids=["count-histogram-several-X", "enumerate-X0"],
+)
+def test_validation_error_leaves_no_output(tmp_path, capsys, subcommand, config):
+    code, out = run_cli(tmp_path, subcommand, config)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error kind=validation")
+    assert list(out.iterdir()) == []
+
+
 def test_etstar_output(tmp_path):
     config = "source=explicit:0,1\nt=2\nN=100\n"
     code, out = run_cli(tmp_path, "etstar", config)

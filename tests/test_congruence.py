@@ -155,19 +155,21 @@ def test_grid_equals_count():
     for base, digits, k, levels in (
         (3, (0, 1), 1, (1, 2, 3, 4)),
         (3, (0, 1), 2, (1, 2)),
+        (3, (0, 1), 3, (1, 2)),
         (5, (0, 1, 4), 1, (1, 2)),
     ):
         ds = DigitSet(base, digits)
         system = SpacedSystem.pure_powers(k, base)
         members = list(iter_members(ds, base**2))
-        weights = WeightAssignment.unit(members)
-        for b_level in levels:
-            for s in (1, 2):
-                for h in (0, 1):
-                    spec = MeanValueSpec(system, weights, s, b_level, h)
-                    exact = congruence_mean_value(spec, mode="count")
-                    approx = congruence_mean_value(spec, mode="grid")
-                    assert approx == pytest.approx(float(exact), rel=1e-9)
+        rational = [(x, Fraction(1 + x % 4, 4)) for x in members]
+        for weights in (WeightAssignment.unit(members), WeightAssignment.from_pairs(rational)):
+            for b_level in levels:
+                for s in (1, 2):
+                    for h in (0, 1):
+                        spec = MeanValueSpec(system, weights, s, b_level, h)
+                        exact = congruence_mean_value(spec, mode="count")
+                        approx = congruence_mean_value(spec, mode="grid")
+                        assert approx == pytest.approx(float(exact), rel=1e-9)
 
 
 def test_grid_orthogonality_identity():
@@ -296,6 +298,8 @@ def test_two_class_grid_agrees():
         count = two_class_mean_value(spec, t=2, r=r, a=a, b=b, nu=1)
         grid = two_class_mean_value(spec, t=2, r=r, a=a, b=b, nu=1, mode="grid")
         assert grid == pytest.approx(float(count), rel=1e-9)
+    pair = two_class_mean_value(spec, t=2, r=1, a=1, b=1, nu=1, xi=1, eta=0, mode="grid")
+    assert pair == pytest.approx(1.5, rel=1e-9)
 
 
 def test_unknown_mode_rejected():

@@ -288,6 +288,31 @@ def test_decomposition_table_matches_digit_propagation(instance, data):
     assert carry_decomposition(base, t, depth, weights).table == expected
 
 
+def test_decomposition_float_and_complex_weights():
+    members = list(iter_members(DS3FULL, 27))
+    tuples = list(itertools.product(members, repeat=2))
+    rng = random.Random(23)
+    real = {tup: rng.uniform(-1, 1) for tup in tuples}
+    phases = {tup: rng.random() * cmath.exp(2j * cmath.pi * rng.random()) for tup in tuples}
+    for depth in (1, 2, 3):
+        solutions = [
+            (x, y, digit_propagation_carries(x, y, 3, depth))
+            for x in tuples
+            for y in tuples
+            if (sum(x) - sum(y)) % 3**depth == 0
+        ]
+        for weights in (real, phases):
+            expected = {}
+            for x, y, lam in solutions:
+                expected[lam] = expected.get(lam, 0) + weights[x] * weights[y].conjugate()
+            table = carry_decomposition(3, 2, depth, weights).table
+            assert table.keys() == expected.keys()
+            # sums that cancel are held to a floor set by the weights' total size
+            floor = 1e-9 * sum(abs(w) for w in weights.values()) ** 2
+            for lam, value in expected.items():
+                assert table[lam] == pytest.approx(value, rel=1e-9, abs=floor)
+
+
 def test_decomposition_rejects_wrong_tuple_length():
     with pytest.raises(ValidationError):
         carry_decomposition(3, 2, 1, {(1, 1, 1): 1})
