@@ -9,8 +9,12 @@ repeated ordered convolution, one factor at a time, starting from the table
 The backend is selected from the input:
 
 * dense -- one key component, no modulus, all keys >= 0, and the array fits
-  the byte budget: a 1-D array indexed by key value, grown by one shifted add
-  per factor entry.
+  the byte budget: a 1-D array indexed by key value.  Each factor is folded in
+  by whichever step the cost model of ``_dense`` prices lower: a *shift*, one
+  shifted add of the whole array per factor entry, or a *scatter*, one
+  fancy-index add of the factor's distinct values per nonzero entry of the
+  table (a scatter row costs like 5,000 element adds, a shifted add like
+  2,600 plus its length).
 * sparse -- otherwise: each key tuple is packed into one integer in mixed
   radix, every pairwise sum of table and factor entries is formed at once, and
   equal keys are merged by a sort and ``np.add.reduceat``.
@@ -36,6 +40,10 @@ from .errors import BudgetError, InvariantError
 
 _INT64_LIMIT = 1 << 63
 _OBJECT_ITEM_BYTES = 40  # one pointer plus a small Python int
+# Cost model of a dense step, in vectorised element adds (see _dense).
+_SHIFT_CALL = 2600
+_SCATTER_CALL = 5000
+_SCATTER_ELEMENT = 10
 
 
 @dataclass(frozen=True)
@@ -153,18 +161,60 @@ def _scaled_masses(factors) -> tuple[list[list], int | None, bool]:
 
 
 def _dense(values: list, masses_in: list, length: int, dtype) -> np.ndarray:
-    """Shifted-add convolution into an array indexed by key value below length."""
+    """Convolution into an array indexed by key value below length.
+
+    Each step takes the cheaper of two kinds, costed in vectorised element
+    adds, where one Python-level loop iteration with its NumPy calls counts as
+    _SHIFT_CALL or _SCATTER_CALL of them:
+
+    * shift -- one shifted add of the current array per factor entry:
+      #entries * (_SHIFT_CALL + len(cur));
+    * scatter -- ``nxt[i + uv] += cur[i] * um`` per nonzero index i, where uv
+      are the factor's distinct values, increasing, and um their masses summed
+      in the mass dtype; uv has no repeats, so each fancy-index add is exact,
+      and each row is cut where i + uv reaches the end of nxt:
+      nnz * (_SCATTER_CALL + _SCATTER_ELEMENT * |uv|).
+
+    A table with few nonzeros, such as the squares or their pairwise sums,
+    scatters; a dense one shifts.  The constants were timed on a 2-core x86
+    host with int64 and float64 masses: a shifted add took 1.3 us plus 0.5 ns
+    per element, a scatter row 2.5 us plus 5 ns per value.  Counting element
+    operations alone, without the per-call terms, picks scatter for small
+    dense tables and made such steps several times slower.
+    """
     cur = np.ones(1, dtype=dtype)
     top = 0
     for f_values, f_masses in zip(values, masses_in):
         top += max(f_values, default=0)
         nxt = np.zeros(min(length, top + 1), dtype=dtype)
-        for a, w in zip(f_values, f_masses):
-            n = min(len(cur), len(nxt) - a)
-            if n > 0:
-                nxt[a : a + n] += cur[:n] if w == 1 else cur[:n] * w
+        uv, um = _distinct(f_values, f_masses, len(nxt), dtype)
+        nnz = np.count_nonzero(cur)
+        shift = len(f_values) * (_SHIFT_CALL + len(cur))
+        if nnz * (_SCATTER_CALL + _SCATTER_ELEMENT * len(uv)) < shift:
+            rows = np.flatnonzero(cur)
+            cuts = np.searchsorted(uv, len(nxt) - rows)
+            for i, cut in zip(rows.tolist(), cuts.tolist()):
+                nxt[i + uv[:cut]] += cur[i] * um[:cut]
+        else:
+            for a, w in zip(f_values, f_masses):
+                n = min(len(cur), len(nxt) - a)
+                if n > 0:
+                    nxt[a : a + n] += cur[:n] if w == 1 else cur[:n] * w
         cur = nxt
     return cur
+
+
+def _distinct(f_values, f_masses, size: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The factor's distinct values below size, increasing, and their summed masses."""
+    if max(f_values, default=0) >= size:
+        kept = [(v, w) for v, w in zip(f_values, f_masses) if v < size]
+        f_values, f_masses = [v for v, _ in kept], [w for _, w in kept]
+    vals = np.array(f_values, dtype=np.int64)
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    first = np.flatnonzero(np.diff(vals, prepend=-1))
+    masses = np.array(f_masses, dtype=dtype)[order]
+    return vals[first], np.add.reduceat(masses, first) if len(first) else masses
 
 
 def _sparse(factors, masses_in, modulus, mass_dtype, max_bytes):

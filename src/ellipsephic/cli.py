@@ -150,11 +150,10 @@ def _fmt(value) -> str:
 
 
 def _write_lines(path: Path, header: str, lines) -> None:
-    lines = list(lines)  # a lazy source that raises must leave no file behind
+    # rendered before the file opens: a lazy source that raises leaves no file
+    text = "\n".join([f"# config: {header}", *lines]) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"# config: {header}\n")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write(text)
 
 
 def _write_csv(path: Path, header: str, columns: list[str], rows) -> None:
@@ -341,8 +340,9 @@ def _run_waring(cfg, out: Path, header: str, budget) -> None:
     bound = _get_int(cfg, "X")
     table = wr.representation_table(ds, s, k, bound, budget=budget)
     check = wr.cauchy_bound_check(table)
-    rows = [[n, table.counts[n]] for n in sorted(table.counts)]
-    _write_csv(out / "waring.csv", header, ["n", "R"], rows)
+    # every cell is an int, which _fmt renders as str(): skip its dispatch
+    rows = (f"{n},{r}" for n, r in sorted(table.counts.items()))
+    _write_lines(out / "waring.csv", header, ["n,R", *rows])
     _write_json(
         out / "waring.json",
         header,

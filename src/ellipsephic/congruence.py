@@ -253,6 +253,15 @@ def _grid_class_power_mean(
     return abs2**power / float(rho_sq) ** power
 
 
+def _check_grid(system: SpacedSystem, modulus: int) -> None:
+    """Refuse grid mode above GRID_BUDGET points, before any histogram exists."""
+    n_points = modulus**system.k
+    if n_points > GRID_BUDGET:
+        raise BudgetError(
+            f"grid mode needs {n_points} points > {GRID_BUDGET}; use counting mode"
+        )
+
+
 def _block_mean(
     system: SpacedSystem,
     blocks: Sequence[tuple[list[tuple[int, object]], object, int]],
@@ -269,11 +278,7 @@ def _block_mean(
     checked by callers.
     """
     if mode == "grid":
-        n_points = modulus**system.k
-        if n_points > GRID_BUDGET:
-            raise BudgetError(
-                f"grid mode needs {n_points} points > {GRID_BUDGET}; use counting mode"
-            )
+        _check_grid(system, modulus)
         vals = [
             _grid_class_power_mean(system, entries, rho_sq, modulus, n)
             for entries, rho_sq, n in blocks
@@ -325,8 +330,24 @@ def _class_average(
     Block i of the m ``blocks`` ``(level, n)`` ranges over the classes modulo
     base**level, in sorted order, with power n.  With nu >= 1 the tuples whose
     first and last residues agree modulo base**nu are left out.
+
+    In grid mode each class's grid vector is built once per block, not once
+    per tuple.  The first block's class changes slowest, so only its current
+    vector is kept, beside every vector of the later blocks.
     """
+    system, modulus = spec.system, spec.modulus
     tables = [_classes(spec.weights, spec.base, level) for level, _ in blocks]
+    grids: list[dict] = [{} for _ in blocks]
+    if mode == "grid":
+        _check_grid(system, modulus)
+
+    def grid_vector(i, res, entries, rho_sq, n):
+        if res not in grids[i]:
+            if i == 0:
+                grids[0].clear()
+            grids[i][res] = _grid_class_power_mean(system, entries, rho_sq, modulus, n)
+        return grids[i][res]
+
     total = Fraction(0) if spec.weights.exact else 0.0
     for residues in itertools.product(*(sorted(table) for table in tables)):
         if nu >= 1 and (residues[0] - residues[-1]) % spec.base**nu == 0:
@@ -335,9 +356,15 @@ def _class_average(
             (*table[res], n) for table, res, (_, n) in zip(tables, residues, blocks)
         ]
         rho_prod = math.prod(rho_sq for _, rho_sq, _ in parts)
-        total = total + rho_prod * _block_mean(
-            spec.system, parts, spec.modulus, mode, budget
-        )
+        if mode == "grid":
+            vals = (
+                grid_vector(i, res, *part)
+                for i, (res, part) in enumerate(zip(residues, parts))
+            )
+            mean = float(np.mean(math.prod(vals)))
+        else:
+            mean = _block_mean(system, parts, modulus, mode, budget)
+        total = total + rho_prod * mean
     return total / spec.weights.rho0_sq ** len(blocks)
 
 

@@ -241,8 +241,29 @@ def is_member(digit_set: DigitSet, n: int) -> bool:
 
 
 def count_members(digit_set: DigitSet, bound: int) -> int:
-    """#(ellipsephic members in [1, bound]); always <= r**(floor(log_p bound)+1)."""
-    return sum(1 for _ in iter_members(digit_set, bound))
+    """#(ellipsephic members in [1, bound]) by a digit walk, never enumerating.
+
+    Let the bound have L base-p digits.  The members with fewer digits number
+    r' * r**(l-1) for each length l < L, where r' counts the nonzero permitted
+    digits.  Those with L digits are counted most significant digit first: at
+    each position, every permitted digit below the bound's digit (nonzero in
+    the leading position) leaves the lower positions free, and the walk goes
+    on only while the bound's own digit is permitted; if it always is, the
+    bound itself is a member.  At most r**(floor(log_p bound)+1).
+    """
+    if bound < 1:
+        raise ValidationError(f"bound must be >= 1, got {bound}")
+    allowed = digit_set.digits
+    r = len(allowed)
+    top_first = base_digits(bound, digit_set.base)[::-1]
+    leads = r - (0 in allowed)
+    total = sum(leads * r ** (n - 1) for n in range(1, len(top_first)))
+    for pos, b in enumerate(top_first):
+        below = sum(1 for d in allowed if d < b and (pos or d))
+        total += below * r ** (len(top_first) - 1 - pos)
+        if b not in allowed:
+            return total
+    return total + 1
 
 
 # --- Additive representation profiles -------------------------------------
@@ -270,8 +291,11 @@ def rep_profile(
     """Exact ordered t-tuple representation counts for all 0 <= n <= horizon.
 
     Computed by t ordered convolutions of the source values up to the horizon
-    (the dense backend of ``_tables``).  Counts are 64-bit when the a-priori
-    bound (#source)**t rules out overflow, and Python integers otherwise.
+    (the dense backend of ``_tables``).  While the partial table is sparse, as
+    the sums of one or two squares are, a step scatters each nonzero count
+    over the source values; once it fills in, a step shifts the whole table
+    once per source value.  Counts are 64-bit when the a-priori bound
+    (#source)**t rules out overflow, and Python integers otherwise.
     """
     if t < 2:
         raise ValidationError(f"t must be >= 2, got {t}")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._tables import check_multisets, power_sum_table
-from .digits import DigitSet, iter_members
-from .errors import ValidationError
+from .digits import DigitSet, count_members, iter_members
+from .errors import InvariantError, ValidationError
 from .meanvalue import Budget, DEFAULT_BUDGET
 
 __all__ = [
@@ -78,15 +78,19 @@ def representation_table(
     member list is the ellipsephic enumeration up to the integer k-th root.
     Partial sums above the bound are dropped as they arise, and the overflow
     is the remaining mass Y**s - sum R(n).  Refused when C(Y+s-1, s) exceeds
-    the tuple budget.
+    the tuple budget, with Y counted by ``count_members`` before any member
+    is enumerated.
     """
     if s < 1 or k < 1:
         raise ValidationError("representation_table needs s >= 1 and k >= 1")
     if bound < 1:
         raise ValidationError("bound must be >= 1")
-    members = list(iter_members(digit_set, integer_root(bound, k)))
-    y = len(members)
+    root = integer_root(bound, k)
+    y = count_members(digit_set, root)
     check_multisets(y, s, budget.max_tuples)
+    members = list(iter_members(digit_set, root))
+    if len(members) != y:
+        raise InvariantError(f"{len(members)} members enumerated, {y} counted")
     factor = ([[m**k for m in members]], None)
     table = power_sum_table([factor] * s, cap=bound, max_bytes=budget.max_table_bytes)
     counts = dict(zip(table.keys[:, 0].tolist(), table.values()))

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellipsephic.cli import canonical_config, main, parse_canonical, parse_config_text
+from ellipsephic import DigitSet, representation_table
+from ellipsephic.cli import (
+    _fmt,
+    canonical_config,
+    main,
+    parse_canonical,
+    parse_config_text,
+)
 
 
 def run_cli(tmp_path, subcommand, config_text, extra=(), name="cfg"):
@@ -208,6 +215,17 @@ def test_waring_output(tmp_path):
     rows = (out / "waring.csv").read_text().splitlines()
     assert rows[1] == "n,R"
     assert sum(int(r.split(",")[1]) for r in rows[2:]) == 53
+
+
+def test_waring_rows_render_as_fmt(tmp_path):
+    config = "digitset=p=5;digits=0,1,4\ns=3\nk=2\nX=20000\n"
+    code, out = run_cli(tmp_path, "waring", config)
+    assert code == 0
+    table = representation_table(DigitSet(5, (0, 1, 4)), 3, 2, 20000)
+    rows = [[n, table.counts[n]] for n in sorted(table.counts)]
+    lines = (out / "waring.csv").read_text().splitlines()
+    assert len(rows) > 1000
+    assert lines[1:] == ["n,R"] + [",".join(_fmt(cell) for cell in row) for row in rows]
 
 
 def test_fit_synthetic_square_law(tmp_path):

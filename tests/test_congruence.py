@@ -27,6 +27,7 @@ from ellipsephic import (
     restriction_ratio,
     two_class_mean_value,
 )
+from ellipsephic import congruence
 
 DS3 = DigitSet(3, (0, 1))
 DS5 = DigitSet(5, (0, 1, 4))
@@ -300,6 +301,29 @@ def test_two_class_grid_agrees():
         assert grid == pytest.approx(float(count), rel=1e-9)
     pair = two_class_mean_value(spec, t=2, r=1, a=1, b=1, nu=1, xi=1, eta=0, mode="grid")
     assert pair == pytest.approx(1.5, rel=1e-9)
+
+
+def test_two_class_grid_builds_each_class_once(monkeypatch):
+    # p = 5, D = {0, 1, 4}, X = 3125, k = 1: 3 classes at level 1, 9 at level 2
+    weights = WeightAssignment.unit(iter_members(DS5, 3125))
+    n_classes = len(class_split(weights, 5, 1)) + len(class_split(weights, 5, 2))
+    assert n_classes == 12
+    calls = []
+    build = congruence._grid_class_power_mean
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for s in (2, 3):
+        spec = MeanValueSpec(SpacedSystem.pure_powers(1, 5), weights, s, 2, 0)
+        count = two_class_mean_value(spec, t=2, r=1, a=1, b=2, nu=1)
+        monkeypatch.setattr(congruence, "_grid_class_power_mean", counted)
+        grid = two_class_mean_value(spec, t=2, r=1, a=1, b=2, nu=1, mode="grid")
+        monkeypatch.undo()
+        assert grid == pytest.approx(float(count), rel=1e-12)
+        assert len(calls) == n_classes
+        calls.clear()
 
 
 def test_unknown_mode_rejected():

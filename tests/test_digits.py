@@ -115,6 +115,21 @@ def test_count_examples():
     assert count_members(DigitSet(11, (0, 1, 4, 9)), 11**3) == 64
 
 
+@given(st.sampled_from([3, 5, 7, 11]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_count_members_matches_enumeration(base, data):
+    # any digit set, strict or not, including {0} and the full set
+    digits = data.draw(
+        st.lists(st.integers(0, base - 1), min_size=1, max_size=base, unique=True)
+    )
+    ds = DigitSet(base, tuple(digits), strict=False)
+    length = data.draw(st.integers(1, 3 if base == 11 else 4))
+    top = base**length
+    bounds = [1, base - 1, base, top - 1, top, data.draw(st.integers(1, 2 * top))]
+    for bound in bounds:
+        assert count_members(ds, bound) == len(list(iter_members(ds, bound)))
+
+
 @given(
     st.sampled_from([3, 5, 7, 11]),
     st.data(),

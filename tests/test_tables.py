@@ -1,0 +1,118 @@
+"""The dense backend of the power-sum kernel against a dict convolution."""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellipsephic import _tables
+from ellipsephic._tables import power_sum_table
+
+MAX_BYTES = 1 << 27
+
+
+def dict_convolution(factors, cap):
+    """Ordered s-fold sums by a literal double loop over the partial sums."""
+    table = {0: 1}
+    for values, weights in factors:
+        weights = [1] * len(values) if weights is None else weights
+        nxt = {}
+        for v, m in table.items():
+            for x, w in zip(values, weights):
+                if cap is None or v + x <= cap:
+                    nxt[v + x] = nxt.get(v + x, 0) + m * w
+        table = nxt
+    return {v: m for v, m in table.items() if m != 0}
+
+
+def kernel_table(factors, cap):
+    """power_sum_table on the dense backend (the sparse one may not run)."""
+    with mock.patch.object(_tables, "_sparse", side_effect=AssertionError("sparse")):
+        table = power_sum_table(
+            [([values], weights) for values, weights in factors],
+            cap=cap,
+            max_bytes=MAX_BYTES,
+        )
+    return dict(zip(table.keys[:, 0].tolist(), table.values()))
+
+
+# few far-apart values (the squares) leave sparse tables; short runs of small
+# values with repeats fill them
+sparse_values = st.lists(st.integers(0, 150), min_size=1, max_size=10).map(
+    lambda xs: sorted(x * x for x in xs)
+)
+dense_values = st.lists(st.integers(0, 30), min_size=1, max_size=40)
+weight_kinds = st.sampled_from(["unit", "int", "fraction", "float", "near 2**62"])
+
+
+def draw_weights(data, kind, n):
+    if kind == "unit":
+        return None
+    if kind == "int":
+        return data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    if kind == "fraction":
+        pairs = st.tuples(st.integers(1, 9), st.integers(1, 6))
+        drawn = data.draw(st.lists(pairs, min_size=n, max_size=n))
+        return [Fraction(a, b) for a, b in drawn]
+    if kind == "float":
+        return data.draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+    offsets = data.draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))
+    return [(1 << 62) - j for j in offsets]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dense_table_matches_dict_convolution(data):
+    kind = data.draw(weight_kinds)
+    factors = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        values = data.draw(st.one_of(sparse_values, dense_values))
+        factors.append((values, draw_weights(data, kind, len(values))))
+    top = sum(max(values) for values, _ in factors)
+    cap = data.draw(st.one_of(st.none(), st.integers(0, top)))
+    got, want = kernel_table(factors, cap), dict_convolution(factors, cap)
+    assert sorted(got) == sorted(want)
+    if kind == "float":
+        for v, m in want.items():
+            assert math.isclose(got[v], m, rel_tol=1e-12)
+    else:
+        assert got == want
+
+
+class _SearchsortedSpy:
+    """numpy for _tables, counting the one searchsorted call of a scatter step."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def searchsorted(self, *args, **kwargs):
+        self.calls += 1
+        return np.searchsorted(*args, **kwargs)
+
+
+def test_dense_steps_take_both_kinds(monkeypatch):
+    squares = [x * x for x in range(120)]
+    runs = list(range(40)) * 2
+    cases = [
+        # pairs of squares stay sparse and scatter; their 2,750 distinct sums
+        # below the cap fill the table enough for the third step to shift
+        ([(squares, None)] * 2, 10**4, 2),
+        ([(squares, None)] * 3, 10**4, 2),
+        # the first step scatters a single row; the dense table then shifts
+        ([(runs, None)] * 3, None, 1),
+        # exact masses near 2**62 are held as Python integers
+        ([(squares, [(1 << 62) - x for x in range(120)])] * 2, None, 2),
+    ]
+    for factors, cap, scatter_steps in cases:
+        spy = _SearchsortedSpy()
+        monkeypatch.setattr(_tables, "np", spy)
+        got = kernel_table(factors, cap)
+        monkeypatch.undo()
+        assert spy.calls == scatter_steps
+        assert got == dict_convolution(factors, cap)

@@ -8,6 +8,7 @@ from ellipsephic import (
     Budget,
     BudgetError,
     DigitSet,
+    InvariantError,
     SpacedSystem,
     ValidationError,
     cauchy_bound_check,
@@ -17,6 +18,7 @@ from ellipsephic import (
     representation_table,
     represented_count,
 )
+from ellipsephic import waring
 
 DS3 = DigitSet(3, (0, 1))
 DS5 = DigitSet(5, (0, 1, 4))
@@ -108,6 +110,23 @@ def test_cauchy_equality_single_mass():
 def test_budget_refusal():
     with pytest.raises(BudgetError):
         representation_table(DS5, 6, 1, 5**6, budget=Budget(max_tuples=1000))
+
+
+def test_refusal_counts_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("members enumerated before the budget check")
+
+    monkeypatch.setattr(waring, "iter_members", no_enumeration)
+    with pytest.raises(BudgetError):
+        representation_table(DS5, 3, 2, 5**22)  # Y = 177,147 members
+    with pytest.raises(BudgetError):
+        representation_table(DS5, 6, 1, 5**6, budget=Budget(max_tuples=1000))
+
+
+def test_member_count_mismatch_is_invariant_error(monkeypatch):
+    monkeypatch.setattr(waring, "count_members", lambda ds, bound: 0)
+    with pytest.raises(InvariantError):
+        representation_table(DS5, 2, 2, 625)
 
 
 def test_validation():
