@@ -83,6 +83,15 @@ def check_multisets(y: int, s: int, max_tuples: int) -> None:
         )
 
 
+def check_pairs(n_tuples: int, max_tuples: int) -> None:
+    """Refuse pairing n_tuples tuples when n_tuples**2 exceeds the tuple budget.
+
+    Callers apply it to a predicted tuple count, before any tuple exists.
+    """
+    if n_tuples * n_tuples > max_tuples:
+        raise BudgetError(f"{n_tuples}**2 pairs exceed the tuple budget {max_tuples}")
+
+
 def _item_bytes(dtype) -> int:
     return _OBJECT_ITEM_BYTES if dtype == object else 8
 

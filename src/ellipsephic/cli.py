@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from ._tables import check_multisets, check_pairs
 from .errors import BudgetError, InvariantError, ValidationError
 from . import congruence as cg
 from . import digits as dg
@@ -127,6 +128,14 @@ def _source(cfg: dict[str, str]) -> dg.DigitSource:
     raise ValidationError(f"unknown source spec: {text!r}")
 
 
+def _members(ds: dg.DigitSet, bound: int, count: int) -> list[int]:
+    """The members up to bound; ``count_members`` gave their number as count."""
+    members = list(dg.iter_members(ds, bound))
+    if len(members) != count:
+        raise InvariantError(f"{len(members)} members enumerated, {count} counted")
+    return members
+
+
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
@@ -218,9 +227,16 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     if histogram and len(bounds) != 1:
         raise ValidationError("histogram output needs a single X")
     system = mv.SpacedSystem.pure_powers(k, ds.base)
+    # every X is refused or admitted from its member count before any count runs
+    counts = [dg.count_members(ds, bound) for bound in bounds]
+    for y in counts:
+        if method == "brute":  # C(y+s-1, s) <= y**s: the histogram's rule holds too
+            check_pairs(y**s, budget.max_tuples)
+        else:
+            check_multisets(y, s, budget.max_tuples)
     rows = []
-    for bound in bounds:
-        members = list(dg.iter_members(ds, bound))
+    for bound, y in zip(bounds, counts):
+        members = _members(ds, bound, y)
         if method == "brute":
             res = mv.brute_force_count(system, s, members, budget=budget, x_bound=bound)
         else:
@@ -230,8 +246,7 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     _write_csv(
         out / "count.csv", header, ["X", "Y", "s", "k", "count", "method", "seconds"], rows
     )
-    if histogram:
-        members = list(dg.iter_members(ds, bounds[0]))
+    if histogram:  # a single X (checked above): the loop left its members
         table = mv.multiplicity_table(system, s, members, budget=budget)
         hist_rows = [
             [mv.key_hex(key), table[key]] for key in sorted(table.keys())
@@ -306,8 +321,9 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
     if task == "decompose":
         depth = _get_int(cfg, "d")
         bound = _get_int(cfg, "X")
-        members = list(dg.iter_members(ds, bound))
-        lf.check_pair_budget(len(members) ** t, budget)
+        y = dg.count_members(ds, bound)
+        check_pairs(y**t, budget.max_tuples)
+        members = _members(ds, bound, y)
         weights = lf.unit_tuple_weights(members, t)
         dec = lf.carry_decomposition(ds.base, t, depth, weights, budget=budget)
         rows = [
@@ -324,7 +340,9 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
         psi = _get_int_list(cfg, "psi")
         bound = _get_int(cfg, "X")
         system = mv.SpacedSystem.perturbed(ds.base, spacing, [psi])
-        members = list(dg.iter_members(ds, bound))
+        y = dg.count_members(ds, bound)
+        check_pairs(y**t, budget.max_tuples)
+        members = _members(ds, bound, y)
         pairs = lf.congruence_solution_pairs(system, t, members, b_level, budget=budget)
         chain = lf.lifting_chain(system, t, b_level, pairs)
         rows = [[st.j, st.c_j, st.verified] for st in chain.steps]

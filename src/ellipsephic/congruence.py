@@ -6,12 +6,16 @@ orthogonality to a congruence count, which is the default evaluation path),
 single-class and two-class congruence mean values, and the finite
 restriction-ratio diagnostic.
 
+Every mean value is built from per-class blocks, one per residue class and
+power, each built once per call from the class's phi columns (the only phi
+evaluation here).  In grid mode a block is the class's values over the whole
+grid, one DFT of its weight histogram over the residues (phi_j(x) mod p^B)_j;
+in count mode it is the class's factors of the exact power-sum table.
+
 Exact arithmetic policy: counting paths carry Fraction weights end to end;
 grid paths are double-precision complex and are held to 1e-9 relative
-agreement with the counting paths.  In grid mode each class's values over
-the whole grid are one DFT of its weight histogram over the residues
-(phi_j(x) mod p^B)_j.  Class norms are stored squared so the rational paths
-never need square roots.
+agreement with the counting paths.  Class norms are stored squared so the
+rational paths never need square roots.
 """
 
 from __future__ import annotations
@@ -205,49 +209,45 @@ def restricted_exp_sum(
     entries, rho_sq = _classes(weights, system.base, level).get(
         residue % system.base**level, ([], 0)
     )
-    return _class_exp_sum(system, entries, rho_sq, point)
+    return _class_exp_sum(_class_factor(system, entries), rho_sq, point)
 
 
-def _class_exp_sum(
-    system: SpacedSystem, entries: list[tuple[int, object]], rho_sq, point: GridPoint
-) -> complex:
-    """f over one class's entries (squared norm rho_sq) at alpha = point; 0 if empty."""
-    if len(point.u) != system.k:
+def _class_factor(system: SpacedSystem, entries: list[tuple[int, object]]):
+    """One class's (phi columns, weights): every phi value this module uses."""
+    return _phi_columns(system, [x for x, _ in entries]), [w for _, w in entries]
+
+
+def _class_exp_sum(factor, rho_sq, point: GridPoint) -> complex:
+    """f at alpha = point over one class's ``_class_factor``; 0 if it is empty."""
+    cols, ws = factor
+    if len(point.u) != len(cols):
         raise ValidationError(
-            f"grid point has {len(point.u)} coordinates for a k={system.k} system"
+            f"grid point has {len(point.u)} coordinates for a k={len(cols)} system"
         )
-    if not entries:
+    if not ws:
         return 0j
     modulus = point.modulus
     total = 0j
-    for x, w in entries:
-        phase = sum(point.u[j - 1] * system.phi(j, x) for j in range(1, system.k + 1))
+    for i, w in enumerate(ws):
+        phase = sum(u * col[i] for u, col in zip(point.u, cols))
         total += float(w) * cmath.exp(2j * cmath.pi * (phase % modulus) / modulus)
     return total / math.sqrt(float(rho_sq))
 
 
-def _grid_class_power_mean(
-    system: SpacedSystem,
-    entries: list[tuple[int, object]],
-    rho_sq,
-    modulus: int,
-    power: int,
-) -> np.ndarray:
+def _grid_class_power_mean(factor, rho_sq, modulus: int, power: int) -> np.ndarray:
     """|f_class(u/modulus)|**(2*power) at every u in (Z/modulus)^k, as a k-D array.
 
-    f_class sees a member x only through (phi_j(x) mod modulus)_j, so the
-    weights are summed into a histogram over those residues first, and the
-    class's grid vector is one DFT of it: the weights are real, so
-    |fftn(histogram)[u]| = |f_class(u/modulus)|, index 0 standing for
-    u = modulus.  Every call returns the grid in the same order.
+    f_class sees a member x only through (phi_j(x) mod modulus)_j, read off
+    the class's ``_class_factor``, so the weights are summed into a histogram
+    over those residues first, and the class's grid vector is one DFT of it:
+    the weights are real, so |fftn(histogram)[u]| = |f_class(u/modulus)|,
+    index 0 standing for u = modulus.  Every call returns the grid in the same
+    order.
     """
-    k = system.k
-    residues = np.array(
-        [[system.phi(j, x) % modulus for j in range(1, k + 1)] for x, _ in entries],
-        dtype=np.int64,
-    )
-    hist = np.zeros((modulus,) * k)
-    np.add.at(hist, tuple(residues.T), [float(w) for _, w in entries])
+    cols, ws = factor
+    residues = np.array([[c % modulus for c in col] for col in cols], dtype=np.int64)
+    hist = np.zeros((modulus,) * len(cols))
+    np.add.at(hist, tuple(residues), [float(w) for w in ws])
     sums = np.fft.fftn(hist)
     abs2 = sums.real**2 + sums.imag**2
     return abs2**power / float(rho_sq) ** power
@@ -262,37 +262,36 @@ def _check_grid(system: SpacedSystem, modulus: int) -> None:
         )
 
 
-def _block_mean(
-    system: SpacedSystem,
-    blocks: Sequence[tuple[list[tuple[int, object]], object, int]],
-    modulus: int,
-    mode: str,
-    budget: Budget,
+def _block(
+    system: SpacedSystem, entries, rho_sq, n: int, modulus: int, mode: str, budget: Budget
 ):
-    """Grid average of prod_i |f_i(alpha)|**(2 n_i) over alpha = u/modulus.
+    """The factor |f_class(alpha)|**(2n) of one class (support entries, rho^2).
 
-    Each block ``(entries, rho_sq, n)`` is one class's support entries, its
-    squared norm and its power.  "grid" multiplies the blocks' grid vectors,
-    each one DFT of its class's residue histogram; "count" evaluates the equal
-    congruence count from one exact table over all block factors; ``mode`` is
-    checked by callers.
+    "grid" gives its values over the grid u/modulus, one DFT of its residue
+    histogram; "count" gives its n kernel factors and rho_sq**n, refused first
+    when C(#entries+n-1, n) exceeds the tuple budget.  Callers check ``mode``.
     """
     if mode == "grid":
         _check_grid(system, modulus)
-        vals = [
-            _grid_class_power_mean(system, entries, rho_sq, modulus, n)
-            for entries, rho_sq, n in blocks
-        ]
-        return float(np.mean(math.prod(vals)))
-    factors = []
-    for entries, _, n in blocks:
-        xs, ws = zip(*entries)
-        check_multisets(len(xs), n, budget.max_tuples)
-        factors += [(_phi_columns(system, xs), ws)] * n
+        return _grid_class_power_mean(_class_factor(system, entries), rho_sq, modulus, n)
+    check_multisets(len(entries), n, budget.max_tuples)
+    return [_class_factor(system, entries)] * n, rho_sq**n
+
+
+def _block_mean(blocks: Sequence, modulus: int, mode: str, budget: Budget):
+    """Grid average of prod_i |f_i(alpha)|**(2 n_i) over alpha = u/modulus.
+
+    ``blocks`` are ``_block`` results of one mode.  "grid" averages the
+    product of their grid vectors; "count" evaluates the equal congruence
+    count from one exact table over all their factors, divided by the norms.
+    """
+    if mode == "grid":
+        return float(np.mean(math.prod(blocks)))
+    factors = [factor for block_factors, _ in blocks for factor in block_factors]
     raw = power_sum_table(
         factors, modulus=modulus, max_bytes=budget.max_table_bytes
     ).sum_squares()
-    return raw / math.prod(rho_sq**n for _, rho_sq, n in blocks)
+    return raw / math.prod(norm for _, norm in blocks)
 
 
 def discrete_integral(
@@ -315,7 +314,8 @@ def discrete_integral(
     found = classes.get((residue or 0) % spec.base**level)
     if found is None:
         return Fraction(0) if spec.weights.exact else 0.0
-    return _block_mean(spec.system, [(*found, spec.s)], spec.modulus, mode, budget)
+    block = _block(spec.system, *found, spec.s, spec.modulus, mode, budget)
+    return _block_mean([block], spec.modulus, mode, budget)
 
 
 def _class_average(
@@ -331,40 +331,28 @@ def _class_average(
     base**level, in sorted order, with power n.  With nu >= 1 the tuples whose
     first and last residues agree modulo base**nu are left out.
 
-    In grid mode each class's grid vector is built once per block, not once
-    per tuple.  The first block's class changes slowest, so only its current
-    vector is kept, beside every vector of the later blocks.
+    Each class's ``_block`` is built once per block, not once per tuple.  The
+    first block's class changes slowest, so only its current one is kept,
+    beside every one of the later blocks.
     """
     system, modulus = spec.system, spec.modulus
     tables = [_classes(spec.weights, spec.base, level) for level, _ in blocks]
-    grids: list[dict] = [{} for _ in blocks]
+    built: list[dict] = [{} for _ in blocks]
     if mode == "grid":
         _check_grid(system, modulus)
-
-    def grid_vector(i, res, entries, rho_sq, n):
-        if res not in grids[i]:
-            if i == 0:
-                grids[0].clear()
-            grids[i][res] = _grid_class_power_mean(system, entries, rho_sq, modulus, n)
-        return grids[i][res]
-
     total = Fraction(0) if spec.weights.exact else 0.0
     for residues in itertools.product(*(sorted(table) for table in tables)):
         if nu >= 1 and (residues[0] - residues[-1]) % spec.base**nu == 0:
             continue
-        parts = [
-            (*table[res], n) for table, res, (_, n) in zip(tables, residues, blocks)
-        ]
-        rho_prod = math.prod(rho_sq for _, rho_sq, _ in parts)
-        if mode == "grid":
-            vals = (
-                grid_vector(i, res, *part)
-                for i, (res, part) in enumerate(zip(residues, parts))
-            )
-            mean = float(np.mean(math.prod(vals)))
-        else:
-            mean = _block_mean(system, parts, modulus, mode, budget)
-        total = total + rho_prod * mean
+        parts = []  # before the builds: the last tuple's blocks are freed
+        for i, (table, res, (_, n)) in enumerate(zip(tables, residues, blocks)):
+            if res not in built[i]:
+                if i == 0:
+                    built[0].clear()
+                built[i][res] = _block(system, *table[res], n, modulus, mode, budget)
+            parts.append(built[i][res])
+        rho_prod = math.prod(table[res][1] for table, res in zip(tables, residues))
+        total = total + rho_prod * _block_mean(parts, modulus, mode, budget)
     return total / spec.weights.rho0_sq ** len(blocks)
 
 
@@ -426,8 +414,11 @@ def two_class_mean_value(
     class_b = _classes(spec.weights, spec.base, b).get(eta % spec.base**b)
     if class_a is None or class_b is None:
         return Fraction(0) if spec.weights.exact else 0.0
-    blocks = [(*class_a, big_r), (*class_b, s - big_r)]
-    return _block_mean(spec.system, blocks, spec.modulus, mode, budget)
+    blocks = [
+        _block(spec.system, *found, n, spec.modulus, mode, budget)
+        for found, n in ((class_a, big_r), (class_b, s - big_r))
+    ]
+    return _block_mean(blocks, spec.modulus, mode, budget)
 
 
 def normalized_two_class(k_value, delta: float, r: int, k: int, u_bh, q_h: int) -> float:
@@ -555,21 +546,22 @@ def class_refinement_check(
         ]
 
     res_a = xi % base**a
-    coarse, rho_a = _classes(weights, base, a).get(res_a, ([], 0))
+    entries_a, rho_a = _classes(weights, base, a).get(res_a, ([], 0))
+    coarse = _class_factor(system, entries_a)
     refining = [
-        found
-        for res, found in _classes(weights, base, b).items()
+        (_class_factor(system, part), rho_sq)
+        for res, (part, rho_sq) in _classes(weights, base, b).items()
         if res % base**a == res_a
     ]
     factor = float(split_factor) ** (w * (b - a))
     worst = math.inf
     passed = True
     for point in points:
-        fa = _class_exp_sum(system, coarse, rho_a, point)
+        fa = _class_exp_sum(coarse, rho_a, point)
         lhs = float(rho_a) * abs(fa) ** (2 * w)
         rhs = 0.0
         for part, rho_sq in refining:
-            fb = _class_exp_sum(system, part, rho_sq, point)
+            fb = _class_exp_sum(part, rho_sq, point)
             rhs += float(rho_sq) * abs(fb) ** (2 * w)
         rhs *= factor
         if lhs > rhs * (1 + 1e-9):

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._tables import check_pairs
 from .digits import DigitSet
 from .errors import BudgetError, InvariantError, ValidationError
 from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem
@@ -31,7 +32,6 @@ __all__ = [
     "unit_tuple_weights",
     "sum_congruence_count",
     "Decomposition",
-    "check_pair_budget",
     "carry_decomposition",
     "LiftStep",
     "LiftingChain",
@@ -206,16 +206,6 @@ class Decomposition:
     total: object
 
 
-def check_pair_budget(n_tuples: int, budget: Budget) -> None:
-    """Refuse a pairwise scan over n_tuples weighted tuples beyond the tuple budget.
-
-    Callers that build the tuple weights themselves can apply it to the
-    predicted tuple count first, before any weight exists.
-    """
-    if n_tuples * n_tuples > budget.max_tuples:
-        raise BudgetError(f"{n_tuples}**2 pairs exceed the tuple budget")
-
-
 def carry_decomposition(
     base: int,
     t: int,
@@ -235,7 +225,7 @@ def carry_decomposition(
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    check_pair_budget(len(weights), budget)
+    check_pairs(len(weights), budget.max_tuples)
     if (2 * t - 1) ** depth > budget.max_tuples:
         raise BudgetError("carry table would exceed the tuple budget")
     powers = [base ** (r + 1) for r in range(depth)]
@@ -287,8 +277,7 @@ def congruence_solution_pairs(
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (x, y) tuple pairs with equal phi power sums modulo base**modulus_level."""
     mem = sorted(set(members))
-    if len(mem) ** (2 * t) > budget.max_tuples:
-        raise BudgetError("solution-pair enumeration exceeds the tuple budget")
+    check_pairs(len(mem) ** t, budget.max_tuples)
     modulus = system.base**modulus_level
     by_key: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for tup in itertools.product(mem, repeat=t):

@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._tables import Table, check_multisets, power_sum_table
-from .errors import BudgetError, ValidationError
+from ._tables import Table, check_multisets, check_pairs, power_sum_table
+from .errors import ValidationError
 from .digits import _is_prime
 
 __all__ = [
@@ -180,11 +180,7 @@ def brute_force_count(
     t0 = time.perf_counter()
     mem = sorted(set(int(m) for m in members))
     y = len(mem)
-    if y and y ** (2 * s) > budget.max_tuples:
-        raise BudgetError(
-            f"brute force needs {y}**{2 * s} = {y ** (2 * s)} tuple comparisons "
-            f"> budget {budget.max_tuples}"
-        )
+    check_pairs(y**s, budget.max_tuples)
     bound = x_bound if x_bound is not None else (mem[-1] if mem else 0)
     if y == 0:
         return CountResult(0, s, system.k, bound, 0, "brute", time.perf_counter() - t0)

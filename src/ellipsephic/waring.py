@@ -34,12 +34,15 @@ def integer_root(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    x = int(round(n ** (1.0 / k)))
-    while x > 0 and x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    # integer Newton from 2**ceil(bits/k) > n**(1/k): by AM-GM every step stays
+    # >= the root and falls strictly while above it, so the first non-decrease
+    # is at the root; no float, so exact at every size
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,8 @@ class RepresentationTable:
 
     ``overflow`` counts the ordered tuples whose power sum exceeded the bound,
     so counts and overflow always reconcile: sum R(n) + overflow = Y**s.
+    ``sum_r`` and ``sum_r2`` are sum R(n) and sum R(n)**2, taken once from the
+    table's masses.
     """
 
     s: int
@@ -56,12 +61,14 @@ class RepresentationTable:
     y: int
     counts: dict[int, int]
     overflow: int
+    sum_r: int
+    sum_r2: int
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return self.sum_r
 
     def sum_squares(self) -> int:
-        return sum(v * v for v in self.counts.values())
+        return self.sum_r2
 
 
 def representation_table(
@@ -94,7 +101,10 @@ def representation_table(
     factor = ([[m**k for m in members]], None)
     table = power_sum_table([factor] * s, cap=bound, max_bytes=budget.max_table_bytes)
     counts = dict(zip(table.keys[:, 0].tolist(), table.values()))
-    return RepresentationTable(s, k, bound, y, counts, y**s - sum(counts.values()))
+    total = int(table.masses.sum())
+    return RepresentationTable(
+        s, k, bound, y, counts, y**s - total, total, table.sum_squares()
+    )
 
 
 def represented_count(table: RepresentationTable) -> int:

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, determinism, exit codes, config handling."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -190,6 +191,62 @@ def test_lift_decompose_refuses_before_weights(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(tmp_path, "lift", config, extra=["--budget-tuples", "1000"])
     assert code == 3
     assert capsys.readouterr().err.startswith("error kind=budget")
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, extra",
+    [
+        # the last X alone is over the budget; no X is counted before it refuses
+        ("count", "s=3\nk=2\nX=125,625,9765625\n", []),
+        ("count", "s=3\nk=1\nX=5,25,125\nmethod=brute\n", ["--budget-tuples", "10000"]),
+        ("count", "s=2\nk=1\nX=125\nhistogram=on\n", ["--budget-tuples", "10"]),
+        ("lift", "task=decompose\nt=2\nd=1\nX=15625\n", []),
+        ("lift", "task=chain\nt=2\nc=1\nB=3\npsi=0,0,1\nX=15625\n", []),
+    ],
+    ids=["count-mitm", "count-brute", "count-histogram", "lift-decompose", "lift-chain"],
+)
+def test_refusal_from_member_count(tmp_path, capsys, monkeypatch, subcommand, config, extra):
+    from ellipsephic import digits
+
+    def unenumerated(*args):
+        raise AssertionError("members enumerated before the budget refused")
+
+    monkeypatch.setattr(digits, "iter_members", unenumerated)
+    config = "digitset=p=5;digits=0,1,4\n" + config
+    code, out = run_cli(tmp_path, subcommand, config, extra=extra)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error kind=budget")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "subcommand, config",
+    [
+        ("count", "s=2\nk=1\nX=9\n"),
+        ("lift", "task=decompose\nt=2\nd=1\nX=9\n"),
+        ("lift", "task=chain\nt=2\nc=1\nB=3\npsi=0,0,1\nX=9\n"),
+    ],
+    ids=["count", "lift-decompose", "lift-chain"],
+)
+def test_member_count_mismatch_is_invariant_error(
+    tmp_path, capsys, monkeypatch, subcommand, config
+):
+    from ellipsephic import digits
+
+    monkeypatch.setattr(digits, "count_members", lambda ds, bound: 0)
+    code, _ = run_cli(tmp_path, subcommand, "digitset=p=3;digits=0,1\n" + config)
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error kind=invariant")
+
+
+def test_waring_huge_bound_refused_at_once(tmp_path, capsys):
+    config = f"digitset=p=5;digits=0,1,4\ns=3\nk=3\nX={10**100}\n"
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, "waring", config)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error kind=budget")
+    assert list(out.iterdir()) == []
 
 
 def test_lift_chain_output(tmp_path):

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -308,22 +309,47 @@ def test_two_class_grid_builds_each_class_once(monkeypatch):
     weights = WeightAssignment.unit(iter_members(DS5, 3125))
     n_classes = len(class_split(weights, 5, 1)) + len(class_split(weights, 5, 2))
     assert n_classes == 12
-    calls = []
-    build = congruence._grid_class_power_mean
+    calls = {"_phi_columns": 0, "_grid_class_power_mean": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def spy(name):
+        build = getattr(congruence, name)
 
+        def counted(*args):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(congruence, name, counted)
+
+    spy("_phi_columns")
+    spy("_grid_class_power_mean")
     for s in (2, 3):
         spec = MeanValueSpec(SpacedSystem.pure_powers(1, 5), weights, s, 2, 0)
-        count = two_class_mean_value(spec, t=2, r=1, a=1, b=2, nu=1)
-        monkeypatch.setattr(congruence, "_grid_class_power_mean", counted)
-        grid = two_class_mean_value(spec, t=2, r=1, a=1, b=2, nu=1, mode="grid")
-        monkeypatch.undo()
-        assert grid == pytest.approx(float(count), rel=1e-12)
-        assert len(calls) == n_classes
-        calls.clear()
+        values = {}
+        for mode in ("count", "grid"):
+            values[mode] = two_class_mean_value(spec, t=2, r=1, a=1, b=2, nu=1, mode=mode)
+            assert calls["_phi_columns"] == n_classes, mode
+            assert calls["_grid_class_power_mean"] == (n_classes if mode == "grid" else 0)
+            calls.update(dict.fromkeys(calls, 0))
+        assert values["grid"] == pytest.approx(float(values["count"]), rel=1e-12)
+
+
+def test_grid_class_vector_freed_before_the_next(monkeypatch):
+    # one block: only the current class's grid vector may be alive
+    weights = WeightAssignment.unit(iter_members(DS5, 625))
+    spec = MeanValueSpec(SpacedSystem.pure_powers(2, 5), weights, 2, 2, 1)
+    built = []
+    build = congruence._grid_class_power_mean
+
+    def tracked(*args):
+        assert all(ref() is None for ref in built)
+        vector = build(*args)
+        built.append(weakref.ref(vector))
+        return vector
+
+    monkeypatch.setattr(congruence, "_grid_class_power_mean", tracked)
+    grid = congruence_mean_value(spec, mode="grid")
+    assert len(built) == 3
+    assert grid == pytest.approx(float(congruence_mean_value(spec)), rel=1e-12)
 
 
 def test_unknown_mode_rejected():

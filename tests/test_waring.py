@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellipsephic import (
     Budget,
@@ -33,6 +35,43 @@ def test_integer_root():
         for k in (1, 2, 3, 4):
             r = integer_root(n, k)
             assert r**k <= n < (r + 1) ** k
+
+
+# far past the float range (about 10**308), and at perfect powers and their
+# neighbours, where a float guess is most easily off by one
+@given(
+    st.integers(1, 7),
+    st.integers(0, 10**600),
+    st.integers(0, 10**85),
+    st.integers(-1, 1),
+)
+def test_integer_root_exact_at_every_size(k, n, base, shift):
+    for m in (n, max(0, base**k + shift)):
+        r = integer_root(m, k)
+        assert r**k <= m < (r + 1) ** k
+
+
+@pytest.mark.parametrize(
+    "ds, s, k, bound",
+    [
+        (DS3, 1, 2, 16),
+        (DS3, 2, 1, 8),
+        (DS5, 3, 2, 50),
+        (DS5, 2, 2, 400),
+        (DS5, 3, 1, 400),
+        (DS5, 2, 3, 400),
+        (DS3, 2, 2, 100),
+        (DS5, 2, 2, 5**4),
+        (DigitSet(5, (0, 2)), 2, 2, 1),
+        (DigitSet(3, (0, 1, 2), strict=False), 1, 1, 20),
+        (DS3, 1, 2, 1),
+    ],
+)
+def test_sums_equal_plain_sums_over_counts(ds, s, k, bound):
+    table = representation_table(ds, s, k, bound)
+    assert table.total() == sum(table.counts.values())
+    assert table.sum_squares() == sum(r * r for r in table.counts.values())
+    assert table.total() + table.overflow == table.y**s
 
 
 def test_table_s1_k2_example():
