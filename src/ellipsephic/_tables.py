@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, InvariantError
+from .errors import BudgetError, InvariantError, ValidationError
 
 _INT64_LIMIT = 1 << 63
 _OBJECT_ITEM_BYTES = 40  # one pointer plus a small Python int
@@ -76,7 +76,9 @@ class Table:
 
 def check_multisets(y: int, s: int, max_tuples: int) -> None:
     """Refuse an s-fold table over y entries when C(y+s-1, s) exceeds the budget."""
-    n_multisets = math.comb(y + s - 1, s)
+    if s < 0:  # callers may check a job's s before its engine validates it
+        raise ValidationError(f"an s-fold table needs s >= 0, got {s}")
+    n_multisets = math.comb(max(y + s - 1, 0), s)  # C(-1, 0) = 1: y = s = 0
     if n_multisets > max_tuples:
         raise BudgetError(
             f"{n_multisets} multisets exceed the tuple budget {max_tuples}"

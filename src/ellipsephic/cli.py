@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,14 +129,6 @@ def _source(cfg: dict[str, str]) -> dg.DigitSource:
     raise ValidationError(f"unknown source spec: {text!r}")
 
 
-def _members(ds: dg.DigitSet, bound: int, count: int) -> list[int]:
-    """The members up to bound; ``count_members`` gave their number as count."""
-    members = list(dg.iter_members(ds, bound))
-    if len(members) != count:
-        raise InvariantError(f"{len(members)} members enumerated, {count} counted")
-    return members
-
-
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
@@ -149,34 +142,24 @@ def _fmt(value) -> str:
     """Deterministic CSV cell rendering; exact for ints, shortest repr for reals."""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, (Fraction, float)):
         return repr(float(value))
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
 def _write_lines(path: Path, header: str, lines) -> None:
     # rendered before the file opens: a lazy source that raises leaves no file
-    text = "\n".join([f"# config: {header}", *lines]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    path.write_text("\n".join([f"# config: {header}", *lines]) + "\n")
 
 
 def _write_csv(path: Path, header: str, columns: list[str], rows) -> None:
-    rendered = [",".join(columns)]
-    rendered += [",".join(_fmt(cell) for cell in row) for row in rows]
-    _write_lines(path, header, rendered)
+    rendered = [",".join(_fmt(cell) for cell in row) for row in rows]
+    _write_lines(path, header, [",".join(columns), *rendered])
 
 
 def _write_json(path: Path, header: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload["config"] = header
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    text = json.dumps({**payload, "config": header}, sort_keys=True, separators=(",", ":"))
+    path.write_text(text + "\n")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -215,6 +198,9 @@ def _run_etstar(cfg, out: Path, header: str, budget) -> None:
 
 
 def _run_count(cfg, out: Path, header: str, budget) -> None:
+    """count.csv, and for a single X with ``histogram=on`` its table m(v) in
+    the kernel's increasing key order; with method=mitm the count is read off
+    that table.  ``seconds`` times the engine call that gave the count."""
     ds = _digit_set(cfg)
     s = _get_int(cfg, "s")
     k = _get_int(cfg, "k")
@@ -236,22 +222,25 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
             check_multisets(y, s, budget.max_tuples)
     rows = []
     for bound, y in zip(bounds, counts):
-        members = _members(ds, bound, y)
+        members = dg.member_list(ds, bound, y)
+        start = time.perf_counter()
         if method == "brute":
-            res = mv.brute_force_count(system, s, members, budget=budget, x_bound=bound)
+            count = mv.brute_force_count(system, s, members, budget=budget).count
+        elif histogram:
+            table = mv.multiplicity_table(system, s, members, budget=budget)
+            count = sum(m * m for m in table.values())
         else:
-            res = mv.mitm_count(system, s, members, budget=budget, x_bound=bound)
-        seconds = repr(round(res.seconds, 6)) if timing else "NA"
-        rows.append([bound, res.y, s, k, res.count, method, seconds])
+            count = mv.mitm_count(system, s, members, budget=budget).count
+        seconds = repr(round(time.perf_counter() - start, 6)) if timing else "NA"
+        rows.append([bound, y, s, k, count, method, seconds])
+    if histogram and method == "brute":  # a single X: the loop left its members
+        table = mv.multiplicity_table(system, s, members, budget=budget)
     _write_csv(
         out / "count.csv", header, ["X", "Y", "s", "k", "count", "method", "seconds"], rows
     )
-    if histogram:  # a single X (checked above): the loop left its members
-        table = mv.multiplicity_table(system, s, members, budget=budget)
-        hist_rows = [
-            [mv.key_hex(key), table[key]] for key in sorted(table.keys())
-        ]
-        _write_csv(out / "histogram.csv", header, ["key_hex", "multiplicity"], hist_rows)
+    if histogram:  # every multiplicity is an int, which _fmt renders as str()
+        lines = (f"{mv.key_hex(key)},{m}" for key, m in table.items())
+        _write_lines(out / "histogram.csv", header, ["key_hex,multiplicity", *lines])
 
 
 def _run_congruence(cfg, out: Path, header: str, budget) -> None:
@@ -262,10 +251,14 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
     system = mv.SpacedSystem.pure_powers(k, ds.base)
     if task == "lambda":
         levels = _get_int_list(cfg, "B")
+        bounds = [_get_int(cfg, "X", ds.base**b_level) for b_level in levels]
+        # U^B's one class holds all Y members: every level is checked first
+        counts = [dg.count_members(ds, bound) for bound in bounds]
+        for y in counts:
+            check_multisets(y, s, budget.max_tuples)
         rows = []
-        for b_level in levels:
-            bound = _get_int(cfg, "X", ds.base**b_level)
-            weights = cg.WeightAssignment.unit(dg.iter_members(ds, bound))
+        for b_level, bound, y in zip(levels, bounds, counts):
+            weights = cg.WeightAssignment.unit(dg.member_list(ds, bound, y))
             spec = cg.MeanValueSpec(system, weights, s, b_level, 0)
             rr = cg.restriction_ratio(spec, ds, budget=budget)
             for ratio, normalizer in (
@@ -290,7 +283,8 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
         nu = _get_int(cfg, "nu")
         deltas = _get_int_list(cfg, "delta") if "delta" in cfg else [0]
         bound = _get_int(cfg, "X", ds.base**b_level)
-        weights = cg.WeightAssignment.unit(dg.iter_members(ds, bound))
+        members = dg.member_list(ds, bound, dg.count_members(ds, bound))
+        weights = cg.WeightAssignment.unit(members)
         spec = cg.MeanValueSpec(system, weights, s, b_level, 0)
         k_value = cg.two_class_mean_value(spec, t, r, a, b, nu, budget=budget)
         level = -(-b_level // k)
@@ -323,7 +317,7 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
         bound = _get_int(cfg, "X")
         y = dg.count_members(ds, bound)
         check_pairs(y**t, budget.max_tuples)
-        members = _members(ds, bound, y)
+        members = dg.member_list(ds, bound, y)
         weights = lf.unit_tuple_weights(members, t)
         dec = lf.carry_decomposition(ds.base, t, depth, weights, budget=budget)
         rows = [
@@ -342,7 +336,7 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
         system = mv.SpacedSystem.perturbed(ds.base, spacing, [psi])
         y = dg.count_members(ds, bound)
         check_pairs(y**t, budget.max_tuples)
-        members = _members(ds, bound, y)
+        members = dg.member_list(ds, bound, y)
         pairs = lf.congruence_solution_pairs(system, t, members, b_level, budget=budget)
         chain = lf.lifting_chain(system, t, b_level, pairs)
         rows = [[st.j, st.c_j, st.verified] for st in chain.steps]
@@ -352,14 +346,15 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
 
 
 def _run_waring(cfg, out: Path, header: str, budget) -> None:
+    """waring.csv, one row per n in the table's increasing order, and waring.json."""
     ds = _digit_set(cfg)
     s = _get_int(cfg, "s")
     k = _get_int(cfg, "k")
     bound = _get_int(cfg, "X")
     table = wr.representation_table(ds, s, k, bound, budget=budget)
     check = wr.cauchy_bound_check(table)
-    # every cell is an int, which _fmt renders as str(): skip its dispatch
-    rows = (f"{n},{r}" for n, r in sorted(table.counts.items()))
+    # every cell is an int, which _fmt renders as str()
+    rows = (f"{n},{r}" for n, r in table.counts.items())
     _write_lines(out / "waring.csv", header, ["n,R", *rows])
     _write_json(
         out / "waring.json",
@@ -385,8 +380,7 @@ def _run_fit(cfg, out: Path, header: str, budget) -> None:
     points = []
     with open(path) as fh:
         columns: list[str] | None = None
-        for raw in fh:
-            line = raw.strip()
+        for line in map(str.strip, fh):
             if not line or line.startswith("#"):
                 continue
             if columns is None:
@@ -394,16 +388,9 @@ def _run_fit(cfg, out: Path, header: str, budget) -> None:
                 for needed in ("X", "Y", "count"):
                     if needed not in columns:
                         raise ValidationError(f"fit input lacks column {needed!r}")
-                continue
-            cells = line.split(",")
-            row = dict(zip(columns, cells))
-            points.append(
-                (
-                    _parse_int(row["X"], "X"),
-                    _parse_int(row["Y"], "Y"),
-                    _parse_int(row["count"], "count"),
-                )
-            )
+            else:
+                row = dict(zip(columns, line.split(",")))
+                points.append(tuple(_parse_int(row[c], c) for c in ("X", "Y", "count")))
     fit = mv.fit_exponent(points)
     _write_json(
         out / "fit.json",

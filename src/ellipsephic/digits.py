@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from ._tables import power_sum_table
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, InvariantError, ValidationError
 
 __all__ = [
     "DigitSet",
@@ -27,6 +27,7 @@ __all__ = [
     "parse_digit_set",
     "digit_set_text",
     "iter_members",
+    "member_list",
     "is_member",
     "count_members",
     "base_digits",
@@ -225,6 +226,16 @@ def iter_members(digit_set: DigitSet, bound: int) -> Iterator[int]:
                 yield value
         length += 1
         pow_high *= p
+
+
+def member_list(digit_set: DigitSet, bound: int, count: int) -> list[int]:
+    """The members of [1, bound], increasing; ``count`` is ``count_members``'s
+    number, taken first to refuse a job before any member exists, and a list
+    of another length is an InvariantError."""
+    members = list(iter_members(digit_set, bound))
+    if len(members) != count:
+        raise InvariantError(f"{len(members)} members enumerated, {count} counted")
+    return members
 
 
 def is_member(digit_set: DigitSet, n: int) -> bool:

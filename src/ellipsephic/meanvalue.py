@@ -19,7 +19,6 @@ process; the library has no worker pool.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -147,13 +146,14 @@ DEFAULT_BUDGET = Budget()
 
 @dataclass(frozen=True)
 class CountResult:
+    """A count and the s, k, X and Y it was taken over; callers time the call."""
+
     count: object  # int exactly, Fraction or float in weighted modes
     s: int
     k: int
     x_bound: int
     y: int
     method: str
-    seconds: float
 
 
 def _phi_columns(system: SpacedSystem, members: Sequence[int]):
@@ -177,13 +177,12 @@ def brute_force_count(
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
-    t0 = time.perf_counter()
     mem = sorted(set(int(m) for m in members))
     y = len(mem)
     check_pairs(y**s, budget.max_tuples)
     bound = x_bound if x_bound is not None else (mem[-1] if mem else 0)
     if y == 0:
-        return CountResult(0, s, system.k, bound, 0, "brute", time.perf_counter() - t0)
+        return CountResult(0, s, system.k, bound, 0, "brute")
 
     cols = _phi_columns(system, mem)
     key_mag = s * system.phi_bound(mem[-1])
@@ -204,7 +203,7 @@ def brute_force_count(
         for keys in tuple_keys[1:]:
             eq &= keys[lo : lo + step, None] == keys[None, :]
         total += int(np.count_nonzero(eq))
-    return CountResult(total, s, system.k, bound, y, "brute", time.perf_counter() - t0)
+    return CountResult(total, s, system.k, bound, y, "brute")
 
 
 # --- meet-in-the-middle engine ----------------------------------------------
@@ -237,11 +236,12 @@ def multiplicity_table(
 ) -> dict:
     """Map power-sum key -> (weighted) number of ordered s-tuples with that key.
 
-    Zero-weight members are dropped.  Values are ints for unit weights,
-    Fractions for int/Fraction weights and floats otherwise.  The table is
-    built by s ordered convolutions of the member list (see ``_tables``);
-    refused when C(Y+s-1, s) exceeds the tuple budget or a step would exceed
-    the table memory budget.
+    Keys come in increasing lexicographic order, the kernel's, and sum m(v)**2
+    is ``mitm_count`` on the same arguments.  Zero-weight members are dropped.
+    Values are ints for unit weights, Fractions for int/Fraction weights and
+    floats otherwise.  The table is built by s ordered convolutions of the
+    member list (see ``_tables``); refused when C(Y+s-1, s) exceeds the tuple
+    budget or a step would exceed the table memory budget.
     """
     if s < 0:
         raise ValidationError(f"s must be >= 0, got {s}")
@@ -271,14 +271,13 @@ def mitm_count(
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
-    t0 = time.perf_counter()
     mem = _members(members, weights)
     y = len(mem)
     bound = x_bound if x_bound is not None else (mem[-1] if mem else 0)
     if y == 0:
-        return CountResult(0, s, system.k, bound, 0, "mitm", time.perf_counter() - t0)
+        return CountResult(0, s, system.k, bound, 0, "mitm")
     total = _table(system, s, mem, weights, modulus, key_cap, budget).sum_squares()
-    return CountResult(total, s, system.k, bound, y, "mitm", time.perf_counter() - t0)
+    return CountResult(total, s, system.k, bound, y, "mitm")
 
 
 # --- reference quantities ---------------------------------------------------
@@ -353,4 +352,4 @@ def fit_exponent(points: Sequence[tuple[int, int, object]]) -> FitResult:
 
 def key_hex(key: tuple[int, ...]) -> str:
     """Colon-separated signed hex of the key components; exact and sortable back."""
-    return ":".join(format(v, "x") if v >= 0 else "-" + format(-v, "x") for v in key)
+    return ":".join(format(v, "x") for v in key)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._tables import check_multisets, power_sum_table
-from .digits import DigitSet, count_members, iter_members
-from .errors import InvariantError, ValidationError
+from .digits import DigitSet, count_members, member_list
+from .errors import ValidationError
 from .meanvalue import Budget, DEFAULT_BUDGET
 
 __all__ = [
@@ -50,7 +50,8 @@ class RepresentationTable:
     """Sparse table n -> R(n) of ordered s-fold k-th power representations.
 
     ``overflow`` counts the ordered tuples whose power sum exceeded the bound,
-    so counts and overflow always reconcile: sum R(n) + overflow = Y**s.
+    so counts (n increasing, the kernel's order) and overflow always reconcile:
+    sum R(n) + overflow = Y**s.
     ``sum_r`` and ``sum_r2`` are sum R(n) and sum R(n)**2, taken once from the
     table's masses.
     """
@@ -95,9 +96,7 @@ def representation_table(
     root = integer_root(bound, k)
     y = count_members(digit_set, root)
     check_multisets(y, s, budget.max_tuples)
-    members = list(iter_members(digit_set, root))
-    if len(members) != y:
-        raise InvariantError(f"{len(members)} members enumerated, {y} counted")
+    members = member_list(digit_set, root, y)
     factor = ([[m**k for m in members]], None)
     table = power_sum_table([factor] * s, cap=bound, max_bytes=budget.max_table_bytes)
     counts = dict(zip(table.keys[:, 0].tolist(), table.values()))

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellipsephic import DigitSet, representation_table
+from ellipsephic import (
+    DigitSet,
+    SpacedSystem,
+    brute_force_count,
+    iter_members,
+    key_hex,
+    mitm_count,
+    multiplicity_table,
+    representation_table,
+)
 from ellipsephic.cli import (
     _fmt,
     canonical_config,
@@ -119,13 +128,92 @@ def test_count_histogram(tmp_path):
     assert sum(m * m for m in mults) == 28
 
 
+D5 = "digitset=p=5;digits=0,1,4\n"
+
+
+def count_cells(out):
+    """The data rows of count.csv, split into cells."""
+    return [line.split(",") for line in (out / "count.csv").read_text().splitlines()[2:]]
+
+
+def histogram_lines(out):
+    """histogram.csv without its config line."""
+    return (out / "histogram.csv").read_text().splitlines()[1:]
+
+
+def test_histogram_builds_one_table(tmp_path, monkeypatch):
+    from ellipsephic import meanvalue
+
+    calls = []
+    build = meanvalue.power_sum_table
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(meanvalue, "power_sum_table", spy)
+    code, _ = run_cli(tmp_path, "count", D5 + "s=2\nk=2\nX=125\nhistogram=on\n")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_histogram_rows_render_as_fmt(tmp_path):
+    code, out = run_cli(tmp_path, "count", D5 + "s=2\nk=2\nX=625\nhistogram=on\n")
+    assert code == 0
+    system = SpacedSystem.pure_powers(2, 5)
+    members = list(iter_members(DigitSet(5, (0, 1, 4)), 625))
+    table = multiplicity_table(system, 2, members)
+    rows = [[key_hex(key), m] for key, m in sorted(table.items())]
+    assert len(rows) > 1000
+    assert histogram_lines(out) == ["key_hex,multiplicity"] + [
+        ",".join(_fmt(cell) for cell in row) for row in rows
+    ]
+    assert count_cells(out)[0][4] == str(mitm_count(system, 2, members).count)
+
+
+def test_histogram_brute_matches_mitm(tmp_path):
+    config = D5 + "s=2\nk=2\nX=125\nhistogram=on\n"
+    _, brute = run_cli(tmp_path, "count", config + "method=brute\n", name="brute")
+    _, mitm = run_cli(tmp_path, "count", config + "method=mitm\n", name="mitm")
+    assert len(histogram_lines(brute)) > 100
+    assert histogram_lines(brute) == histogram_lines(mitm)
+    members = list(iter_members(DigitSet(5, (0, 1, 4)), 125))
+    expected = brute_force_count(SpacedSystem.pure_powers(2, 5), 2, members).count
+    assert count_cells(brute)[0][4] == count_cells(mitm)[0][4] == str(expected)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "s=2\nk=1\nX=25,125\nmethod=brute\n",
+        "s=2\nk=2\nX=25,125,625\nmethod=mitm\n",
+        "s=2\nk=2\nX=625\nhistogram=on\n",
+    ],
+    ids=["brute", "mitm", "histogram"],
+)
+def test_timing_fills_only_seconds(tmp_path, config):
+    _, plain = run_cli(tmp_path, "count", D5 + config, name="off")
+    _, timed = run_cli(tmp_path, "count", D5 + config + "timing=on\n", name="on")
+    off, on = count_cells(plain), count_cells(timed)
+    assert len(on) == len(off) > 0
+    for row_on, row_off in zip(on, off):
+        assert row_off[6] == "NA" and float(row_on[6]) >= 0
+        assert row_on[:6] == row_off[:6]
+    assert sorted(p.name for p in timed.iterdir()) == sorted(p.name for p in plain.iterdir())
+    if "histogram" in config:
+        assert histogram_lines(timed) == histogram_lines(plain)
+
+
 @pytest.mark.parametrize(
     "subcommand, config",
     [
         ("count", "digitset=p=3;digits=0,1\ns=2\nk=1\nX=9,27\nhistogram=on\n"),
         ("enumerate", "digitset=p=3;digits=0,1\nX=0\n"),
+        # the budget rules read s before the engines validate it
+        ("count", "digitset=p=5;digits=0,4\ns=-1\nk=1\nX=125\n"),
+        ("count", "digitset=p=5;digits=0,4\ns=0\nk=1\nX=3\n"),  # no members
     ],
-    ids=["count-histogram-several-X", "enumerate-X0"],
+    ids=["count-histogram-several-X", "enumerate-X0", "count-negative-s", "count-s0-empty"],
 )
 def test_validation_error_leaves_no_output(tmp_path, capsys, subcommand, config):
     code, out = run_cli(tmp_path, subcommand, config)
@@ -202,8 +290,17 @@ def test_lift_decompose_refuses_before_weights(tmp_path, capsys, monkeypatch):
         ("count", "s=2\nk=1\nX=125\nhistogram=on\n", ["--budget-tuples", "10"]),
         ("lift", "task=decompose\nt=2\nd=1\nX=15625\n", []),
         ("lift", "task=chain\nt=2\nc=1\nB=3\npsi=0,0,1\nX=15625\n", []),
+        # level 2 alone is admitted; level 10 (X = 5^10) is refused before it
+        ("congruence", "task=lambda\ns=3\nk=2\nB=2,10\n", []),
     ],
-    ids=["count-mitm", "count-brute", "count-histogram", "lift-decompose", "lift-chain"],
+    ids=[
+        "count-mitm",
+        "count-brute",
+        "count-histogram",
+        "lift-decompose",
+        "lift-chain",
+        "congruence-lambda",
+    ],
 )
 def test_refusal_from_member_count(tmp_path, capsys, monkeypatch, subcommand, config, extra):
     from ellipsephic import digits
@@ -225,8 +322,10 @@ def test_refusal_from_member_count(tmp_path, capsys, monkeypatch, subcommand, co
         ("count", "s=2\nk=1\nX=9\n"),
         ("lift", "task=decompose\nt=2\nd=1\nX=9\n"),
         ("lift", "task=chain\nt=2\nc=1\nB=3\npsi=0,0,1\nX=9\n"),
+        ("congruence", "task=lambda\ns=2\nk=1\nB=2\n"),
+        ("congruence", "task=K\ns=2\nk=1\nt=2\nB=2\na=1\nb=1\nr=1\nnu=1\nX=9\n"),
     ],
-    ids=["count", "lift-decompose", "lift-chain"],
+    ids=["count", "lift-decompose", "lift-chain", "congruence-lambda", "congruence-K"],
 )
 def test_member_count_mismatch_is_invariant_error(
     tmp_path, capsys, monkeypatch, subcommand, config

@@ -248,6 +248,24 @@ def test_cauchy_schwarz_on_multiplicities():
     assert count * len(table) >= mass * mass
 
 
+@pytest.mark.parametrize(
+    "system, modulus",
+    [
+        # phi_1 = 5 - 4z and phi_2 = -4z^2: signed keys, packed with offsets
+        (SpacedSystem.perturbed(5, 1, [[1, -1], [0, 0, -1]]), None),
+        (SpacedSystem.pure_powers(2, 5), 25),
+    ],
+    ids=["perturbed-signed", "modulus"],
+)
+def test_multiplicity_table_keys_increase(system, modulus):
+    members = list(iter_members(DigitSet(5, (0, 1, 4)), 124))
+    keys = list(multiplicity_table(system, 3, members, modulus=modulus))
+    assert len(keys) > 100
+    assert keys == sorted(keys)
+    if modulus is None:
+        assert keys[0][1] < 0 and keys[0][0] < 0 < keys[-1][0]
+
+
 # --- diagonal and reference curves -------------------------------------------
 
 def diagonal_dumb(s, y):
@@ -309,3 +327,9 @@ def test_fit_validation():
 def test_key_hex():
     assert key_hex((255,)) == "ff"
     assert key_hex((10, -16)) == "a:-10"
+
+
+@given(st.lists(st.integers(-(2**70), 2**70), max_size=4))
+def test_key_hex_matches_sign_branch(key):
+    signed = ":".join(format(v, "x") if v >= 0 else "-" + format(-v, "x") for v in key)
+    assert key_hex(tuple(key)) == signed

@@ -20,7 +20,7 @@ from ellipsephic import (
     representation_table,
     represented_count,
 )
-from ellipsephic import waring
+from ellipsephic import digits, waring
 
 DS3 = DigitSet(3, (0, 1))
 DS5 = DigitSet(5, (0, 1, 4))
@@ -155,7 +155,7 @@ def test_refusal_counts_before_enumerating(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("members enumerated before the budget check")
 
-    monkeypatch.setattr(waring, "iter_members", no_enumeration)
+    monkeypatch.setattr(digits, "iter_members", no_enumeration)
     with pytest.raises(BudgetError):
         representation_table(DS5, 3, 2, 5**22)  # Y = 177,147 members
     with pytest.raises(BudgetError):
