@@ -19,6 +19,7 @@ from .meanvalue import (
     CountResult,
     FitResult,
     SpacedSystem,
+    WeightAssignment,
     brute_force_count,
     diagonal_count,
     fit_exponent,
@@ -32,7 +33,6 @@ from .congruence import (
     MeanValueSpec,
     RefinementCheck,
     RestrictionRatio,
-    WeightAssignment,
     class_norms,
     class_refinement_check,
     class_split,

@@ -22,16 +22,16 @@ The backend is selected from the input:
 dtypes are chosen from a-priori bounds, never after the fact: packed keys are
 int64 when the packed range fits, masses are int64 when the product of the
 factors' total absolute masses fits, and otherwise both are Python integers
-(object arrays).  Float weights use float64.  Rational weights become integer
-numerators over one common denominator D, so a table of n factors holds
-numerators over D**n and is divided only when its values are read.
+(object arrays).  Float weights use float64.  Rational weights arrive scaled
+to integers by one common D (``meanvalue.WeightAssignment``); the callers
+divide by the power of D once, when they read a table's values or its sum of
+squares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -48,30 +48,19 @@ _SCATTER_ELEMENT = 10
 
 @dataclass(frozen=True)
 class Table:
-    """Keys (n, k) in increasing lexicographic order and their masses.
-
-    With ``denom`` set the masses are integer numerators over it (exact mode);
-    otherwise they are the values themselves (unit or float weights).
-    """
+    """Keys (n, k) in increasing lexicographic order and their masses."""
 
     keys: np.ndarray
     masses: np.ndarray
-    denom: int | None
     mass_bound: object  # a-priori bound on the sum of |masses|
 
-    def values(self) -> list:
-        vals = self.masses.tolist()
-        return vals if self.denom is None else [Fraction(v, self.denom) for v in vals]
-
     def sum_squares(self):
-        """sum_v m(v)**2 as an int, a Fraction in exact mode, or a float."""
+        """sum_v m(v)**2: an int for unit and integer weights, else a float."""
         m = self.masses
         if m.dtype == np.int64 and self.mass_bound**2 >= _INT64_LIMIT:
             m = m.astype(object)
         raw = (m * m).sum()
-        if m.dtype == np.float64:
-            return float(raw)
-        return int(raw) if self.denom is None else Fraction(int(raw), self.denom**2)
+        return float(raw) if m.dtype == np.float64 else int(raw)
 
 
 def check_multisets(y: int, s: int, max_tuples: int) -> None:
@@ -108,11 +97,11 @@ def power_sum_table(
     """Exact table of the sums key(x_1) + ... + key(x_n), x_i over factor i.
 
     Each factor is ``(columns, weights)``: ``columns[j]`` holds component j of
-    every entry's key, and ``weights`` the entry weights (None for unit).
-    Weights are unit when no factor has any, exact when all are int or
-    Fraction, and float otherwise.  ``modulus`` reduces every key component
-    modulo it; ``cap`` drops keys with any component above it.  Each step
-    refuses with BudgetError before allocating more than ``max_bytes``.
+    every entry's key, and ``weights`` the entry weights: None for unit, or a
+    list of Python ints or of floats.  The masses are float64 when any factor
+    has float weights, and exact integers otherwise.  ``modulus`` reduces
+    every key component modulo it; ``cap`` drops keys with any component
+    above it.  Each step refuses with BudgetError before allocating more than ``max_bytes``.
     Without a cap the total mass must equal the product of the factor masses
     (checked in the exact dtypes, skipped for floats); a mismatch is an
     InvariantError.
@@ -121,12 +110,10 @@ def power_sum_table(
         factors = [
             ([[c % modulus for c in col] for col in cols], ws) for cols, ws in factors
         ]
-    masses_in, denom, is_float = _scaled_masses(factors)
+    masses_in = [[1] * len(cols[0]) if ws is None else ws for cols, ws in factors]
+    is_float = any(isinstance(ms[0], float) for ms in masses_in if ms)
     mass_bound = math.prod(sum(abs(w) for w in ms) for ms in masses_in)
-    if is_float:
-        mass_dtype = np.float64
-    else:
-        mass_dtype = np.int64 if mass_bound < _INT64_LIMIT else object
+    mass_dtype = np.float64 if is_float else np.int64 if mass_bound < _INT64_LIMIT else object
 
     keys = None
     values = [cols[0] for cols, _ in factors]
@@ -151,24 +138,7 @@ def power_sum_table(
             raise InvariantError(
                 f"table mass {total} != product of factor masses {expected}"
             )
-    return Table(keys, masses, denom, mass_bound)
-
-
-def _scaled_masses(factors) -> tuple[list[list], int | None, bool]:
-    """Per-factor masses, the denominator of the final table, and float mode.
-
-    Exact weights become integer numerators over their least common
-    denominator D, so a table of n factors is over D**n.
-    """
-    weights = [w for _, ws in factors if ws is not None for w in ws]
-    is_float = not all(isinstance(w, (int, Fraction)) for w in weights)
-    lcd = 1 if is_float else math.lcm(*(Fraction(w).denominator for w in weights))
-    masses_in = []
-    for cols, ws in factors:
-        ws = [1] * len(cols[0]) if ws is None else ws
-        masses_in.append([float(w) if is_float else int(Fraction(w) * lcd) for w in ws])
-    exact = weights and not is_float
-    return masses_in, lcd ** len(factors) if exact else None, is_float
+    return Table(keys, masses, mass_bound)
 
 
 def _dense(values: list, masses_in: list, length: int, dtype) -> np.ndarray:

@@ -167,8 +167,10 @@ def _write_json(path: Path, header: str, payload: dict) -> None:
 def _run_enumerate(cfg, out: Path, header: str, budget) -> None:
     ds = _digit_set(cfg)
     bound = _get_int(cfg, "X")
-    members = dg.iter_members(ds, bound)
-    _write_lines(out / "enumerate.txt", header, (str(m) for m in members))
+    y = dg.count_members(ds, bound)
+    if y > budget.max_tuples:
+        raise BudgetError(f"{y} members exceed the tuple budget {budget.max_tuples}")
+    _write_lines(out / "enumerate.txt", header, map(str, dg.member_list(ds, bound, y)))
 
 
 def _run_etstar(cfg, out: Path, header: str, budget) -> None:

@@ -12,10 +12,11 @@ evaluation here).  In grid mode a block is the class's values over the whole
 grid, one DFT of its weight histogram over the residues (phi_j(x) mod p^B)_j;
 in count mode it is the class's factors of the exact power-sum table.
 
-Exact arithmetic policy: counting paths carry Fraction weights end to end;
-grid paths are double-precision complex and are held to 1e-9 relative
-agreement with the counting paths.  Class norms are stored squared so the
-rational paths never need square roots.
+Exact arithmetic policy: counting paths hand the kernel integer masses
+(``WeightAssignment.masses``) and divide once per table; grid paths are
+double-precision complex and are held to 1e-9 relative agreement with the
+counting paths.  Class norms are stored squared so the rational paths never
+need square roots.
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ import cmath
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .digits import DigitSet, count_members
 from .errors import BudgetError, InvariantError, ValidationError
 from ._tables import check_multisets, power_sum_table
-from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem, _phi_columns
+from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem, WeightAssignment, _phi_columns
 
 __all__ = [
     "GRID_BUDGET",
@@ -60,49 +62,6 @@ GRID_BUDGET = 10**6  # grid mode is refused above this many grid points
 def _check_mode(mode: str) -> None:
     if mode not in ("count", "grid"):
         raise ValidationError(f"unknown mode {mode!r}; expected count or grid")
-
-
-@dataclass(frozen=True)
-class WeightAssignment:
-    """Finitely supported weights in [0, 1] on positive integers.
-
-    Integer and Fraction inputs run in exact rational mode; any float input
-    switches the whole assignment to float mode.  Zero-weight entries are
-    dropped, and the total weight must be positive.
-    """
-
-    entries: tuple[tuple[int, object], ...]
-    exact: bool
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "WeightAssignment":
-        items = [(int(x), w) for x, w in (pairs.items() if isinstance(pairs, Mapping) else pairs)]
-        exact = all(isinstance(w, (int, Fraction)) for _, w in items)
-        seen = set()
-        entries = []
-        for x, w in sorted(items):
-            if x < 1:
-                raise ValidationError(f"support values must be >= 1, got {x}")
-            if x in seen:
-                raise ValidationError(f"repeated support value {x}")
-            seen.add(x)
-            wv = Fraction(w) if exact else float(w)
-            if not 0 <= wv <= 1:
-                raise ValidationError(f"weight for {x} outside [0, 1]: {w}")
-            if wv != 0:
-                entries.append((x, wv))
-        if not entries:
-            raise ValidationError("total weight must be positive")
-        return cls(tuple(entries), exact)
-
-    @classmethod
-    def unit(cls, members: Sequence[int]) -> "WeightAssignment":
-        return cls.from_pairs([(x, 1) for x in members])
-
-    @property
-    def rho0_sq(self):
-        """Sum of squared weights (the squared normalising norm)."""
-        return sum(w * w for _, w in self.entries)
 
 
 @dataclass(frozen=True)
@@ -137,7 +96,7 @@ def _classes(
 ) -> dict[int, tuple[list[tuple[int, object]], object]]:
     """Per residue class modulo base**level: its support entries and rho^2."""
     return {
-        residue: (part, sum(w * w for _, w in part))
+        residue: (part, weights.norm_sq(x for x, _ in part))
         for residue, part in class_split(weights, base, level).items()
     }
 
@@ -212,9 +171,12 @@ def restricted_exp_sum(
     return _class_exp_sum(_class_factor(system, entries), rho_sq, point)
 
 
-def _class_factor(system: SpacedSystem, entries: list[tuple[int, object]]):
-    """One class's (phi columns, weights): every phi value this module uses."""
-    return _phi_columns(system, [x for x, _ in entries]), [w for _, w in entries]
+def _class_factor(system: SpacedSystem, entries: list[tuple[int, object]], masses=None):
+    """One class's (phi columns, weights), the weights read off ``masses`` if
+    given (a ``WeightAssignment.masses``): every phi value this module uses."""
+    xs = [x for x, _ in entries]
+    ws = [w for _, w in entries] if masses is None else [masses[x] for x in xs]
+    return _phi_columns(system, xs), ws
 
 
 def _class_exp_sum(factor, rho_sq, point: GridPoint) -> complex:
@@ -262,20 +224,21 @@ def _check_grid(system: SpacedSystem, modulus: int) -> None:
         )
 
 
-def _block(
-    system: SpacedSystem, entries, rho_sq, n: int, modulus: int, mode: str, budget: Budget
-):
+def _block(spec: MeanValueSpec, entries, rho_sq, n: int, mode: str, budget: Budget):
     """The factor |f_class(alpha)|**(2n) of one class (support entries, rho^2).
 
     "grid" gives its values over the grid u/modulus, one DFT of its residue
-    histogram; "count" gives its n kernel factors and rho_sq**n, refused first
+    histogram; "count" gives its n kernel factors, with masses the weights
+    times D, and its norm in the same units, (D**2 * rho_sq)**n, refused first
     when C(#entries+n-1, n) exceeds the tuple budget.  Callers check ``mode``.
     """
     if mode == "grid":
-        _check_grid(system, modulus)
-        return _grid_class_power_mean(_class_factor(system, entries), rho_sq, modulus, n)
+        _check_grid(spec.system, spec.modulus)
+        factor = _class_factor(spec.system, entries)
+        return _grid_class_power_mean(factor, rho_sq, spec.modulus, n)
     check_multisets(len(entries), n, budget.max_tuples)
-    return [_class_factor(system, entries)] * n, rho_sq**n
+    factor = _class_factor(spec.system, entries, spec.weights.masses)
+    return [factor] * n, (spec.weights.denom**2 * rho_sq) ** n
 
 
 def _block_mean(blocks: Sequence, modulus: int, mode: str, budget: Budget):
@@ -283,7 +246,8 @@ def _block_mean(blocks: Sequence, modulus: int, mode: str, budget: Budget):
 
     ``blocks`` are ``_block`` results of one mode.  "grid" averages the
     product of their grid vectors; "count" evaluates the equal congruence
-    count from one exact table over all their factors, divided by the norms.
+    count from one exact table over all their factors: its sum of squares,
+    over D**(2 #factors), divided once by the norms, which carry that power.
     """
     if mode == "grid":
         return float(np.mean(math.prod(blocks)))
@@ -314,7 +278,7 @@ def discrete_integral(
     found = classes.get((residue or 0) % spec.base**level)
     if found is None:
         return Fraction(0) if spec.weights.exact else 0.0
-    block = _block(spec.system, *found, spec.s, spec.modulus, mode, budget)
+    block = _block(spec, *found, spec.s, mode, budget)
     return _block_mean([block], spec.modulus, mode, budget)
 
 
@@ -335,11 +299,11 @@ def _class_average(
     first block's class changes slowest, so only its current one is kept,
     beside every one of the later blocks.
     """
-    system, modulus = spec.system, spec.modulus
+    modulus = spec.modulus
     tables = [_classes(spec.weights, spec.base, level) for level, _ in blocks]
     built: list[dict] = [{} for _ in blocks]
     if mode == "grid":
-        _check_grid(system, modulus)
+        _check_grid(spec.system, modulus)
     total = Fraction(0) if spec.weights.exact else 0.0
     for residues in itertools.product(*(sorted(table) for table in tables)):
         if nu >= 1 and (residues[0] - residues[-1]) % spec.base**nu == 0:
@@ -349,7 +313,7 @@ def _class_average(
             if res not in built[i]:
                 if i == 0:
                     built[0].clear()
-                built[i][res] = _block(system, *table[res], n, modulus, mode, budget)
+                built[i][res] = _block(spec, *table[res], n, mode, budget)
             parts.append(built[i][res])
         rho_prod = math.prod(table[res][1] for table, res in zip(tables, residues))
         total = total + rho_prod * _block_mean(parts, modulus, mode, budget)
@@ -415,7 +379,7 @@ def two_class_mean_value(
     if class_a is None or class_b is None:
         return Fraction(0) if spec.weights.exact else 0.0
     blocks = [
-        _block(spec.system, *found, n, spec.modulus, mode, budget)
+        _block(spec, *found, n, mode, budget)
         for found, n in ((class_a, big_r), (class_b, s - big_r))
     ]
     return _block_mean(blocks, spec.modulus, mode, budget)
@@ -529,13 +493,8 @@ def class_refinement_check(
     base = system.base
     split_factor = 1
     for level in range(a, b):
-        parents = class_split(weights, base, level)
-        children = class_split(weights, base, level + 1)
-        per_parent: dict[int, int] = {res: 0 for res in parents}
-        for res in children:
-            per_parent[res % base**level] += 1
-        if per_parent:
-            split_factor = max(split_factor, max(per_parent.values()))
+        per_parent = Counter(res % base**level for res in class_split(weights, base, level + 1))
+        split_factor = max([split_factor, *per_parent.values()])
 
     if points is None:
         rng = rng or random.Random(0)

@@ -121,7 +121,7 @@ def _carries(
 
 
 def carry_tuple_for_pair(
-    x: Sequence[int], y: Sequence[int], base: int, depth: int, t: int | None = None
+    x: Sequence[int], y: Sequence[int], base: int, depth: int
 ) -> CarryTuple:
     """Carry vector of the solution pair (x, y) of sum x = sum y (mod base**depth).
 
@@ -129,7 +129,6 @@ def carry_tuple_for_pair(
     the two tuples, never found by search.  Raises if the pair is not
     actually a solution.
     """
-    t = t if t is not None else len(x)
     if len(x) != len(y):
         raise ValidationError("x and y must have the same length")
     powers = [base ** (r + 1) for r in range(depth)]
@@ -138,7 +137,7 @@ def carry_tuple_for_pair(
         raise InvariantError(
             f"pair {tuple(x)}, {tuple(y)} is not a solution modulo {base}**{depth}"
         )
-    return CarryTuple(t, base, lam)
+    return CarryTuple(len(x), base, lam)
 
 
 def unit_tuple_weights(members: Sequence[int], t: int) -> dict[tuple[int, ...], Fraction]:

@@ -19,8 +19,9 @@ process; the library has no worker pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .digits import _is_prime
 __all__ = [
     "SpacedSystem",
     "Budget",
+    "WeightAssignment",
     "CountResult",
     "FitResult",
     "brute_force_count",
@@ -145,13 +147,74 @@ DEFAULT_BUDGET = Budget()
 
 
 @dataclass(frozen=True)
+class WeightAssignment:
+    """Finitely supported weights in [0, 1] on positive integers, the one
+    member-weight type of the counting engines and the congruence mean values.
+
+    Integer and Fraction inputs run in exact rational mode; any float input
+    switches the whole assignment to float mode.  Zero-weight entries are
+    dropped, and the total weight must be positive.  ``masses``, worked out
+    once, maps x to its weight times ``denom``, the weights' common
+    denominator D, as an int (exact mode), or to its float weight (D = 1).
+    """
+
+    entries: tuple[tuple[int, object], ...]
+    exact: bool
+    denom: int = field(init=False, repr=False, compare=False)
+    masses: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.exact:
+            denom = math.lcm(*(w.denominator for _, w in self.entries))
+            masses = {x: w.numerator * (denom // w.denominator) for x, w in self.entries}
+        else:
+            denom, masses = 1, dict(self.entries)
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "masses", masses)
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "WeightAssignment":
+        items = [(int(x), w) for x, w in (pairs.items() if isinstance(pairs, Mapping) else pairs)]
+        exact = all(isinstance(w, (int, Fraction)) for _, w in items)
+        seen = set()
+        entries = []
+        for x, w in sorted(items):
+            if x < 1:
+                raise ValidationError(f"support values must be >= 1, got {x}")
+            if x in seen:
+                raise ValidationError(f"repeated support value {x}")
+            seen.add(x)
+            wv = Fraction(w) if exact else float(w)
+            if not 0 <= wv <= 1:
+                raise ValidationError(f"weight for {x} outside [0, 1]: {w}")
+            if wv != 0:
+                entries.append((x, wv))
+        if not entries:
+            raise ValidationError("total weight must be positive")
+        return cls(tuple(entries), exact)
+
+    @classmethod
+    def unit(cls, members: Sequence[int]) -> "WeightAssignment":
+        return cls.from_pairs([(x, 1) for x in members])
+
+    def norm_sq(self, support: Iterable[int]):
+        """Sum of the squared weights on ``support``: (sum m**2) / D**2, or a float."""
+        total = sum(self.masses[x] * self.masses[x] for x in support)
+        return Fraction(total, self.denom**2) if self.exact else total
+
+    @property
+    def rho0_sq(self):
+        """Sum of squared weights (the squared normalising norm)."""
+        return self.norm_sq(self.masses)
+
+
+@dataclass(frozen=True)
 class CountResult:
-    """A count and the s, k, X and Y it was taken over; callers time the call."""
+    """A count and the s, k and Y it was taken over; callers time the call."""
 
     count: object  # int exactly, Fraction or float in weighted modes
     s: int
     k: int
-    x_bound: int
     y: int
     method: str
 
@@ -168,7 +231,6 @@ def brute_force_count(
     members: Sequence[int],
     *,
     budget: Budget = DEFAULT_BUDGET,
-    x_bound: int | None = None,
 ) -> CountResult:
     """Count solutions by comparing every x-side tuple against every y-side tuple.
 
@@ -180,9 +242,8 @@ def brute_force_count(
     mem = sorted(set(int(m) for m in members))
     y = len(mem)
     check_pairs(y**s, budget.max_tuples)
-    bound = x_bound if x_bound is not None else (mem[-1] if mem else 0)
     if y == 0:
-        return CountResult(0, s, system.k, bound, 0, "brute")
+        return CountResult(0, s, system.k, 0, "brute")
 
     cols = _phi_columns(system, mem)
     key_mag = s * system.phi_bound(mem[-1])
@@ -203,22 +264,24 @@ def brute_force_count(
         for keys in tuple_keys[1:]:
             eq &= keys[lo : lo + step, None] == keys[None, :]
         total += int(np.count_nonzero(eq))
-    return CountResult(total, s, system.k, bound, y, "brute")
+    return CountResult(total, s, system.k, y, "brute")
 
 
 # --- meet-in-the-middle engine ----------------------------------------------
 
-def _members(members: Sequence[int], weights: Mapping[int, object] | None) -> list[int]:
-    """Sorted distinct members, without those of zero weight."""
+def _members(members: Sequence[int], weights: WeightAssignment | None) -> list[int]:
+    """Sorted distinct members, without those outside the weights' support."""
+    if weights is not None and not isinstance(weights, WeightAssignment):
+        raise ValidationError("weights must be built by WeightAssignment.from_pairs")
     mem = sorted(set(int(m) for m in members))
     if weights is not None:
-        mem = [m for m in mem if weights.get(m, 0) != 0]
+        mem = [m for m in mem if m in weights.masses]
     return mem
 
 
 def _table(system, s, mem, weights, modulus, cap, budget) -> Table:
     check_multisets(len(mem), s, budget.max_tuples)
-    masses = None if weights is None else [weights[m] for m in mem]
+    masses = None if weights is None else [weights.masses[m] for m in mem]
     factor = (_phi_columns(system, mem), masses)
     return power_sum_table(
         [factor] * s, modulus=modulus, cap=cap, max_bytes=budget.max_table_bytes
@@ -229,7 +292,7 @@ def multiplicity_table(
     system: SpacedSystem,
     s: int,
     members: Sequence[int],
-    weights: Mapping[int, object] | None = None,
+    weights: WeightAssignment | None = None,
     *,
     modulus: int | None = None,
     budget: Budget = DEFAULT_BUDGET,
@@ -237,11 +300,12 @@ def multiplicity_table(
     """Map power-sum key -> (weighted) number of ordered s-tuples with that key.
 
     Keys come in increasing lexicographic order, the kernel's, and sum m(v)**2
-    is ``mitm_count`` on the same arguments.  Zero-weight members are dropped.
-    Values are ints for unit weights, Fractions for int/Fraction weights and
-    floats otherwise.  The table is built by s ordered convolutions of the
-    member list (see ``_tables``); refused when C(Y+s-1, s) exceeds the tuple
-    budget or a step would exceed the table memory budget.
+    is ``mitm_count`` on the same arguments.  Members outside the weights'
+    support are dropped.  Values are ints for unit weights (None), Fractions
+    for exact weights (integer masses divided once by D**s) and floats
+    otherwise.  The table is built by s ordered convolutions of the member
+    list (see ``_tables``); refused when C(Y+s-1, s) exceeds the tuple budget
+    or a step would exceed the table memory budget.
     """
     if s < 0:
         raise ValidationError(f"s must be >= 0, got {s}")
@@ -249,35 +313,40 @@ def multiplicity_table(
     if s == 0 or not mem:
         return {(0,) * system.k: 1} if s == 0 else {}
     table = _table(system, s, mem, weights, modulus, None, budget)
-    return dict(zip(map(tuple, table.keys.tolist()), table.values()))
+    values = table.masses.tolist()
+    if weights is not None and weights.exact:
+        values = [Fraction(v, weights.denom**s) for v in values]
+    return dict(zip(map(tuple, table.keys.tolist()), values))
 
 
 def mitm_count(
     system: SpacedSystem,
     s: int,
     members: Sequence[int],
-    weights: Mapping[int, object] | None = None,
+    weights: WeightAssignment | None = None,
     *,
     modulus: int | None = None,
     key_cap: int | None = None,
     budget: Budget = DEFAULT_BUDGET,
-    x_bound: int | None = None,
 ) -> CountResult:
     """Meet-in-the-middle count: sum over keys v of m(v)**2.
 
-    Equals brute_force_count exactly with unit weights, and to rational
-    exactness with Fraction weights.  ``modulus`` reduces keys mod that value;
-    ``key_cap`` drops keys with any component above the cap before summing.
+    Equals brute_force_count exactly with unit weights (None).  Exact weights
+    give a Fraction, the kernel's integer sum divided once by D**(2s); float
+    weights a float.  Members outside the weights' support count as weight 0.
+    ``modulus`` reduces keys mod that value; ``key_cap`` drops keys with any
+    component above the cap before summing.
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
     mem = _members(members, weights)
     y = len(mem)
-    bound = x_bound if x_bound is not None else (mem[-1] if mem else 0)
     if y == 0:
-        return CountResult(0, s, system.k, bound, 0, "mitm")
+        return CountResult(0, s, system.k, 0, "mitm")
     total = _table(system, s, mem, weights, modulus, key_cap, budget).sum_squares()
-    return CountResult(total, s, system.k, bound, y, "mitm")
+    if weights is not None and weights.exact:
+        total = Fraction(total, weights.denom ** (2 * s))
+    return CountResult(total, s, system.k, y, "mitm")
 
 
 # --- reference quantities ---------------------------------------------------

@@ -99,7 +99,7 @@ def representation_table(
     members = member_list(digit_set, root, y)
     factor = ([[m**k for m in members]], None)
     table = power_sum_table([factor] * s, cap=bound, max_bytes=budget.max_table_bytes)
-    counts = dict(zip(table.keys[:, 0].tolist(), table.values()))
+    counts = dict(zip(table.keys[:, 0].tolist(), table.masses.tolist()))
     total = int(table.masses.sum())
     return RepresentationTable(
         s, k, bound, y, counts, y**s - total, total, table.sum_squares()

@@ -84,8 +84,8 @@ def test_c01_oracle_equivalence():
                 system = SpacedSystem.pure_powers(k, base)
                 for bound in bounds:
                     members = list(iter_members(ds, bound))
-                    b = brute_force_count(system, s, members, x_bound=bound).count
-                    m = mitm_count(system, s, members, x_bound=bound).count
+                    b = brute_force_count(system, s, members).count
+                    m = mitm_count(system, s, members).count
                     checked += 1
                     if b != m:
                         mismatches.append((base, s, k, bound, b, m))
@@ -334,7 +334,7 @@ def test_c09_exponent_fit():
         points = []
         for bound in bounds:
             members = list(iter_members(DS5, bound))
-            res = mitm_count(system, s, members, x_bound=bound)
+            res = mitm_count(system, s, members)
             points.append((bound, res.y, res.count))
         if [p[2] for p in points] != GOLDEN_SERIES[s]:
             series_ok = False

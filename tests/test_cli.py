@@ -292,6 +292,7 @@ def test_lift_decompose_refuses_before_weights(tmp_path, capsys, monkeypatch):
         ("lift", "task=chain\nt=2\nc=1\nB=3\npsi=0,0,1\nX=15625\n", []),
         # level 2 alone is admitted; level 10 (X = 5^10) is refused before it
         ("congruence", "task=lambda\ns=3\nk=2\nB=2,10\n", []),
+        ("enumerate", "X=125\n", ["--budget-tuples", "10"]),
     ],
     ids=[
         "count-mitm",
@@ -300,6 +301,7 @@ def test_lift_decompose_refuses_before_weights(tmp_path, capsys, monkeypatch):
         "lift-decompose",
         "lift-chain",
         "congruence-lambda",
+        "enumerate",
     ],
 )
 def test_refusal_from_member_count(tmp_path, capsys, monkeypatch, subcommand, config, extra):
@@ -324,8 +326,16 @@ def test_refusal_from_member_count(tmp_path, capsys, monkeypatch, subcommand, co
         ("lift", "task=chain\nt=2\nc=1\nB=3\npsi=0,0,1\nX=9\n"),
         ("congruence", "task=lambda\ns=2\nk=1\nB=2\n"),
         ("congruence", "task=K\ns=2\nk=1\nt=2\nB=2\na=1\nb=1\nr=1\nnu=1\nX=9\n"),
+        ("enumerate", "X=9\n"),
     ],
-    ids=["count", "lift-decompose", "lift-chain", "congruence-lambda", "congruence-K"],
+    ids=[
+        "count",
+        "lift-decompose",
+        "lift-chain",
+        "congruence-lambda",
+        "congruence-K",
+        "enumerate",
+    ],
 )
 def test_member_count_mismatch_is_invariant_error(
     tmp_path, capsys, monkeypatch, subcommand, config

@@ -16,6 +16,7 @@ from ellipsephic import (
     DigitSet,
     SpacedSystem,
     ValidationError,
+    WeightAssignment,
     brute_force_count,
     diagonal_count,
     fit_exponent,
@@ -149,7 +150,8 @@ def test_mitm_weighted_exact():
     wide = {x: Fraction(2**41 - x, 2**41 + 1) for x in E9}
     for k, modulus, weights in itertools.product((1, 2), (None, 3**3), (small, wide)):
         system = SpacedSystem.pure_powers(k, 3)
-        res = mitm_count(system, 2, E9, weights, modulus=modulus)
+        assignment = WeightAssignment.from_pairs(weights)
+        res = mitm_count(system, 2, E9, assignment, modulus=modulus)
         # direct table: ordered pairs with weight products
         table = Counter()
         for x, y in itertools.product(E9, repeat=2):
@@ -159,16 +161,52 @@ def test_mitm_weighted_exact():
             table[key] += weights[x] * weights[y]
         assert res.count == sum(v * v for v in table.values()), (k, modulus, weights)
         assert isinstance(res.count, Fraction)
+        got = multiplicity_table(system, 2, E9, assignment, modulus=modulus)
+        assert got == dict(table)
 
 
 def test_mitm_weighted_float_close():
     sys1 = SpacedSystem.pure_powers(1, 3)
-    weights = {1: 0.5, 3: 1 / 3, 4: 1.0, 9: 0.25}
+    weights = WeightAssignment.from_pairs({1: 0.5, 3: 1 / 3, 4: 1.0, 9: 0.25})
     res = mitm_count(sys1, 2, E9, weights)
     exact = mitm_count(
-        sys1, 2, E9, {1: Fraction(1, 2), 3: Fraction(1, 3), 4: 1, 9: Fraction(1, 4)}
+        sys1,
+        2,
+        E9,
+        WeightAssignment.from_pairs(
+            {1: Fraction(1, 2), 3: Fraction(1, 3), 4: 1, 9: Fraction(1, 4)}
+        ),
     )
     assert res.count == pytest.approx(float(exact.count), rel=1e-9)
+
+
+def test_mitm_refuses_mapping_weights():
+    sys1 = SpacedSystem.pure_powers(1, 3)
+    with pytest.raises(ValidationError, match=r"WeightAssignment\.from_pairs"):
+        mitm_count(sys1, 2, E9, {1: Fraction(1, 2), 3: 1})
+
+
+def test_exact_weights_reach_kernel_as_ints(monkeypatch):
+    """Fraction weights are scaled once: the kernel is handed int masses only."""
+    from ellipsephic import MeanValueSpec, congruence, congruence_mean_value, meanvalue
+
+    seen = []
+
+    def spy(factors, **kwargs):
+        seen.extend(w for _, ws in factors for w in ws)
+        return build(factors, **kwargs)
+
+    build = meanvalue.power_sum_table
+    monkeypatch.setattr(meanvalue, "power_sum_table", spy)
+    monkeypatch.setattr(congruence, "power_sum_table", spy)
+    weights = WeightAssignment.from_pairs(
+        {1: Fraction(1, 2), 3: Fraction(1, 3), 4: 1, 9: Fraction(1, 4)}
+    )
+    system = SpacedSystem.pure_powers(2, 3)
+    count = mitm_count(system, 2, E9, weights).count
+    value = congruence_mean_value(MeanValueSpec(system, weights, 2, 2, 1))
+    assert isinstance(count, Fraction) and isinstance(value, Fraction)
+    assert seen and {type(w) for w in seen} == {int}
 
 
 def test_mitm_modular_mode():
@@ -195,7 +233,7 @@ def test_mitm_member_order_bitwise_equal():
     fwd = mitm_count(system, 2, members)
     rev = mitm_count(system, 2, members[::-1])
     assert fwd.count == rev.count
-    weights = {m: 1 / (1 + i) for i, m in enumerate(members)}
+    weights = WeightAssignment.from_pairs({m: 1 / (1 + i) for i, m in enumerate(members)})
     fwd_w = mitm_count(system, 2, members, weights)
     rev_w = mitm_count(system, 2, members[::-1], weights)
     assert fwd_w.count == rev_w.count  # bitwise equal floats

@@ -1,7 +1,6 @@
 """The dense backend of the power-sum kernel against a dict convolution."""
 
 import math
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -36,7 +35,7 @@ def kernel_table(factors, cap):
             cap=cap,
             max_bytes=MAX_BYTES,
         )
-    return dict(zip(table.keys[:, 0].tolist(), table.values()))
+    return dict(zip(table.keys[:, 0].tolist(), table.masses.tolist()))
 
 
 # few far-apart values (the squares) leave sparse tables; short runs of small
@@ -45,7 +44,7 @@ sparse_values = st.lists(st.integers(0, 150), min_size=1, max_size=10).map(
     lambda xs: sorted(x * x for x in xs)
 )
 dense_values = st.lists(st.integers(0, 30), min_size=1, max_size=40)
-weight_kinds = st.sampled_from(["unit", "int", "fraction", "float", "near 2**62"])
+weight_kinds = st.sampled_from(["unit", "int", "numerators", "float", "near 2**62"])
 
 
 def draw_weights(data, kind, n):
@@ -53,10 +52,10 @@ def draw_weights(data, kind, n):
         return None
     if kind == "int":
         return data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
-    if kind == "fraction":
+    if kind == "numerators":  # a/b scaled by lcm(1..6), as WeightAssignment does
         pairs = st.tuples(st.integers(1, 9), st.integers(1, 6))
         drawn = data.draw(st.lists(pairs, min_size=n, max_size=n))
-        return [Fraction(a, b) for a, b in drawn]
+        return [a * (60 // b) for a, b in drawn]
     if kind == "float":
         return data.draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
     offsets = data.draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))
