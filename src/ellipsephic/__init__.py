@@ -51,7 +51,6 @@ from .lifting import (
     carry_decomposition,
     carry_sets,
     carry_tuple_for_pair,
-    congruence_solution_pairs,
     lifting_chain,
     sum_congruence_count,
     unit_tuple_weights,

@@ -106,10 +106,11 @@ def power_sum_table(
     (checked in the exact dtypes, skipped for floats); a mismatch is an
     InvariantError.
     """
-    if modulus is not None:
-        factors = [
-            ([[c % modulus for c in col] for col in cols], ws) for cols, ws in factors
-        ]
+    if modulus is not None:  # by factor identity, so [factor] * s is reduced once
+        reduced = {id(f): f for f in factors}
+        for i, (cols, ws) in reduced.items():
+            reduced[i] = ([[c % modulus for c in col] for col in cols], ws)
+        factors = [reduced[id(f)] for f in factors]
     masses_in = [[1] * len(cols[0]) if ws is None else ws for cols, ws in factors]
     is_float = any(isinstance(ms[0], float) for ms in masses_in if ms)
     mass_bound = math.prod(sum(abs(w) for w in ms) for ms in masses_in)
@@ -221,17 +222,17 @@ def _sparse(factors, masses_in, modulus, mass_dtype, max_bytes):
 
     keys = np.zeros(1, dtype=key_dtype)
     masses = np.ones(1, dtype=mass_dtype)
-    for (cols, _), f_masses, f_lo in zip(factors, masses_in, lo):
+    packed = {}  # by factor identity: [factor] * s is packed once
+    for factor, f_masses, f_lo in zip(factors, masses_in, lo):
+        cols = factor[0]
         need = len(keys) * len(cols[0]) * step_bytes
         if need > max_bytes:
             raise BudgetError(
                 f"table step needs ~{need} bytes > memory budget {max_bytes}"
             )
-        packed = [
-            sum((c - low) * st for c, low, st in zip(entry, f_lo, strides))
-            for entry in zip(*cols)
-        ]
-        cand = (keys[:, None] + np.array(packed, dtype=key_dtype)[None, :]).ravel()
+        if id(factor) not in packed:
+            packed[id(factor)] = _pack(cols, f_lo, strides, key_dtype)
+        cand = (keys[:, None] + packed[id(factor)][None, :]).ravel()
         cand_mass = np.outer(masses, np.array(f_masses, dtype=mass_dtype)).ravel()
         if modulus is not None:
             for stride in strides:
@@ -246,3 +247,11 @@ def _sparse(factors, masses_in, modulus, mass_dtype, max_bytes):
         keys = keys.astype(object)  # narrow packed range, components beyond int64
     comps = [keys // st % w + off for st, w, off in zip(strides, widths, offsets)]
     return np.stack(comps, axis=1), masses
+
+
+def _pack(cols, lo, strides, key_dtype) -> np.ndarray:
+    """Each entry's key components, offset by lo, packed into one mixed-radix integer."""
+    return np.array(
+        [sum((c - low) * st for c, low, st in zip(entry, lo, strides)) for entry in zip(*cols)],
+        dtype=key_dtype,
+    )

@@ -12,7 +12,9 @@ Exit codes: 0 ok, 2 validation error, 3 budget refusal, 4 invariant breach.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -138,6 +140,9 @@ def _parse_int(text: str, what: str) -> int:
 
 # --- output helpers ---------------------------------------------------------
 
+_CHUNK_LINES = 1 << 16  # lines joined per write: one join per chunk, flat memory
+
+
 def _fmt(value) -> str:
     """Deterministic CSV cell rendering; exact for ints, shortest repr for reals."""
     if isinstance(value, bool):
@@ -147,14 +152,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, header: str, lines) -> None:
-    # rendered before the file opens: a lazy source that raises leaves no file
-    path.write_text("\n".join([f"# config: {header}", *lines]) + "\n")
+def _write_lines(path: Path, header: str, *sources) -> None:
+    """Stream the header and the lines of ``sources`` to a temporary file beside
+    ``path``, _CHUNK_LINES at a time, and rename it onto ``path`` when all are
+    written: a lazy source that raises leaves neither file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    lines = itertools.chain([f"# config: {header}"], *sources)
+    try:
+        with open(tmp, "w") as fh:
+            while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+                fh.write("\n".join(chunk) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path: Path, header: str, columns: list[str], rows) -> None:
-    rendered = [",".join(_fmt(cell) for cell in row) for row in rows]
-    _write_lines(path, header, [",".join(columns), *rendered])
+    rendered = (",".join(_fmt(cell) for cell in row) for row in rows)
+    _write_lines(path, header, [",".join(columns)], rendered)
 
 
 def _write_json(path: Path, header: str, payload: dict) -> None:
@@ -242,7 +258,7 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     )
     if histogram:  # every multiplicity is an int, which _fmt renders as str()
         lines = (f"{mv.key_hex(key)},{m}" for key, m in table.items())
-        _write_lines(out / "histogram.csv", header, ["key_hex,multiplicity", *lines])
+        _write_lines(out / "histogram.csv", header, ["key_hex,multiplicity"], lines)
 
 
 def _run_congruence(cfg, out: Path, header: str, budget) -> None:
@@ -314,6 +330,8 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
     task = cfg.get("task")
     ds = _digit_set(cfg)
     t = _get_int(cfg, "t")
+    if t < 1:
+        raise ValidationError(f"lift needs t >= 1, got {t}")
     if task == "decompose":
         depth = _get_int(cfg, "d")
         bound = _get_int(cfg, "X")
@@ -339,8 +357,7 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
         y = dg.count_members(ds, bound)
         check_pairs(y**t, budget.max_tuples)
         members = dg.member_list(ds, bound, y)
-        pairs = lf.congruence_solution_pairs(system, t, members, b_level, budget=budget)
-        chain = lf.lifting_chain(system, t, b_level, pairs)
+        chain = lf.lifting_chain(system, t, members, b_level, budget=budget)
         rows = [[st.j, st.c_j, st.verified] for st in chain.steps]
         _write_csv(out / "lift_chain.csv", header, ["j", "c_j", "verified"], rows)
         return
@@ -357,7 +374,7 @@ def _run_waring(cfg, out: Path, header: str, budget) -> None:
     check = wr.cauchy_bound_check(table)
     # every cell is an int, which _fmt renders as str()
     rows = (f"{n},{r}" for n, r in table.counts.items())
-    _write_lines(out / "waring.csv", header, ["n,R", *rows])
+    _write_lines(out / "waring.csv", header, ["n,R"], rows)
     _write_json(
         out / "waring.json",
         header,

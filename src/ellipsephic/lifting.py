@@ -6,7 +6,8 @@ sum x_i = sum y_i (mod p^d) decompose exactly by their carry vector, and the
 digit pairs at each position land in the difference set of tuples with a
 prescribed digit sum.  The lifting chain raises the modulus of the linear
 congruence sum x_i = sum y_i from p^c to the full p^B in steps c_j = min(jc, B)
-for systems phi(z) = z + p^c psi(z).
+for systems phi(z) = z + p^c psi(z); it counts each step's solution pairs as
+the sum of squares of one power-sum table, without listing a pair.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._tables import check_pairs
+from ._tables import check_pairs, power_sum_table
 from .digits import DigitSet
 from .errors import BudgetError, InvariantError, ValidationError
 from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem
@@ -36,7 +37,6 @@ __all__ = [
     "LiftStep",
     "LiftingChain",
     "lifting_chain",
-    "congruence_solution_pairs",
 ]
 
 
@@ -254,6 +254,8 @@ def carry_decomposition(
 
 @dataclass(frozen=True)
 class LiftStep:
+    """Step j of the chain: its pairs, counted by the kernel, all satisfy the check."""
+
     j: int
     c_j: int
     pairs_checked: int
@@ -266,84 +268,52 @@ class LiftingChain:
     j_star: int
 
 
-def congruence_solution_pairs(
+def lifting_chain(
     system: SpacedSystem,
     t: int,
     members: Sequence[int],
     modulus_level: int,
     *,
     budget: Budget = DEFAULT_BUDGET,
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (x, y) tuple pairs with equal phi power sums modulo base**modulus_level."""
-    mem = sorted(set(members))
-    check_pairs(len(mem) ** t, budget.max_tuples)
-    modulus = system.base**modulus_level
-    by_key: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for tup in itertools.product(mem, repeat=t):
-        key = tuple(v % modulus for v in system.key(tup))
-        by_key.setdefault(key, []).append(tup)
-    # one pair costs a 2-tuple of shared references plus its list slot: 64 bytes
-    pair_bytes = 64 * sum(len(tups) ** 2 for tups in by_key.values())
-    if pair_bytes > budget.max_table_bytes:
-        raise BudgetError(
-            f"solution pairs need {pair_bytes} bytes > {budget.max_table_bytes}"
-        )
-    pairs = []
-    for tups in by_key.values():
-        for x in tups:
-            for y in tups:
-                pairs.append((x, y))
-    return pairs
-
-
-def lifting_chain(
-    system: SpacedSystem,
-    t: int,
-    modulus_level: int,
-    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
 ) -> LiftingChain:
-    """Verify the modulus-raising chain on a set of solution pairs.
+    """Verify the modulus-raising chain over the t-tuples of ``members``.
 
-    Requires a single-equation system phi(z) = z + base**c * psi(z) with
-    finite spacing c >= 1.  Step 1 checks that every pair satisfies
-    sum x = sum y (mod base**c_1); step j+1 checks the same modulo
-    base**c_(j+1) for the pairs that additionally agree componentwise modulo
-    base**c_j, with c_j = min(j*c, B).  A violated implication is a hard
-    failure: it would mean the arithmetic is wrong, not the mathematics.
+    Requires phi(z) = z + base**c * psi(z) with finite spacing c >= 1.  With
+    q_j = base**c_j and c_j = min(j*c, B), step j checks sum x = sum y
+    (mod q_j) on the tuple pairs with sum phi(x) = sum phi(y) (mod base**B)
+    that agree componentwise modulo q_(j-1).  The pairs are counted, never
+    listed: step j is one power-sum table modulo base**B whose factor i keys x
+    by phi(x), by x mod q_(j-1) in slot i of t slots (0 in the others), and by
+    the check column (x mod q_j) * base**(B - c_j), which sums to
+    (sum x mod q_j) * base**(B - c_j).  ``pairs_checked`` is the table's sum
+    of squared masses.  Two keys that differ only in the check column give a
+    pair that breaks the implication, which the spacing makes a theorem, so
+    that is an InvariantError: the arithmetic is wrong, not the mathematics.
     """
     if system.k != 1:
         raise ValidationError("lifting chain applies to single-equation systems")
     if system.spacing is None or system.spacing < 1:
         raise ValidationError("lifting chain needs finite spacing c >= 1")
-    c = system.spacing
-    big_b = modulus_level
-    base = system.base
-    full = base**big_b
-    for x, y in pairs:
-        if (system.key(x)[0] - system.key(y)[0]) % full != 0:
-            raise ValidationError(
-                f"pair {tuple(x)}, {tuple(y)} is not a solution modulo {base}**{big_b}"
-            )
-
+    if t < 1 or modulus_level < 1:
+        raise ValidationError(f"lifting chain needs t, B >= 1, got t={t}, B={modulus_level}")
+    mem = sorted(set(members))
+    check_pairs(len(mem) ** t, budget.max_tuples)
+    base, c, big_b = system.base, system.spacing, modulus_level
+    phi, zeros = [system.phi(1, x) for x in mem], [0] * len(mem)
     j_star = max(1, -(-big_b // c))  # first j with min(j*c, B) = B
     steps = []
-    current = list(pairs)
     for j in range(1, j_star + 1):
         c_j = min(j * c, big_b)
-        if j > 1:
-            c_prev = min((j - 1) * c, big_b)
-            q_prev = base**c_prev
-            current = [
-                (x, y)
-                for x, y in current
-                if all((xi - yi) % q_prev == 0 for xi, yi in zip(x, y))
-            ]
-        q_j = base**c_j
-        for x, y in current:
-            if (sum(x) - sum(y)) % q_j != 0:
-                raise InvariantError(
-                    f"lifting implication failed at step {j} (modulus {base}**{c_j}) "
-                    f"for pair {tuple(x)}, {tuple(y)}"
-                )
-        steps.append(LiftStep(j, c_j, len(current), True))
+        slot = [x % base ** min((j - 1) * c, big_b) for x in mem]
+        check = [x % base**c_j * base ** (big_b - c_j) for x in mem]
+        slots = [[slot if n == i else zeros for n in range(t)] for i in range(t)]
+        table = power_sum_table(
+            [([phi, *cols, check], None) for cols in slots],
+            modulus=base**big_b,
+            max_bytes=budget.max_table_bytes,
+        )
+        prefix = table.keys[:, :-1]  # sorted: equal prefixes are neighbours
+        if (prefix[1:] == prefix[:-1]).all(axis=1).any():
+            raise InvariantError(f"lifting implication failed at step {j}, mod {base}**{c_j}")
+        steps.append(LiftStep(j, c_j, table.sum_squares(), True))
     return LiftingChain(tuple(steps), j_star)

@@ -32,7 +32,6 @@ from ellipsephic import (
     cauchy_bound_check,
     class_norms,
     congruence_mean_value,
-    congruence_solution_pairs,
     diagonal_count,
     et_star_report,
     fit_exponent,
@@ -235,8 +234,7 @@ def test_c07_lifting_chain():
     t0 = time.perf_counter()
     system = SpacedSystem.perturbed(3, 1, [[0, 0, 1]])  # phi(z) = z + 3 z^2
     members = list(iter_members(DS3, 27))
-    pairs = congruence_solution_pairs(system, 2, members, 3)
-    chain = lifting_chain(system, 2, 3, pairs)
+    chain = lifting_chain(system, 2, members, 3)
     elapsed = time.perf_counter() - t0
     ok = chain.j_star == 3 and all(st.verified for st in chain.steps) and elapsed < 30
     report(

@@ -8,17 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ellipsephic import (
+    BudgetError,
     DigitSet,
     SpacedSystem,
     brute_force_count,
     iter_members,
     key_hex,
+    lifting_chain,
     mitm_count,
     multiplicity_table,
     representation_table,
 )
 from ellipsephic.cli import (
     _fmt,
+    _write_lines,
     canonical_config,
     main,
     parse_canonical,
@@ -367,6 +370,69 @@ def test_lift_chain_output(tmp_path):
     lines = (out / "lift_chain.csv").read_text().splitlines()
     assert lines[1] == "j,c_j,verified"
     assert lines[2:] == ["1,1,1", "2,2,1", "3,3,1"]
+
+
+def test_lift_chain_beyond_pair_list(tmp_path):
+    # Y = 128 members; listing the 100,663,296 solution pairs would take 6.4 GB
+    config = "task=chain\ndigitset=p=3;digits=0,1\nt=2\nc=1\nB=1\npsi=0,0,1\nX=2187\n"
+    code, out = run_cli(tmp_path, "lift", config)
+    assert code == 0
+    assert (out / "lift_chain.csv").read_text().splitlines()[2:] == ["1,1,1"]
+    # oracle: pairs with equal phi sums mod 3 are sum_r n_r**2 over the t = 2
+    # fold convolution n of the members' phi residues
+    system = SpacedSystem.perturbed(3, 1, [[0, 0, 1]])
+    members = list(iter_members(DigitSet(3, (0, 1)), 2187))
+    single = [sum(1 for x in members if system.phi(1, x) % 3 == r) for r in range(3)]
+    pair = [sum(single[a] * single[(r - a) % 3] for a in range(3)) for r in range(3)]
+    assert sum(n * n for n in pair) == 100_663_296
+    chain = lifting_chain(system, 2, members, 1)
+    assert [(st.j, st.c_j, st.pairs_checked) for st in chain.steps] == [(1, 1, 100_663_296)]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "task=decompose\nt=-1\nd=1\nX=27\n",
+        "task=decompose\nt=0\nd=1\nX=27\n",
+        "task=chain\nt=-1\nc=1\nB=3\npsi=0,0,1\nX=27\n",
+        "task=chain\nt=0\nc=1\nB=3\npsi=0,0,1\nX=27\n",
+        "task=chain\nt=2\nc=1\nB=0\npsi=0,0,1\nX=27\n",
+        "task=chain\nt=2\nc=1\nB=-1\npsi=0,0,1\nX=27\n",
+    ],
+    ids=["decompose-t-1", "decompose-t0", "chain-t-1", "chain-t0", "chain-B0", "chain-B-1"],
+)
+def test_lift_refuses_bad_t_and_b(tmp_path, capsys, config):
+    code, out = run_cli(tmp_path, "lift", "digitset=p=3;digits=0,1\n" + config)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error kind=validation")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("task", ["decompose", "chain"])
+def test_lift_accepts_t_one(tmp_path, task):
+    extra = "d=2\n" if task == "decompose" else "c=1\nB=2\npsi=0,0,1\n"
+    config = f"task={task}\ndigitset=p=3;digits=0,1\nt=1\nX=27\n" + extra
+    code, out = run_cli(tmp_path, "lift", config)
+    assert code == 0
+    assert len(list(out.iterdir())) == 1
+
+
+def test_write_lines_streams_and_leaves_nothing_on_failure(tmp_path):
+    lines = [f"{n},{n * n}" for n in range(3 * (1 << 16) + 5)]  # spans 4 chunks
+    _write_lines(tmp_path / "a.csv", "hdr", iter(lines))
+    assert (tmp_path / "a.csv").read_text() == "\n".join(["# config: hdr", *lines]) + "\n"
+    _write_lines(tmp_path / "b.csv", "hdr", iter([]))
+    assert (tmp_path / "b.csv").read_text() == "# config: hdr\n"
+
+    def failing():
+        yield from lines
+        raise BudgetError("source failed after every line")
+
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(BudgetError):
+        _write_lines(out / "c.csv", "hdr", failing())
+    assert list(out.iterdir()) == []
 
 
 def test_waring_output(tmp_path):

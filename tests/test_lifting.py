@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsephic import (
@@ -21,7 +21,6 @@ from ellipsephic import (
     carry_decomposition,
     carry_sets,
     carry_tuple_for_pair,
-    congruence_solution_pairs,
     iter_members,
     lifting_chain,
     sum_congruence_count,
@@ -326,36 +325,61 @@ def test_decomposition_budget():
 
 # --- lifting chain -----------------------------------------------------------------
 
-def test_lifting_chain_golden():
+def pair_list_chain(system, t, members, modulus_level):
+    """Oracle: list every solution pair and filter the list step by step.
+
+    Returns (j, c_j, pairs_checked) per step and raises InvariantError on a
+    pair that breaks sum x = sum y (mod base**c_j).
+    """
+    base, c, big_b = system.base, system.spacing, modulus_level
+    by_key = {}
+    for tup in itertools.product(sorted(set(members)), repeat=t):
+        by_key.setdefault(system.key(tup)[0] % base**big_b, []).append(tup)
+    current = [(x, y) for tups in by_key.values() for x in tups for y in tups]
+    steps = []
+    for j in range(1, max(1, -(-big_b // c)) + 1):
+        c_j = min(j * c, big_b)
+        q_prev = base ** min((j - 1) * c, big_b)
+        current = [
+            (x, y) for x, y in current if all((a - b) % q_prev == 0 for a, b in zip(x, y))
+        ]
+        if any((sum(x) - sum(y)) % base**c_j for x, y in current):
+            raise InvariantError(f"pair breaks the implication at step {j}")
+        steps.append((j, c_j, len(current)))
+    return steps
+
+
+def chain_rows(chain):
+    assert all(st.verified for st in chain.steps)
+    return [(st.j, st.c_j, st.pairs_checked) for st in chain.steps]
+
+
+def test_lifting_chain_golden(monkeypatch):
+    from ellipsephic import lifting
+
+    tables = []
+    real = lifting.power_sum_table
+
+    def counting(*args, **kwargs):
+        tables.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, "power_sum_table", counting)
     system = SpacedSystem.perturbed(3, 1, [[0, 0, 1]])  # phi(z) = z + 3 z^2
     members = list(iter_members(DS3, 27))
-    pairs = congruence_solution_pairs(system, 2, members, 3)
-    chain = lifting_chain(system, 2, 3, pairs)
+    chain = lifting_chain(system, 2, members, 3)
+    assert len(tables) == 3  # one table per step
     assert chain.j_star == 3
     assert [st.c_j for st in chain.steps] == [1, 2, 3]
     assert all(st.verified for st in chain.steps)
-    assert chain.steps[0].pairs_checked == len(pairs)
-
-
-def test_solution_pairs_budget():
-    system = SpacedSystem.perturbed(3, 1, [[0, 0, 1]])
-    members = list(iter_members(DS3, 27))
-    pairs = congruence_solution_pairs(
-        system, 2, members, 3, budget=Budget(max_table_bytes=64 * 208)
-    )
-    assert len(pairs) == 208
-    for limit in (64 * 208 - 1, 1000):
-        with pytest.raises(BudgetError):
-            congruence_solution_pairs(
-                system, 2, members, 3, budget=Budget(max_table_bytes=limit)
-            )
+    assert chain.steps[0].pairs_checked == 208
+    assert chain_rows(chain) == pair_list_chain(system, 2, members, 3)
 
 
 def test_lifting_chain_c_at_least_b():
     system = SpacedSystem.perturbed(3, 3, [[1]])  # phi(z) = z + 27
     members = list(iter_members(DS3, 27))
-    pairs = congruence_solution_pairs(system, 2, members, 2)
-    chain = lifting_chain(system, 2, 2, pairs)
+    chain = lifting_chain(system, 2, members, 2)
     assert chain.j_star == 1
     assert chain.steps[0].c_j == 2
 
@@ -363,16 +387,56 @@ def test_lifting_chain_c_at_least_b():
 def test_lifting_chain_zero_psi():
     system = SpacedSystem.perturbed(3, 1, [[0]])  # phi(z) = z
     members = list(iter_members(DS3, 27))
-    pairs = congruence_solution_pairs(system, 2, members, 2)
-    chain = lifting_chain(system, 2, 2, pairs)
+    chain = lifting_chain(system, 2, members, 2)
     assert chain.j_star == 2
     assert all(st.verified for st in chain.steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.data(),
+)
+def test_lifting_chain_matches_pair_list(base, t, c, big_b, psi, data):
+    # at most 216 tuples, so the oracle lists at most 216**2 pairs
+    size = {1: 20, 2: 12, 3: 6}[t]
+    members = data.draw(st.lists(st.integers(0, 400), min_size=1, max_size=size))
+    system = SpacedSystem.perturbed(base, c, [psi])
+    chain = lifting_chain(system, t, members, big_b)
+    assert chain_rows(chain) == pair_list_chain(system, t, members, big_b)
+
+
+def test_lifting_chain_broken_implication_is_invariant_error():
+    # phi(z) = z + 5 z^2 is spaced by c = 1 only; claiming c = 2 makes step 1
+    # check sum x = sum y (mod 25), which the pairs with equal phi sums break
+    system = SpacedSystem.perturbed(5, 1, [[0, 0, 1]])
+    object.__setattr__(system, "spacing", 2)
+    members = list(iter_members(DigitSet(5, (0, 1, 4)), 125))
+    with pytest.raises(InvariantError, match="step 1"):
+        pair_list_chain(system, 2, members, 3)
+    with pytest.raises(InvariantError, match="step 1"):
+        lifting_chain(system, 2, members, 3)
 
 
 def test_lifting_chain_validations():
     system = SpacedSystem.pure_powers(1, 3)
     with pytest.raises(ValidationError):
-        lifting_chain(system, 2, 2, [])  # infinite spacing
+        lifting_chain(system, 2, [1, 3], 2)  # infinite spacing
     sys2 = SpacedSystem.perturbed(3, 1, [[0, 0, 1]])
-    with pytest.raises(ValidationError):
-        lifting_chain(sys2, 2, 3, [((1, 1), (1, 3))])  # not a solution mod 27
+    for t, big_b in ((0, 2), (-1, 2), (2, 0), (2, -1)):
+        with pytest.raises(ValidationError):
+            lifting_chain(sys2, t, [1, 3], big_b)
+    assert chain_rows(lifting_chain(sys2, 1, [1, 3], 2)) == [(1, 1, 2), (2, 2, 2)]
+
+
+def test_lifting_chain_budget():
+    system = SpacedSystem.perturbed(3, 1, [[0, 0, 1]])
+    members = list(iter_members(DS3, 27))
+    with pytest.raises(BudgetError):
+        lifting_chain(system, 2, members, 3, budget=Budget(max_tuples=64**2 - 1))
+    with pytest.raises(BudgetError):
+        lifting_chain(system, 2, members, 3, budget=Budget(max_table_bytes=1000))

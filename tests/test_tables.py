@@ -115,3 +115,32 @@ def test_dense_steps_take_both_kinds(monkeypatch):
         monkeypatch.undo()
         assert spy.calls == scatter_steps
         assert got == dict_convolution(factors, cap)
+
+
+def test_repeated_factor_is_reduced_and_packed_once(monkeypatch):
+    cols = [[x * x for x in range(1, 30)], [x * x * x for x in range(1, 30)]]
+    weights = list(range(1, 30))
+    packs = []
+    real_pack = _tables._pack
+
+    def counting_pack(*args):
+        packs.append(args[0])
+        return real_pack(*args)
+
+    monkeypatch.setattr(_tables, "_pack", counting_pack)
+    # under a modulus the three copies are packed once only if they were also
+    # reduced once, into one shared factor
+    for modulus in (None, 125):
+        for ws in (None, weights):
+            packs.clear()
+            factor = (cols, ws)
+            shared = power_sum_table([factor] * 3, modulus=modulus, max_bytes=MAX_BYTES)
+            assert len(packs) == 1
+            copies = [([list(c) for c in cols], ws) for _ in range(3)]
+            packs.clear()
+            apart = power_sum_table(copies, modulus=modulus, max_bytes=MAX_BYTES)
+            assert len(packs) == 3
+            assert np.array_equal(shared.keys, apart.keys)
+            assert np.array_equal(shared.masses, apart.masses)
+            assert shared.keys.dtype == apart.keys.dtype
+            assert shared.masses.dtype == apart.masses.dtype
