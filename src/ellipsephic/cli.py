@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from ._tables import check_multisets, check_pairs
+from ._tables import Shape, check_pairs, price
 from .errors import BudgetError, InvariantError, ValidationError
 from . import congruence as cg
 from . import digits as dg
@@ -84,12 +84,15 @@ def _require(cfg: dict[str, str], *keys: str) -> None:
         raise ValidationError(f"config is missing required keys: {', '.join(missing)}")
 
 
-def _get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
+def _get_int(cfg: dict[str, str], key: str, default: int | None = None, least=None) -> int:
     if key not in cfg:
         if default is None:
             raise ValidationError(f"config is missing required key: {key}")
         return default
-    return _parse_int(cfg[key], f"config key {key}")
+    value = _parse_int(cfg[key], f"config key {key}")
+    if least is not None and value < least:
+        raise ValidationError(f"config key {key} must be >= {least}, got {value}")
+    return value
 
 
 def _get_int_list(cfg: dict[str, str], key: str) -> list[int]:
@@ -186,7 +189,7 @@ def _run_enumerate(cfg, out: Path, header: str, budget) -> None:
     y = dg.count_members(ds, bound)
     if y > budget.max_tuples:
         raise BudgetError(f"{y} members exceed the tuple budget {budget.max_tuples}")
-    _write_lines(out / "enumerate.txt", header, map(str, dg.member_list(ds, bound, y)))
+    _write_lines(out / "enumerate.txt", header, map(str, dg.counted_members(ds, bound, y)))
 
 
 def _run_etstar(cfg, out: Path, header: str, budget) -> None:
@@ -220,8 +223,8 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     the kernel's increasing key order; with method=mitm the count is read off
     that table.  ``seconds`` times the engine call that gave the count."""
     ds = _digit_set(cfg)
-    s = _get_int(cfg, "s")
-    k = _get_int(cfg, "k")
+    s = _get_int(cfg, "s", least=1)
+    k = _get_int(cfg, "k", least=1)
     bounds = _get_int_list(cfg, "X")
     method = cfg.get("method", "mitm")
     if method not in ("brute", "mitm"):
@@ -231,16 +234,16 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     if histogram and len(bounds) != 1:
         raise ValidationError("histogram output needs a single X")
     system = mv.SpacedSystem.pure_powers(k, ds.base)
-    # every X is refused or admitted from its member count before any count runs
+    # every X is priced from its member count before any count runs, most members first
     counts = [dg.count_members(ds, bound) for bound in bounds]
-    for y in counts:
-        if method == "brute":  # C(y+s-1, s) <= y**s: the histogram's rule holds too
+    for y, bound in sorted(zip(counts, bounds), reverse=True):
+        if method == "brute":
             check_pairs(y**s, budget.max_tuples)
-        else:
-            check_multisets(y, s, budget.max_tuples)
+        if method == "mitm" or histogram:
+            price([Shape(y, tuple((1, bound**j) for j in range(1, k + 1)), y)] * s, budget=budget)
     rows = []
     for bound, y in zip(bounds, counts):
-        members = dg.member_list(ds, bound, y)
+        members = list(dg.counted_members(ds, bound, y))
         start = time.perf_counter()
         if method == "brute":
             count = mv.brute_force_count(system, s, members, budget=budget).count
@@ -264,19 +267,22 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
 def _run_congruence(cfg, out: Path, header: str, budget) -> None:
     task = cfg.get("task")
     ds = _digit_set(cfg)
-    s = _get_int(cfg, "s")
-    k = _get_int(cfg, "k")
+    s = _get_int(cfg, "s", least=1)
+    k = _get_int(cfg, "k", least=1)
     system = mv.SpacedSystem.pure_powers(k, ds.base)
     if task == "lambda":
         levels = _get_int_list(cfg, "B")
+        if min(levels) < 1:
+            raise ValidationError(f"config key B needs levels >= 1, got {levels}")
         bounds = [_get_int(cfg, "X", ds.base**b_level) for b_level in levels]
-        # U^B's one class holds all Y members: every level is checked first
+        # U^B's one class holds all Y members: each level is priced first, most members first
         counts = [dg.count_members(ds, bound) for bound in bounds]
-        for y in counts:
-            check_multisets(y, s, budget.max_tuples)
+        for y, bound, b_level in sorted(zip(counts, bounds, levels), reverse=True):
+            q = ds.base**b_level
+            price([Shape(y, ((0, q - 1),) * k, y)] * s, modulus=q, budget=budget)
         rows = []
         for b_level, bound, y in zip(levels, bounds, counts):
-            weights = cg.WeightAssignment.unit(dg.member_list(ds, bound, y))
+            weights = cg.WeightAssignment.unit(list(dg.counted_members(ds, bound, y)))
             spec = cg.MeanValueSpec(system, weights, s, b_level, 0)
             rr = cg.restriction_ratio(spec, ds, budget=budget)
             for ratio, normalizer in (
@@ -301,7 +307,7 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
         nu = _get_int(cfg, "nu")
         deltas = _get_int_list(cfg, "delta") if "delta" in cfg else [0]
         bound = _get_int(cfg, "X", ds.base**b_level)
-        members = dg.member_list(ds, bound, dg.count_members(ds, bound))
+        members = list(dg.counted_members(ds, bound, dg.count_members(ds, bound)))
         weights = cg.WeightAssignment.unit(members)
         spec = cg.MeanValueSpec(system, weights, s, b_level, 0)
         k_value = cg.two_class_mean_value(spec, t, r, a, b, nu, budget=budget)
@@ -329,15 +335,13 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
 def _run_lift(cfg, out: Path, header: str, budget) -> None:
     task = cfg.get("task")
     ds = _digit_set(cfg)
-    t = _get_int(cfg, "t")
-    if t < 1:
-        raise ValidationError(f"lift needs t >= 1, got {t}")
+    t = _get_int(cfg, "t", least=1)
     if task == "decompose":
-        depth = _get_int(cfg, "d")
+        depth = _get_int(cfg, "d", least=1)
         bound = _get_int(cfg, "X")
         y = dg.count_members(ds, bound)
         check_pairs(y**t, budget.max_tuples)
-        members = dg.member_list(ds, bound, y)
+        members = list(dg.counted_members(ds, bound, y))
         weights = lf.unit_tuple_weights(members, t)
         dec = lf.carry_decomposition(ds.base, t, depth, weights, budget=budget)
         rows = [
@@ -350,13 +354,15 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
         return
     if task == "chain":
         spacing = _get_int(cfg, "c")
-        b_level = _get_int(cfg, "B")
+        b_level = _get_int(cfg, "B", least=1)
         psi = _get_int_list(cfg, "psi")
         bound = _get_int(cfg, "X")
         system = mv.SpacedSystem.perturbed(ds.base, spacing, [psi])
         y = dg.count_members(ds, bound)
-        check_pairs(y**t, budget.max_tuples)
-        members = dg.member_list(ds, bound, y)
+        # a step's table: t distinct factors of y entries, t + 2 key columns mod p^B
+        q = ds.base**b_level
+        price([Shape(y, ((0, q - 1),) * (t + 2), y) for _ in range(t)], modulus=q, budget=budget)
+        members = list(dg.counted_members(ds, bound, y))
         chain = lf.lifting_chain(system, t, members, b_level, budget=budget)
         rows = [[st.j, st.c_j, st.verified] for st in chain.steps]
         _write_csv(out / "lift_chain.csv", header, ["j", "c_j", "verified"], rows)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .digits import DigitSet, count_members
 from .errors import BudgetError, InvariantError, ValidationError
-from ._tables import check_multisets, power_sum_table
+from ._tables import power_sum_table
 from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem, WeightAssignment, _phi_columns
 
 __all__ = [
@@ -229,14 +229,13 @@ def _block(spec: MeanValueSpec, entries, rho_sq, n: int, mode: str, budget: Budg
 
     "grid" gives its values over the grid u/modulus, one DFT of its residue
     histogram; "count" gives its n kernel factors, with masses the weights
-    times D, and its norm in the same units, (D**2 * rho_sq)**n, refused first
-    when C(#entries+n-1, n) exceeds the tuple budget.  Callers check ``mode``.
+    times D, and its norm in the same units, (D**2 * rho_sq)**n; the kernel
+    prices their table in ``_block_mean``.  Callers check ``mode``.
     """
     if mode == "grid":
         _check_grid(spec.system, spec.modulus)
         factor = _class_factor(spec.system, entries)
         return _grid_class_power_mean(factor, rho_sq, spec.modulus, n)
-    check_multisets(len(entries), n, budget.max_tuples)
     factor = _class_factor(spec.system, entries, spec.weights.masses)
     return [factor] * n, (spec.weights.denom**2 * rho_sq) ** n
 
@@ -252,9 +251,7 @@ def _block_mean(blocks: Sequence, modulus: int, mode: str, budget: Budget):
     if mode == "grid":
         return float(np.mean(math.prod(blocks)))
     factors = [factor for block_factors, _ in blocks for factor in block_factors]
-    raw = power_sum_table(
-        factors, modulus=modulus, max_bytes=budget.max_table_bytes
-    ).sum_squares()
+    raw = power_sum_table(factors, modulus=modulus, budget=budget).sum_squares()
     return raw / math.prod(norm for _, norm in blocks)
 
 

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._tables import power_sum_table
+from ._tables import Budget, power_sum_table
 from .errors import BudgetError, InvariantError, ValidationError
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "parse_digit_set",
     "digit_set_text",
     "iter_members",
-    "member_list",
+    "counted_members",
     "is_member",
     "count_members",
     "base_digits",
@@ -228,14 +228,14 @@ def iter_members(digit_set: DigitSet, bound: int) -> Iterator[int]:
         pow_high *= p
 
 
-def member_list(digit_set: DigitSet, bound: int, count: int) -> list[int]:
-    """The members of [1, bound], increasing; ``count`` is ``count_members``'s
-    number, taken first to refuse a job before any member exists, and a list
-    of another length is an InvariantError."""
-    members = list(iter_members(digit_set, bound))
-    if len(members) != count:
-        raise InvariantError(f"{len(members)} members enumerated, {count} counted")
-    return members
+def counted_members(digit_set: DigitSet, bound: int, count: int) -> Iterator[int]:
+    """The members of [1, bound], increasing, then an InvariantError if they were
+    not ``count``, the ``count_members`` figure a job was priced by."""
+    n = 0
+    for n, x in enumerate(iter_members(digit_set, bound), start=1):
+        yield x
+    if n != count:
+        raise InvariantError(f"{n} members enumerated, {count} counted")
 
 
 def is_member(digit_set: DigitSet, n: int) -> bool:
@@ -318,7 +318,7 @@ def rep_profile(
             f"profile of horizon {horizon} needs ~{need} bytes > budget {max_bytes}"
         )
     factor = ([source.up_to(horizon)], None)
-    table = power_sum_table([factor] * t, cap=horizon, max_bytes=max_bytes)
+    table = power_sum_table([factor] * t, cap=horizon, budget=Budget(max_table_bytes=max_bytes))
     counts = np.zeros(horizon + 1, dtype=table.masses.dtype)
     counts[table.keys[:, 0]] = table.masses
     return RepProfile(source, t, horizon, tuple(counts.tolist()))

@@ -286,9 +286,9 @@ def lifting_chain(
     by phi(x), by x mod q_(j-1) in slot i of t slots (0 in the others), and by
     the check column (x mod q_j) * base**(B - c_j), which sums to
     (sum x mod q_j) * base**(B - c_j).  ``pairs_checked`` is the table's sum
-    of squared masses.  Two keys that differ only in the check column give a
-    pair that breaks the implication, which the spacing makes a theorem, so
-    that is an InvariantError: the arithmetic is wrong, not the mathematics.
+    of squared masses; the kernel refuses a step over budget.  Two keys that
+    differ only in the check column break the implication, a theorem under the
+    spacing, so that is an InvariantError: the arithmetic is wrong, not the maths.
     """
     if system.k != 1:
         raise ValidationError("lifting chain applies to single-equation systems")
@@ -297,7 +297,6 @@ def lifting_chain(
     if t < 1 or modulus_level < 1:
         raise ValidationError(f"lifting chain needs t, B >= 1, got t={t}, B={modulus_level}")
     mem = sorted(set(members))
-    check_pairs(len(mem) ** t, budget.max_tuples)
     base, c, big_b = system.base, system.spacing, modulus_level
     phi, zeros = [system.phi(1, x) for x in mem], [0] * len(mem)
     j_star = max(1, -(-big_b // c))  # first j with min(j*c, B) = B
@@ -310,7 +309,7 @@ def lifting_chain(
         table = power_sum_table(
             [([phi, *cols, check], None) for cols in slots],
             modulus=base**big_b,
-            max_bytes=budget.max_table_bytes,
+            budget=budget,
         )
         prefix = table.keys[:, :-1]  # sorted: equal prefixes are neighbours
         if (prefix[1:] == prefix[:-1]).all(axis=1).any():

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._tables import Table, check_multisets, check_pairs, power_sum_table
+from ._tables import DEFAULT_BUDGET, Budget, Table, check_pairs, power_sum_table
 from .errors import ValidationError
 from .digits import _is_prime
 
@@ -133,17 +133,6 @@ class SpacedSystem:
         return max(
             sum(abs(c) * x_max**i for i, c in enumerate(row)) for row in self.coeffs
         )
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Resource limits; exceeding any of them is a refusal, never a partial result."""
-
-    max_tuples: int = 10**9
-    max_table_bytes: int = 4 << 30
-
-
-DEFAULT_BUDGET = Budget()
 
 
 @dataclass(frozen=True)
@@ -280,12 +269,9 @@ def _members(members: Sequence[int], weights: WeightAssignment | None) -> list[i
 
 
 def _table(system, s, mem, weights, modulus, cap, budget) -> Table:
-    check_multisets(len(mem), s, budget.max_tuples)
     masses = None if weights is None else [weights.masses[m] for m in mem]
     factor = (_phi_columns(system, mem), masses)
-    return power_sum_table(
-        [factor] * s, modulus=modulus, cap=cap, max_bytes=budget.max_table_bytes
-    )
+    return power_sum_table([factor] * s, modulus=modulus, cap=cap, budget=budget)
 
 
 def multiplicity_table(
@@ -304,8 +290,8 @@ def multiplicity_table(
     support are dropped.  Values are ints for unit weights (None), Fractions
     for exact weights (integer masses divided once by D**s) and floats
     otherwise.  The table is built by s ordered convolutions of the member
-    list (see ``_tables``); refused when C(Y+s-1, s) exceeds the tuple budget
-    or a step would exceed the table memory budget.
+    list (see ``_tables``), refused before it starts when its predicted work
+    or bytes exceed the budget.
     """
     if s < 0:
         raise ValidationError(f"s must be >= 0, got {s}")

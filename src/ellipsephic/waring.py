@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._tables import check_multisets, power_sum_table
-from .digits import DigitSet, count_members, member_list
+from ._tables import Shape, power_sum_table, price
+from .digits import DigitSet, count_members, counted_members
 from .errors import ValidationError
 from .meanvalue import Budget, DEFAULT_BUDGET
 
@@ -85,9 +85,8 @@ def representation_table(
     Only members with x**k <= bound can occur in a representation, so the
     member list is the ellipsephic enumeration up to the integer k-th root.
     Partial sums above the bound are dropped as they arise, and the overflow
-    is the remaining mass Y**s - sum R(n).  Refused when C(Y+s-1, s) exceeds
-    the tuple budget, with Y counted by ``count_members`` before any member
-    is enumerated.
+    is the remaining mass Y**s - sum R(n).  The table is priced from Y,
+    counted by ``count_members``, and refused before any member is enumerated.
     """
     if s < 1 or k < 1:
         raise ValidationError("representation_table needs s >= 1 and k >= 1")
@@ -95,10 +94,10 @@ def representation_table(
         raise ValidationError("bound must be >= 1")
     root = integer_root(bound, k)
     y = count_members(digit_set, root)
-    check_multisets(y, s, budget.max_tuples)
-    members = member_list(digit_set, root, y)
+    price([Shape(y, ((1, root**k),), y)] * s, cap=bound, budget=budget)
+    members = list(counted_members(digit_set, root, y))
     factor = ([[m**k for m in members]], None)
-    table = power_sum_table([factor] * s, cap=bound, max_bytes=budget.max_table_bytes)
+    table = power_sum_table([factor] * s, cap=bound, budget=budget)
     counts = dict(zip(table.keys[:, 0].tolist(), table.masses.tolist()))
     total = int(table.masses.sum())
     return RepresentationTable(

@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -215,14 +216,59 @@ def test_timing_fills_only_seconds(tmp_path, config):
         # the budget rules read s before the engines validate it
         ("count", "digitset=p=5;digits=0,4\ns=-1\nk=1\nX=125\n"),
         ("count", "digitset=p=5;digits=0,4\ns=0\nk=1\nX=3\n"),  # no members
+        # every value the pricing reads is validated before any member is counted
+        ("count", "digitset=p=5;digits=0,4\ns=2\nk=0\nX=125\n"),
+        ("lift", D5 + "task=decompose\nt=2\nd=0\nX=3125\n"),
+        ("congruence", D5 + "task=lambda\ns=2\nk=2\nB=2,0\n"),
     ],
-    ids=["count-histogram-several-X", "enumerate-X0", "count-negative-s", "count-s0-empty"],
+    ids=[
+        "count-histogram-several-X",
+        "enumerate-X0",
+        "count-negative-s",
+        "count-s0-empty",
+        "count-k0",
+        "lift-decompose-d0",
+        "congruence-lambda-B0",
+    ],
 )
 def test_validation_error_leaves_no_output(tmp_path, capsys, subcommand, config):
     code, out = run_cli(tmp_path, subcommand, config)
     assert code == 2
     assert capsys.readouterr().err.startswith("error kind=validation")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_nonsense_budget_is_validation_error(tmp_path, capsys, budget):
+    config = "digitset=p=3;digits=0,1\ns=2\nk=1\nX=9\n"
+    code, out = run_cli(tmp_path, "count", config, extra=["--budget-tuples", budget])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error kind=validation")
+    assert list(out.iterdir()) == []
+
+
+def test_count_refused_by_the_multiset_proxy(tmp_path):
+    # C(Y+5, 6) = 304,027,892,532 multisets for Y = 243; the kernel's dense
+    # steps are predicted at about 10**5 candidates
+    code, out = run_cli(tmp_path, "count", D5 + "s=6\nk=1\nX=3125\n")
+    assert code == 0
+    members = list(iter_members(DigitSet(5, (0, 1, 4)), 3125))
+    # Kronecker substitution: the coefficients of (sum_x z**x)**6 are below
+    # 243**6 < 2**64, so z = 2**64 packs them into one Python integer
+    packed = sum(1 << (64 * x) for x in members) ** 6
+    coeffs = np.frombuffer(packed.to_bytes(8 * (6 * 3125 + 1), "little"), dtype="<u8")
+    expected = sum(int(c) ** 2 for c in coeffs)
+    assert expected == 4481269930914580087036089
+    assert count_cells(out)[0][:5] == ["3125", "243", "6", "1", str(expected)]
+
+
+def test_lift_chain_refused_by_the_tuple_proxy(tmp_path):
+    # 729**2 tuples, so 531441**2 pairs for the old rule; a step's table is
+    # predicted at 729 + 729 * 729 candidates
+    config = D5 + "task=chain\nt=2\nc=1\nB=3\npsi=0,0,1\nX=15625\n"
+    code, out = run_cli(tmp_path, "lift", config)
+    assert code == 0
+    assert (out / "lift_chain.csv").read_text().splitlines()[2:] == ["1,1,1", "2,2,1", "3,3,1"]
 
 
 def test_etstar_output(tmp_path):
@@ -292,7 +338,8 @@ def test_lift_decompose_refuses_before_weights(tmp_path, capsys, monkeypatch):
         ("count", "s=3\nk=1\nX=5,25,125\nmethod=brute\n", ["--budget-tuples", "10000"]),
         ("count", "s=2\nk=1\nX=125\nhistogram=on\n", ["--budget-tuples", "10"]),
         ("lift", "task=decompose\nt=2\nd=1\nX=15625\n", []),
-        ("lift", "task=chain\nt=2\nc=1\nB=3\npsi=0,0,1\nX=15625\n", []),
+        # a step's table is predicted at Y**2 = 3**28 candidates (Y = 3**14)
+        ("lift", f"task=chain\nt=2\nc=1\nB=3\npsi=0,0,1\nX={5**14}\n", []),
         # level 2 alone is admitted; level 10 (X = 5^10) is refused before it
         ("congruence", "task=lambda\ns=3\nk=2\nB=2,10\n", []),
         ("enumerate", "X=125\n", ["--budget-tuples", "10"]),
@@ -346,9 +393,12 @@ def test_member_count_mismatch_is_invariant_error(
     from ellipsephic import digits
 
     monkeypatch.setattr(digits, "count_members", lambda ds, bound: 0)
-    code, _ = run_cli(tmp_path, subcommand, "digitset=p=3;digits=0,1\n" + config)
+    code, out = run_cli(tmp_path, subcommand, "digitset=p=3;digits=0,1\n" + config)
     assert code == 4
     assert capsys.readouterr().err.startswith("error kind=invariant")
+    # enumerate streams its members: the mismatch shows only after the last
+    # line, and the temporary file goes with it
+    assert list(out.iterdir()) == []
 
 
 def test_waring_huge_bound_refused_at_once(tmp_path, capsys):

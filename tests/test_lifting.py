@@ -436,7 +436,9 @@ def test_lifting_chain_validations():
 def test_lifting_chain_budget():
     system = SpacedSystem.perturbed(3, 1, [[0, 0, 1]])
     members = list(iter_members(DS3, 27))
+    # a step's table: 1 * 8 candidates, then at most 8 keys * 8 entries
+    assert chain_rows(lifting_chain(system, 2, members, 3, budget=Budget(max_tuples=72)))
     with pytest.raises(BudgetError):
-        lifting_chain(system, 2, members, 3, budget=Budget(max_tuples=64**2 - 1))
+        lifting_chain(system, 2, members, 3, budget=Budget(max_tuples=71))
     with pytest.raises(BudgetError):
         lifting_chain(system, 2, members, 3, budget=Budget(max_table_bytes=1000))

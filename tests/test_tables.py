@@ -4,13 +4,14 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsephic import _tables
-from ellipsephic._tables import power_sum_table
+from ellipsephic import BudgetError, ValidationError, _tables
+from ellipsephic._tables import Budget, power_sum_table
 
-MAX_BYTES = 1 << 27
+BUDGET = Budget(max_table_bytes=1 << 27)
 
 
 def dict_convolution(factors, cap):
@@ -33,7 +34,7 @@ def kernel_table(factors, cap):
         table = power_sum_table(
             [([values], weights) for values, weights in factors],
             cap=cap,
-            max_bytes=MAX_BYTES,
+            budget=BUDGET,
         )
     return dict(zip(table.keys[:, 0].tolist(), table.masses.tolist()))
 
@@ -134,13 +135,101 @@ def test_repeated_factor_is_reduced_and_packed_once(monkeypatch):
         for ws in (None, weights):
             packs.clear()
             factor = (cols, ws)
-            shared = power_sum_table([factor] * 3, modulus=modulus, max_bytes=MAX_BYTES)
+            shared = power_sum_table([factor] * 3, modulus=modulus, budget=BUDGET)
             assert len(packs) == 1
             copies = [([list(c) for c in cols], ws) for _ in range(3)]
             packs.clear()
-            apart = power_sum_table(copies, modulus=modulus, max_bytes=MAX_BYTES)
+            apart = power_sum_table(copies, modulus=modulus, budget=BUDGET)
             assert len(packs) == 3
             assert np.array_equal(shared.keys, apart.keys)
             assert np.array_equal(shared.masses, apart.masses)
             assert shared.keys.dtype == apart.keys.dtype
             assert shared.masses.dtype == apart.masses.dtype
+
+
+# --- pricing: predicted work and bytes bound the kernel's own ---------------
+
+UNBOUNDED = Budget(max_tuples=1 << 200, max_table_bytes=1 << 200)
+
+
+def item_bytes(dtype):
+    return 40 if dtype == object else 8
+
+
+def actual_costs(factors, plan, modulus, cap, mass_dtype):
+    """Work and peak bytes of the kernel's steps, recomputed from its prefix
+    tables: a sparse step forms |prefix keys| * #entries candidates; a dense
+    step costs the cheaper _dense_step price at the prefix's nonzero count."""
+    work = adds = nbytes = top = 0
+    cur_len = nnz = 1
+    step_bytes = 2 * (item_bytes(plan.key_dtype) + item_bytes(mass_dtype)) + 8
+    for i, (cols, _) in enumerate(factors):
+        if i:
+            prefix_cap = None if plan.length is None else plan.length - 1
+            prefix = power_sum_table(factors[:i], modulus=modulus, cap=prefix_cap,
+                                     budget=UNBOUNDED)
+            nnz = int(np.count_nonzero(prefix.masses))
+        entries = len(cols[0])
+        if plan.length is None:
+            work += nnz * entries
+            nbytes = max(nbytes, nnz * entries * step_bytes)
+        else:
+            top += max(cols[0], default=0)
+            nxt = min(plan.length, top + 1)
+            distinct = len({v for v in cols[0] if v < nxt})
+            adds += min(_tables._dense_step(entries, cur_len, nnz, distinct))
+            nbytes = max(nbytes, (cur_len + nxt) * item_bytes(mass_dtype))
+            cur_len = nxt
+    if plan.length is not None:
+        work = -(-adds // _tables._ADDS_PER_CANDIDATE)
+    return work, nbytes
+
+
+def draw_factor(data, k, low, high, kind):
+    n = data.draw(st.integers(0, 12))
+    cols = [data.draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+            for _ in range(k)]
+    if kind == "object":  # masses near 2**62: the mass bound passes 2**63
+        return cols, [(1 << 62) + j for j in range(n)]
+    return cols, draw_weights(data, kind, n)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_predicted_costs_bound_actual(data):
+    k = data.draw(st.integers(1, 2))
+    low = data.draw(st.sampled_from([0, -40]))  # < 0: keys of a perturbed system
+    high = data.draw(st.sampled_from([30, 2000]))
+    kind = data.draw(st.sampled_from(["unit", "int", "float", "object"]))
+    distinct = [draw_factor(data, k, low, high, kind)
+                for _ in range(data.draw(st.integers(1, 3)))]
+    # repeats pass the same object, as [factor] * s does
+    factors = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=4))
+    modulus = data.draw(st.sampled_from([None, None, 7, 25]))
+    cap = data.draw(st.one_of(st.none(), st.integers(0, 4 * high)))
+    by_id = {id(f): _tables.Shape.of(*f) for f in factors}
+    plan = _tables.price([by_id[id(f)] for f in factors], modulus=modulus, cap=cap,
+                         budget=BUDGET)
+    nonnegative = all(v >= 0 for cols, _ in factors for v in cols[0])
+    assert (plan.length is not None) == (k == 1 and modulus is None and nonnegative)
+    table = power_sum_table(factors, modulus=modulus, cap=cap, budget=BUDGET)
+    work, nbytes = actual_costs(factors, plan, modulus, cap, table.masses.dtype)
+    assert plan.work >= work
+    assert plan.nbytes >= nbytes
+
+
+def test_refusal_names_predicted_and_allowed():
+    factor = ([list(range(1, 101)), [x * x for x in range(1, 101)]], None)
+    plan = _tables.price([_tables.Shape.of(*factor)] * 3, budget=BUDGET)
+    # 1, 100 and C(101, 2) = 5050 keys (multisets, below the key range) by 100 entries
+    assert plan.work == 100 + 100 * 100 + 5050 * 100
+    with pytest.raises(BudgetError, match=f"needs {plan.work} candidates .* allowed 515099"):
+        power_sum_table([factor] * 3, budget=Budget(max_tuples=plan.work - 1))
+    assert power_sum_table([factor] * 3, budget=Budget(max_tuples=plan.work)).keys.shape[1] == 2
+
+
+@pytest.mark.parametrize("limits", [{"max_tuples": 0}, {"max_tuples": -5},
+                                    {"max_table_bytes": 0}])
+def test_budget_rejects_nonsense_limits(limits):
+    with pytest.raises(ValidationError):
+        Budget(**limits)
