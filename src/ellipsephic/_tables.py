@@ -8,7 +8,8 @@ repeated ordered convolution, one factor at a time, starting from the table
 
 ``price``, the one budget rule for tables, predicts a table's backend, work
 and peak bytes from one ``Shape`` per factor before anything is allocated;
-``power_sum_table`` and the callers that refuse before enumerating call it.
+``power_sum_table``, ``power_sum_squares`` and the callers that refuse before
+enumerating call it.
 
 * dense -- one key component, no modulus, all keys >= 0, and the array fits
   the byte budget: a 1-D array indexed by key value, each factor folded in by
@@ -16,6 +17,21 @@ and peak bytes from one ``Shape`` per factor before anything is allocated;
 * sparse -- otherwise: each key tuple is packed into one integer in mixed
   radix, every pairwise sum of table and factor entries (a *candidate*) is
   formed at once, and equal keys are merged by a sort and ``np.add.reduceat``.
+* count-only -- ``power_sum_squares`` returns sum_v m(v)**2 alone.  Keys whose
+  component 0 differs mod q differ, so the sum splits over the classes
+  c = v_0 mod q.  The sparse backend builds the first n - 1 factors as above
+  and folds the last one in one *slice* per class: table entries of residue a
+  paired with factor entries of residue c - a, merged, summed and dropped.
+  Each slice's candidate count, the cyclic convolution of the two residue
+  histograms, is known before any candidate exists.  q is the smallest power
+  of b whose largest slice holds at most _SLICE_CANDIDATES (a working set,
+  not the budget: price's bytes would leave whole steps of gigabytes
+  unsliced), else the finest q the keys admit below 2**62, where sums of two
+  residues still fit int64.  A step that fits takes q = 1, one slice through
+  the same code.  b is 2, or under a modulus its smallest prime factor (p for
+  the moduli p**B of the congruence counts), so q divides the modulus and
+  reducing a key mod it keeps its class.  The dense backend builds its whole
+  array, which is the table.
 
 dtypes follow from a-priori bounds: packed keys and masses are int64 when the
 packed range and the product of the factors' total |mass| fit, else Python
@@ -42,6 +58,8 @@ _SCATTER_ELEMENT = 10
 # Element adds per sparse candidate, the unit of work: on a 2-core x86 host an
 # int64 candidate took 57-110 ns (median 75), a dense element add 0.4-0.5 ns.
 _ADDS_PER_CANDIDATE = 160
+# Candidates per slice of a count-only last step, about 10 MB of working set.
+_SLICE_CANDIDATES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,11 +88,7 @@ class Table:
 
     def sum_squares(self):
         """sum_v m(v)**2: an int for unit and integer weights, else a float."""
-        m = self.masses
-        if m.dtype == np.int64 and self.mass_bound**2 >= _INT64_LIMIT:
-            m = m.astype(object)
-        raw = (m * m).sum()
-        return float(raw) if m.dtype == np.float64 else int(raw)
+        return _sum_squares(self.masses, self.mass_bound)
 
 
 class Shape(NamedTuple):
@@ -174,6 +188,57 @@ def power_sum_table(
     cap the total mass must equal the product of the factor masses (checked
     in the exact dtypes, skipped for floats); a mismatch is an InvariantError.
     """
+    factors, masses_in, shapes, plan = _prepare(factors, modulus, cap, budget)
+    if plan.length is not None:
+        dense = _dense([cols[0] for cols, _ in factors], masses_in, plan.length, plan.mass_dtype)
+        nz = np.flatnonzero(dense)
+        keys, masses = nz.reshape(-1, 1), dense[nz]
+    else:
+        packing = _Packing.of(shapes, modulus, plan)
+        keys, masses = _sparse(factors, masses_in, packing, {})
+        keys = packing.unpack(keys)
+        if cap is not None:
+            keep = (keys <= cap).all(axis=1)
+            keys, masses = keys[keep], masses[keep]
+    if cap is None and plan.mass_dtype is not np.float64:
+        _check_mass(int(masses.sum()), masses_in)
+    return Table(keys, masses, plan.mass_bound)
+
+
+def power_sum_squares(
+    factors: Sequence[tuple[Sequence[Sequence[int]], Sequence | None]],
+    *,
+    modulus: int | None = None,
+    cap: int | None = None,
+    budget: Budget,
+) -> int | float:
+    """sum_v m(v)**2 over ``power_sum_table`` of the same arguments, without its keys.
+
+    Priced and checked as ``power_sum_table`` is; the sparse backend folds the
+    last factor in one slice at a time (see the module docstring), applies the
+    cap per slice and checks the slices' total mass.  An int for unit and
+    integer weights, else a float, summed slice by slice.
+    """
+    factors, masses_in, shapes, plan = _prepare(factors, modulus, cap, budget)
+    if plan.length is not None:  # the zeros of the dense array add nothing
+        dense = _dense([cols[0] for cols, _ in factors], masses_in, plan.length, plan.mass_dtype)
+        slices = [dense]
+    else:
+        slices = _last_step(factors, masses_in, _Packing.of(shapes, modulus, plan), cap)
+    exact = plan.mass_dtype is not np.float64
+    total, squares = 0, 0 if exact else 0.0
+    for masses in slices:
+        if exact:
+            total += int(masses.sum())
+        squares += _sum_squares(masses, plan.mass_bound)
+    if cap is None and exact:
+        _check_mass(total, masses_in)
+    return squares
+
+
+def _prepare(factors, modulus, cap, budget):
+    """Price the table, then reduce each distinct factor's keys mod modulus
+    once: the factors, their masses (1 for unit weights), shapes and plan."""
     distinct = {id(f): f for f in factors}  # [factor] * s is priced and reduced once
     by_id = {i: Shape.of(*f) for i, f in distinct.items()}
     shapes = [by_id[id(f)] for f in factors]
@@ -183,21 +248,21 @@ def power_sum_table(
             distinct[i] = ([[c % modulus for c in col] for col in cols], ws)
         factors = [distinct[id(f)] for f in factors]
     masses_in = [[1] * len(cols[0]) if ws is None else ws for cols, ws in factors]
-    if plan.length is not None:
-        dense = _dense([cols[0] for cols, _ in factors], masses_in, plan.length, plan.mass_dtype)
-        nz = np.flatnonzero(dense)
-        keys, masses = nz.reshape(-1, 1), dense[nz]
-    else:
-        keys, masses = _sparse(factors, masses_in, shapes, modulus, plan)
-        if cap is not None:
-            keep = (keys <= cap).all(axis=1)
-            keys, masses = keys[keep], masses[keep]
-    if cap is None and plan.mass_dtype is not np.float64:
-        total = int(masses.sum())
-        expected = math.prod(sum(ms) for ms in masses_in)
-        if total != expected:
-            raise InvariantError(f"table mass {total} != product of factor masses {expected}")
-    return Table(keys, masses, plan.mass_bound)
+    return factors, masses_in, shapes, plan
+
+
+def _check_mass(total: int, masses_in) -> None:
+    expected = math.prod(sum(ms) for ms in masses_in)
+    if total != expected:
+        raise InvariantError(f"table mass {total} != product of factor masses {expected}")
+
+
+def _sum_squares(masses: np.ndarray, mass_bound):
+    """sum m**2, in Python integers when the squares may pass int64."""
+    if masses.dtype == np.int64 and mass_bound**2 >= _INT64_LIMIT:
+        masses = masses.astype(object)
+    raw = (masses * masses).sum()
+    return float(raw) if masses.dtype == np.float64 else int(raw)
 
 
 def _dense_step(entries: int, cur_len: int, nnz: int, distinct: int) -> tuple[int, int]:
@@ -257,39 +322,184 @@ def _distinct(f_values, f_masses, size: int, dtype) -> tuple[np.ndarray, np.ndar
     return vals[first], np.add.reduceat(masses, first) if len(first) else masses
 
 
-def _sparse(factors, masses_in, shapes, modulus, plan: Plan):
-    """Keys (n, k) and masses by pairwise sums of mixed-radix packed keys.
+class _Packing(NamedTuple):
+    """Mixed-radix packing of key tuples into one integer: component 0 is the
+    most significant digit, so packed order is lexicographic order.  Each
+    factor's keys are packed less its per-component lows ``lo`` (0 under a
+    modulus: residues are packed as they are), so a sum of packed keys is the
+    packed key of the sum less ``offsets``, the lows' sums."""
 
-    Component 0 is the most significant digit, so packed order is
-    lexicographic order.  Equal keys are merged by sort and np.add.reduceat.
-    """
-    widths, key_dtype, mass_dtype = plan.widths, plan.key_dtype, plan.mass_dtype
-    # residues are packed as they are
-    lo = [[low if modulus is None else 0 for low, _ in sh.ranges] for sh in shapes]
-    offsets = [sum(col) for col in zip(*lo)]
-    strides = [math.prod(widths[j + 1 :]) for j in range(len(widths))]
+    widths: list
+    strides: list
+    lo: list
+    offsets: list
+    modulus: int | None
+    key_dtype: object
+    mass_dtype: object
 
-    keys = np.zeros(1, dtype=key_dtype)
-    masses = np.ones(1, dtype=mass_dtype)
-    packed = {}  # by factor identity: [factor] * s is packed once
-    for factor, f_masses, f_lo in zip(factors, masses_in, lo):
+    @classmethod
+    def of(cls, shapes, modulus, plan: Plan) -> "_Packing":
+        widths = plan.widths
+        lo = [[low if modulus is None else 0 for low, _ in sh.ranges] for sh in shapes]
+        offsets = [sum(col) for col in zip(*lo)]
+        strides = [math.prod(widths[j + 1 :]) for j in range(len(widths))]
+        return cls(widths, strides, lo, offsets, modulus, plan.key_dtype, plan.mass_dtype)
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """Packed keys of the whole table as an (n, k) array of components."""
+        if any(abs(off) + w >= _INT64_LIMIT for w, off in zip(self.widths, self.offsets)):
+            keys = keys.astype(object)  # narrow packed range, components beyond int64
+        comps = [keys // st % w + off for st, w, off in zip(self.strides, self.widths, self.offsets)]
+        return np.stack(comps, axis=1)
+
+
+def _sparse(factors, masses_in, packing: _Packing, packed: dict):
+    """Packed keys and masses of the table over ``factors``, the first
+    len(factors) of the packing's, by one merge of all candidates per factor.
+    ``packed`` caches each factor's packed keys by identity: [factor] * s is
+    packed once."""
+    keys = np.zeros(1, dtype=packing.key_dtype)
+    masses = np.ones(1, dtype=packing.mass_dtype)
+    for factor, f_masses, f_lo in zip(factors, masses_in, packing.lo):
         if id(factor) not in packed:
-            packed[id(factor)] = _pack(factor[0], f_lo, strides, key_dtype)
-        cand = (keys[:, None] + packed[id(factor)][None, :]).ravel()
-        cand_mass = np.outer(masses, np.array(f_masses, dtype=mass_dtype)).ravel()
-        if modulus is not None:
-            for stride in strides:
-                cand[cand // stride % widths[0] >= modulus] -= modulus * stride
-        order = np.argsort(cand, kind="stable")
-        cand, cand_mass = cand[order], cand_mass[order]
-        new = np.ones(len(cand), dtype=bool)
-        new[1:] = cand[1:] != cand[:-1]
-        first = np.flatnonzero(new)
-        keys, masses = cand[first], np.add.reduceat(cand_mass, first)
-    if any(abs(off) + w >= _INT64_LIMIT for w, off in zip(widths, offsets)):
-        keys = keys.astype(object)  # narrow packed range, components beyond int64
-    comps = [keys // st % w + off for st, w, off in zip(strides, widths, offsets)]
-    return np.stack(comps, axis=1), masses
+            packed[id(factor)] = _pack(factor[0], f_lo, packing.strides, packing.key_dtype)
+        keys, masses = _merge(
+            (keys[:, None] + packed[id(factor)][None, :]).ravel(),
+            np.outer(masses, np.array(f_masses, dtype=packing.mass_dtype)).ravel(),
+            packing,
+        )
+    return keys, masses
+
+
+def _merge(cand: np.ndarray, cand_mass: np.ndarray, packing: _Packing):
+    """Reduce the candidates' components mod the modulus, if any, then sum the
+    masses of equal keys by a sort and np.add.reduceat: the distinct keys,
+    increasing, and their masses.  The inputs are reordered in place."""
+    if packing.modulus is not None:
+        for stride in packing.strides:
+            cand[cand // stride % packing.widths[0] >= packing.modulus] -= packing.modulus * stride
+    order = np.argsort(cand, kind="stable")
+    cand[:] = cand[order]  # in place: a caller's reference holds no second copy
+    cand_mass[:] = cand_mass[order]
+    del order
+    first = _run_starts(cand)
+    return cand[first], np.add.reduceat(cand_mass, first)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts."""
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(new)
+
+
+class _Groups(NamedTuple):
+    """Packed entries sorted by the residue of their digit 0 mod q: per residue
+    present, increasing, its value and count, and its first sorted index."""
+
+    order: np.ndarray
+    residues: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, packed: np.ndarray, packing: _Packing, q: int) -> "_Groups":
+        if q == 1:  # one group, in entry order
+            zero = np.zeros(1, dtype=np.int64)
+            return cls(slice(None), zero, np.array([len(packed)]), zero)
+        res = (packed // packing.strides[0] % q).astype(np.int64)
+        order = np.argsort(res, kind="stable")
+        res = res[order]
+        starts = _run_starts(res)
+        ends = np.concatenate((starts[1:], [len(res)]))
+        return cls(order, res[starts], ends - starts, starts)
+
+
+def _slice_pairs(table: _Groups, factor: _Groups, q: int):
+    """Every (table group, factor group) pair, ordered by the slice (sum of
+    residues mod q) it feeds, the index where each slice's pairs begin, with
+    len(pairs) appended, and each slice's exact candidate count: the cyclic
+    convolution of the two residue histograms."""
+    a, b = np.divmod(np.arange(len(table.residues) * len(factor.residues)), len(factor.residues))
+    c = (table.residues[a] + factor.residues[b]) % q
+    order = np.argsort(c, kind="stable")
+    a, b = a[order], b[order]
+    first = _run_starts(c[order])
+    sizes = np.add.reduceat(table.counts[a] * factor.counts[b], first)
+    return a, b, np.append(first, len(c)), sizes
+
+
+def _last_step(factors, masses_in, packing: _Packing, cap):
+    """The masses of the whole table, one slice at a time, each after its cap.
+
+    The first n - 1 factors are folded in by ``_sparse``; the last factor is
+    folded in one slice at a time (see the module docstring), each slice
+    merged by ``_slice`` and dropped once its masses are yielded.
+    """
+    packed = {}
+    keys, masses = _sparse(factors[:-1], masses_in[:-1], packing, packed)
+    last = factors[-1]
+    f_keys = packed.get(id(last))
+    if f_keys is None:
+        f_keys = _pack(last[0], packing.lo[-1], packing.strides, packing.key_dtype)
+    f_masses = np.array(masses_in[-1], dtype=packing.mass_dtype)
+    modulus = packing.modulus
+    # past this q every residue class holds one value of component 0
+    limit = packing.widths[0] if modulus is None else modulus
+    q, base = 1, None
+    while True:
+        table, factor = _Groups.of(keys, packing, q), _Groups.of(f_keys, packing, q)
+        a, b, bounds, sizes = _slice_pairs(table, factor, q)
+        if sizes.max(initial=0) <= _SLICE_CANDIDATES or q >= limit:
+            break
+        base = base or (2 if modulus is None else _least_prime_factor(modulus))
+        # q divides the modulus, and two residues add up within int64
+        if (modulus is not None and modulus % (q * base)) or 2 * q * base >= _INT64_LIMIT:
+            break
+        q *= base
+    keys, masses = keys[table.order], masses[table.order]
+    f_keys, f_masses = f_keys[factor.order], f_masses[factor.order]
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        s_keys, s_masses = _slice((keys, masses, table), (f_keys, f_masses, factor),
+                                  a[lo:hi], b[lo:hi], packing)
+        if cap is not None:
+            s_masses = s_masses[(packing.unpack(s_keys) <= cap).all(axis=1)]
+        yield s_masses
+
+
+def _slice(table, factor, a: np.ndarray, b: np.ndarray, packing: _Packing):
+    """One slice's merged keys and masses.  ``table`` and ``factor`` are
+    (keys, masses, groups) in their groups' sorted order; the slice pairs
+    every table entry of group a[i] with every factor entry of group b[i].
+
+    Candidates are laid out factor entry by factor entry, each followed by
+    its table group's entries, whose keys increase: the sort then merges a
+    few long increasing runs instead of many short ones.
+    """
+    keys, masses, t_groups = table
+    f_keys, f_masses, f_groups = factor
+    cols = f_groups.counts[b]
+    runs = np.repeat(t_groups.counts[a], cols)  # table entries per factor entry
+    f = np.repeat(_ranges(f_groups.starts[b], cols), runs)
+    t = _ranges(np.repeat(t_groups.starts[a], cols), runs)
+    cand, cand_mass = keys[t], masses[t]
+    cand += f_keys[f]
+    cand_mass *= f_masses[f]
+    del t, f
+    return _merge(cand, cand_mass, packing)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges arange(start, start + count), concatenated."""
+    ends = np.cumsum(counts)
+    out = np.repeat(starts - ends + counts, counts)
+    out += np.arange(len(out))
+    return out
+
+
+def _least_prime_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
 
 
 def _pack(cols, lo, strides, key_dtype) -> np.ndarray:

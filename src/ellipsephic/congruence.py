@@ -34,7 +34,7 @@ import numpy as np
 
 from .digits import DigitSet, count_members
 from .errors import BudgetError, InvariantError, ValidationError
-from ._tables import power_sum_table
+from ._tables import power_sum_squares
 from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem, WeightAssignment, _phi_columns
 
 __all__ = [
@@ -245,13 +245,15 @@ def _block_mean(blocks: Sequence, modulus: int, mode: str, budget: Budget):
 
     ``blocks`` are ``_block`` results of one mode.  "grid" averages the
     product of their grid vectors; "count" evaluates the equal congruence
-    count from one exact table over all their factors: its sum of squares,
+    count as the exact sum of squares of the table over all their factors,
     over D**(2 #factors), divided once by the norms, which carry that power.
+    ``power_sum_squares`` folds the last factor in by residue classes of v_0
+    modulo a power of p dividing the modulus, so the table is never held whole.
     """
     if mode == "grid":
         return float(np.mean(math.prod(blocks)))
     factors = [factor for block_factors, _ in blocks for factor in block_factors]
-    raw = power_sum_table(factors, modulus=modulus, budget=budget).sum_squares()
+    raw = power_sum_squares(factors, modulus=modulus, budget=budget)
     return raw / math.prod(norm for _, norm in blocks)
 
 

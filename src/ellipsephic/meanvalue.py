@@ -5,11 +5,11 @@ for j = 1..k, where the variables run over a finite sorted member list (an
 ellipsephic enumeration in the intended use).  Two counters are provided:
 
 * brute_force_count -- scans every (x, y) tuple pair; the ground-truth oracle.
-* mitm_count -- meet-in-the-middle: builds the multiplicity table m(v) of
-  power-sum keys over ordered s-tuples of one side and returns sum_v m(v)^2.
-  The table comes from the shared power-sum kernel in ``_tables`` (s ordered
-  convolutions of the member list); brute-force equality guards its
-  correctness.
+* mitm_count -- meet-in-the-middle: sum_v m(v)^2 over the multiplicity table
+  m(v) of power-sum keys over ordered s-tuples of one side, from the shared
+  power-sum kernel in ``_tables`` (s ordered convolutions of the member list,
+  the sparse backend folding the last one in slice by slice); brute-force
+  equality guards its correctness.
 
 Keys may optionally be reduced modulo a fixed modulus (congruence counting)
 or capped componentwise (Waring reconciliation).  Every count runs in one
@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._tables import DEFAULT_BUDGET, Budget, Table, check_pairs, power_sum_table
+from ._tables import DEFAULT_BUDGET, Budget, check_pairs, power_sum_squares, power_sum_table
 from .errors import ValidationError
 from .digits import _is_prime
 
@@ -268,10 +268,11 @@ def _members(members: Sequence[int], weights: WeightAssignment | None) -> list[i
     return mem
 
 
-def _table(system, s, mem, weights, modulus, cap, budget) -> Table:
+def _factors(system, s, mem, weights) -> list:
+    """The s kernel factors of an s-fold count over the members ``mem``: one
+    (phi columns, masses) object repeated, masses None for unit weights."""
     masses = None if weights is None else [weights.masses[m] for m in mem]
-    factor = (_phi_columns(system, mem), masses)
-    return power_sum_table([factor] * s, modulus=modulus, cap=cap, budget=budget)
+    return [(_phi_columns(system, mem), masses)] * s
 
 
 def multiplicity_table(
@@ -298,7 +299,8 @@ def multiplicity_table(
     mem = _members(members, weights)
     if s == 0 or not mem:
         return {(0,) * system.k: 1} if s == 0 else {}
-    table = _table(system, s, mem, weights, modulus, None, budget)
+    factors = _factors(system, s, mem, weights)
+    table = power_sum_table(factors, modulus=modulus, budget=budget)
     values = table.masses.tolist()
     if weights is not None and weights.exact:
         values = [Fraction(v, weights.denom**s) for v in values]
@@ -321,7 +323,9 @@ def mitm_count(
     give a Fraction, the kernel's integer sum divided once by D**(2s); float
     weights a float.  Members outside the weights' support count as weight 0.
     ``modulus`` reduces keys mod that value; ``key_cap`` drops keys with any
-    component above the cap before summing.
+    component above the cap before summing.  The kernel's count-only entry
+    point ``power_sum_squares`` folds the last of the s factors in slice by
+    slice, so the count never holds the whole last step.
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
@@ -329,7 +333,8 @@ def mitm_count(
     y = len(mem)
     if y == 0:
         return CountResult(0, s, system.k, 0, "mitm")
-    total = _table(system, s, mem, weights, modulus, key_cap, budget).sum_squares()
+    factors = _factors(system, s, mem, weights)
+    total = power_sum_squares(factors, modulus=modulus, cap=key_cap, budget=budget)
     if weights is not None and weights.exact:
         total = Fraction(total, weights.denom ** (2 * s))
     return CountResult(total, s, system.k, y, "mitm")

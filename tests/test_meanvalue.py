@@ -196,9 +196,10 @@ def test_exact_weights_reach_kernel_as_ints(monkeypatch):
         seen.extend(w for _, ws in factors for w in ws)
         return build(factors, **kwargs)
 
-    build = meanvalue.power_sum_table
-    monkeypatch.setattr(meanvalue, "power_sum_table", spy)
-    monkeypatch.setattr(congruence, "power_sum_table", spy)
+    # counts reach the kernel through its count-only entry point
+    build = meanvalue.power_sum_squares
+    monkeypatch.setattr(meanvalue, "power_sum_squares", spy)
+    monkeypatch.setattr(congruence, "power_sum_squares", spy)
     weights = WeightAssignment.from_pairs(
         {1: Fraction(1, 2), 3: Fraction(1, 3), 4: 1, 9: Fraction(1, 4)}
     )
