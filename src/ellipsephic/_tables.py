@@ -27,11 +27,12 @@ enumerating call it.
   of b whose largest slice holds at most _SLICE_CANDIDATES (a working set,
   not the budget: price's bytes would leave whole steps of gigabytes
   unsliced), else the finest q the keys admit below 2**62, where sums of two
-  residues still fit int64.  A step that fits takes q = 1, one slice through
-  the same code.  b is 2, or under a modulus its smallest prime factor (p for
-  the moduli p**B of the congruence counts), so q divides the modulus and
-  reducing a key mod it keeps its class.  The dense backend builds its whole
-  array, which is the table.
+  residues still fit int64.  A step that fits takes q = 1: one merge of all
+  its candidates, as a sparse step of ``power_sum_table``.  b is 2, or under
+  a modulus its smallest prime factor (p for the moduli p**B of the
+  congruence counts), so q divides the modulus and reducing a key mod it
+  keeps its class.  The dense backend builds its whole array, which is the
+  table.
 
 dtypes follow from a-priori bounds: packed keys and masses are int64 when the
 packed range and the product of the factors' total |mass| fit, else Python
@@ -355,20 +356,28 @@ class _Packing(NamedTuple):
 
 def _sparse(factors, masses_in, packing: _Packing, packed: dict):
     """Packed keys and masses of the table over ``factors``, the first
-    len(factors) of the packing's, by one merge of all candidates per factor.
-    ``packed`` caches each factor's packed keys by identity: [factor] * s is
-    packed once."""
+    len(factors) of the packing's, by one ``_step`` per factor."""
     keys = np.zeros(1, dtype=packing.key_dtype)
     masses = np.ones(1, dtype=packing.mass_dtype)
     for factor, f_masses, f_lo in zip(factors, masses_in, packing.lo):
-        if id(factor) not in packed:
-            packed[id(factor)] = _pack(factor[0], f_lo, packing.strides, packing.key_dtype)
-        keys, masses = _merge(
-            (keys[:, None] + packed[id(factor)][None, :]).ravel(),
-            np.outer(masses, np.array(f_masses, dtype=packing.mass_dtype)).ravel(),
-            packing,
-        )
+        f_keys = _packed(factor, f_lo, packing, packed)
+        f_masses = np.array(f_masses, dtype=packing.mass_dtype)
+        keys, masses = _step(keys, masses, f_keys, f_masses, packing)
     return keys, masses
+
+
+def _packed(factor, lo, packing: _Packing, packed: dict) -> np.ndarray:
+    """The factor's packed keys, cached in ``packed`` by identity: [factor] * s
+    is packed once."""
+    if id(factor) not in packed:
+        packed[id(factor)] = _pack(factor[0], lo, packing.strides, packing.key_dtype)
+    return packed[id(factor)]
+
+
+def _step(keys, masses, f_keys, f_masses, packing: _Packing):
+    """The table folded with one factor: every candidate at once, one merge."""
+    return _merge((keys[:, None] + f_keys[None, :]).ravel(),
+                  np.outer(masses, f_masses).ravel(), packing)
 
 
 def _merge(cand: np.ndarray, cand_mass: np.ndarray, packing: _Packing):
@@ -432,24 +441,36 @@ def _slice_pairs(table: _Groups, factor: _Groups, q: int):
 def _last_step(factors, masses_in, packing: _Packing, cap):
     """The masses of the whole table, one slice at a time, each after its cap.
 
-    The first n - 1 factors are folded in by ``_sparse``; the last factor is
-    folded in one slice at a time (see the module docstring), each slice
-    merged by ``_slice`` and dropped once its masses are yielded.
+    The first n - 1 factors are folded in by ``_sparse``.  A last step within
+    _SLICE_CANDIDATES is q = 1, one ``_step``; a larger one goes to ``_slices``.
     """
     packed = {}
     keys, masses = _sparse(factors[:-1], masses_in[:-1], packing, packed)
-    last = factors[-1]
-    f_keys = packed.get(id(last))
-    if f_keys is None:
-        f_keys = _pack(last[0], packing.lo[-1], packing.strides, packing.key_dtype)
+    f_keys = _packed(factors[-1], packing.lo[-1], packing, packed)
     f_masses = np.array(masses_in[-1], dtype=packing.mass_dtype)
+    if len(keys) * len(f_keys) <= _SLICE_CANDIDATES:
+        slices = [_step(keys, masses, f_keys, f_masses, packing)]
+    else:
+        slices = _slices((keys, masses), (f_keys, f_masses), packing)
+    for s_keys, s_masses in slices:
+        if cap is not None:
+            s_masses = s_masses[(packing.unpack(s_keys) <= cap).all(axis=1)]
+        yield s_masses
+
+
+def _slices(table, factor, packing: _Packing):
+    """The merged keys and masses of the table folded with the factor, one
+    residue class mod q at a time, q as small as the module docstring allows;
+    each slice is merged by ``_slice``."""
+    keys, masses = table
+    f_keys, f_masses = factor
     modulus = packing.modulus
     # past this q every residue class holds one value of component 0
     limit = packing.widths[0] if modulus is None else modulus
     q, base = 1, None
     while True:
-        table, factor = _Groups.of(keys, packing, q), _Groups.of(f_keys, packing, q)
-        a, b, bounds, sizes = _slice_pairs(table, factor, q)
+        t_groups, f_groups = _Groups.of(keys, packing, q), _Groups.of(f_keys, packing, q)
+        a, b, bounds, sizes = _slice_pairs(t_groups, f_groups, q)
         if sizes.max(initial=0) <= _SLICE_CANDIDATES or q >= limit:
             break
         base = base or (2 if modulus is None else _least_prime_factor(modulus))
@@ -457,14 +478,11 @@ def _last_step(factors, masses_in, packing: _Packing, cap):
         if (modulus is not None and modulus % (q * base)) or 2 * q * base >= _INT64_LIMIT:
             break
         q *= base
-    keys, masses = keys[table.order], masses[table.order]
-    f_keys, f_masses = f_keys[factor.order], f_masses[factor.order]
+    keys, masses = keys[t_groups.order], masses[t_groups.order]
+    f_keys, f_masses = f_keys[f_groups.order], f_masses[f_groups.order]
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        s_keys, s_masses = _slice((keys, masses, table), (f_keys, f_masses, factor),
-                                  a[lo:hi], b[lo:hi], packing)
-        if cap is not None:
-            s_masses = s_masses[(packing.unpack(s_keys) <= cap).all(axis=1)]
-        yield s_masses
+        yield _slice((keys, masses, t_groups), (f_keys, f_masses, f_groups),
+                     a[lo:hi], b[lo:hi], packing)
 
 
 def _slice(table, factor, a: np.ndarray, b: np.ndarray, packing: _Packing):

@@ -20,6 +20,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from ._tables import Shape, check_pairs, price
 from .errors import BudgetError, InvariantError, ValidationError
 from . import congruence as cg
@@ -155,25 +157,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, header: str, *sources) -> None:
-    """Stream the header and the lines of ``sources`` to a temporary file beside
-    ``path``, _CHUNK_LINES at a time, and rename it onto ``path`` when all are
-    written: a lazy source that raises leaves neither file."""
+def _write_text(path: Path, blocks) -> None:
+    """Stream the text ``blocks``, each ended by a newline, to a temporary file
+    beside ``path``, and rename it onto ``path`` when all are written: a lazy
+    source that raises leaves neither file."""
     tmp = path.with_name(f".{path.name}.tmp")
-    lines = itertools.chain([f"# config: {header}"], *sources)
     try:
         with open(tmp, "w") as fh:
-            while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-                fh.write("\n".join(chunk) + "\n")
+            for block in blocks:
+                fh.write(block + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _write_lines(path: Path, header: str, *sources) -> None:
+    """The header and the lines of ``sources``, _CHUNK_LINES lines per write."""
+    lines = itertools.chain([f"# config: {header}"], *sources)
+
+    def chunks():
+        while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+            yield "\n".join(chunk)
+
+    _write_text(path, chunks())
+
+
 def _write_csv(path: Path, header: str, columns: list[str], rows) -> None:
     rendered = (",".join(_fmt(cell) for cell in row) for row in rows)
     _write_lines(path, header, [",".join(columns)], rendered)
+
+
+def _write_columns(path: Path, header: str, names: str, fmt: str, columns) -> None:
+    """The header, the column line ``names``, then one row of ``fmt`` (one %-spec
+    per column) per index of the equal-length integer ``columns``: _CHUNK_LINES
+    rows per ``%`` call, Python ints whatever the columns' dtypes, so the bytes
+    are those of ``_fmt`` (``%d``) or ``key_hex`` (``%x``) row by row."""
+    def blocks():
+        for lo in range(0, len(columns[0]), _CHUNK_LINES):
+            chunk = np.column_stack([col[lo : lo + _CHUNK_LINES] for col in columns])
+            yield "\n".join([fmt] * len(chunk)) % tuple(chunk.ravel().tolist())
+
+    _write_text(path, itertools.chain([f"# config: {header}", names], blocks()))
 
 
 def _write_json(path: Path, header: str, payload: dict) -> None:
@@ -259,9 +284,12 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     _write_csv(
         out / "count.csv", header, ["X", "Y", "s", "k", "count", "method", "seconds"], rows
     )
-    if histogram:  # every multiplicity is an int, which _fmt renders as str()
-        lines = (f"{mv.key_hex(key)},{m}" for key, m in table.items())
-        _write_lines(out / "histogram.csv", header, ["key_hex,multiplicity"], lines)
+    if histogram:  # keys and multiplicities are ints: object arrays hold any size exactly
+        keys = np.array(list(table), dtype=object).reshape(len(table), k)
+        columns = [*keys.T, np.array(list(table.values()), dtype=object)]
+        del table  # the job's largest object, dropped before the rows are formatted
+        fmt = ":".join(["%x"] * k) + ",%d"
+        _write_columns(out / "histogram.csv", header, "key_hex,multiplicity", fmt, columns)
 
 
 def _run_congruence(cfg, out: Path, header: str, budget) -> None:
@@ -378,9 +406,7 @@ def _run_waring(cfg, out: Path, header: str, budget) -> None:
     bound = _get_int(cfg, "X")
     table = wr.representation_table(ds, s, k, bound, budget=budget)
     check = wr.cauchy_bound_check(table)
-    # every cell is an int, which _fmt renders as str()
-    rows = (f"{n},{r}" for n, r in table.counts.items())
-    _write_lines(out / "waring.csv", header, ["n,R"], rows)
+    _write_columns(out / "waring.csv", header, "n,R", "%d,%d", [table.n, table.r])
     _write_json(
         out / "waring.json",
         header,

@@ -279,17 +279,22 @@ def count_members(digit_set: DigitSet, bound: int) -> int:
 
 # --- Additive representation profiles -------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepProfile:
-    """counts[n] = number of ordered t-tuples of source elements summing to n."""
+    """counts[n] = number of ordered t-tuples of source elements summing to n.
+
+    ``counts`` is the kernel's array, read-only: int64, or object (Python
+    integers) when the a-priori bound passes int64.  Profiles compare and hash
+    by identity (``eq=False``), since an array has no single truth value.
+    """
 
     source: DigitSource
     t: int
     horizon: int
-    counts: tuple[int, ...] = field(repr=False)
+    counts: np.ndarray = field(repr=False)
 
     def count(self, n: int) -> int:
-        return self.counts[n]
+        return int(self.counts[n])
 
 
 def rep_profile(
@@ -321,7 +326,8 @@ def rep_profile(
     table = power_sum_table([factor] * t, cap=horizon, budget=Budget(max_table_bytes=max_bytes))
     counts = np.zeros(horizon + 1, dtype=table.masses.dtype)
     counts[table.keys[:, 0]] = table.masses
-    return RepProfile(source, t, horizon, tuple(counts.tolist()))
+    counts.flags.writeable = False
+    return RepProfile(source, t, horizon, counts)
 
 
 @dataclass(frozen=True)
@@ -342,18 +348,17 @@ class EtStarReport:
 
 
 def et_star_report(profile: RepProfile) -> EtStarReport:
-    """Window maxima of a representation profile and their fitted growth."""
+    """Window maxima of a representation profile and their fitted growth.
+
+    The windows are [2**i, 2**(i+1)) cut at the horizon; every figure is a
+    Python int, whatever the profile's dtype."""
     if profile.horizon < 16:
         raise ValidationError("et_star_report needs horizon >= 16")
     counts = profile.counts
-    max_count = max(counts)
-    max_at = counts.index(max_count)
-    windows = []
-    start = 1
-    while start <= profile.horizon:
-        stop = min(2 * start, profile.horizon + 1)
-        windows.append((start, max(counts[start:stop])))
-        start *= 2
+    max_at = int(np.argmax(counts))
+    starts = 1 << np.arange(profile.horizon.bit_length())
+    maxima = np.maximum.reduceat(counts[1:], starts - 1)
+    windows = tuple(zip(starts.tolist(), maxima.tolist()))
     pts = [(s, m) for s, m in windows if m > 0]
     if len(pts) < 2:
         raise ValidationError("fewer than two nonzero windows; nothing to fit")
@@ -361,4 +366,4 @@ def et_star_report(profile: RepProfile) -> EtStarReport:
     ys = np.log([float(m) for _, m in pts])
     design = np.vstack([xs, np.ones_like(xs)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return EtStarReport(max_count, max_at, tuple(windows), float(slope), float(intercept))
+    return EtStarReport(int(counts[max_at]), max_at, windows, float(slope), float(intercept))

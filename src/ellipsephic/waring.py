@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ._tables import Shape, power_sum_table, price
 from .digits import DigitSet, count_members, counted_members
 from .errors import ValidationError
@@ -45,13 +47,16 @@ def integer_root(n: int, k: int) -> int:
         x = y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepresentationTable:
     """Sparse table n -> R(n) of ordered s-fold k-th power representations.
 
+    ``n`` holds the represented integers, increasing (the kernel's order), and
+    ``r`` their R(n), both read-only arrays of the kernel; ``counts`` is the
+    mapping n -> R(n), built from them on each access.  Tables compare and
+    hash by identity (``eq=False``), since an array has no single truth value.
     ``overflow`` counts the ordered tuples whose power sum exceeded the bound,
-    so counts (n increasing, the kernel's order) and overflow always reconcile:
-    sum R(n) + overflow = Y**s.
+    so R and overflow always reconcile: sum R(n) + overflow = Y**s.
     ``sum_r`` and ``sum_r2`` are sum R(n) and sum R(n)**2, taken once from the
     table's masses.
     """
@@ -60,10 +65,15 @@ class RepresentationTable:
     k: int
     bound: int
     y: int
-    counts: dict[int, int]
+    n: np.ndarray
+    r: np.ndarray
     overflow: int
     sum_r: int
     sum_r2: int
+
+    @property
+    def counts(self) -> dict[int, int]:
+        return dict(zip(self.n.tolist(), self.r.tolist()))
 
     def total(self) -> int:
         return self.sum_r
@@ -98,16 +108,15 @@ def representation_table(
     members = list(counted_members(digit_set, root, y))
     factor = ([[m**k for m in members]], None)
     table = power_sum_table([factor] * s, cap=bound, budget=budget)
-    counts = dict(zip(table.keys[:, 0].tolist(), table.masses.tolist()))
-    total = int(table.masses.sum())
-    return RepresentationTable(
-        s, k, bound, y, counts, y**s - total, total, table.sum_squares()
-    )
+    n, r = table.keys[:, 0], table.masses
+    n.flags.writeable = r.flags.writeable = False
+    total = int(r.sum())
+    return RepresentationTable(s, k, bound, y, n, r, y**s - total, total, table.sum_squares())
 
 
 def represented_count(table: RepresentationTable) -> int:
     """Number of integers up to the bound with at least one representation."""
-    return len(table.counts)
+    return len(table.n)
 
 
 @dataclass(frozen=True)

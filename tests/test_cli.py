@@ -20,8 +20,10 @@ from ellipsephic import (
     multiplicity_table,
     representation_table,
 )
+from ellipsephic import cli
 from ellipsephic.cli import (
     _fmt,
+    _write_columns,
     _write_lines,
     canonical_config,
     main,
@@ -483,6 +485,36 @@ def test_write_lines_streams_and_leaves_nothing_on_failure(tmp_path):
     with pytest.raises(BudgetError):
         _write_lines(out / "c.csv", "hdr", failing())
     assert list(out.iterdir()) == []
+
+
+CHUNK = 64  # _CHUNK_LINES in the bulk-row test, so chunk edges stay cheap to spell per row
+
+
+@pytest.mark.parametrize("rows", [0, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bulk_rows_match_per_row_spelling(tmp_path, monkeypatch, rows, k):
+    """The bulk writer's bytes equal the per-row key_hex and _fmt spelling:
+    negative components, int64 beside object columns past 2**63, and row
+    counts around chunk edges; the *_rows_render_as_fmt tests run the real
+    chunk size."""
+    monkeypatch.setattr(cli, "_CHUNK_LINES", CHUNK)
+    i = np.arange(rows, dtype=np.int64)
+    key_cols = [i - 16, np.array([(-1) ** n * (n << 58) for n in range(rows)], dtype=object),
+                i % 7][:k]
+    masses = np.array([(1 << 64) + n for n in range(rows)], dtype=object)
+    keys = [tuple(key) for key in zip(*(col.tolist() for col in key_cols))]
+    assert rows == 0 or key_hex(keys[0]) == "-10" + ":0" * (k - 1)
+    hex_fmt, dec_fmt = ":".join(["%x"] * k) + ",%d", ",".join(["%d"] * (k + 1))
+    _write_columns(tmp_path / "hex.csv", "hdr", "key,m", hex_fmt, [*key_cols, masses])
+    _write_columns(tmp_path / "dec.csv", "hdr", "cells", dec_fmt, [*key_cols, masses])
+    hex_rows = (f"{key_hex(key)},{_fmt(m)}" for key, m in zip(keys, masses.tolist()))
+    dec_rows = (",".join(map(_fmt, (*key, m))) for key, m in zip(keys, masses.tolist()))
+    _write_lines(tmp_path / "hex_want.csv", "hdr", ["key,m"], hex_rows)
+    _write_lines(tmp_path / "dec_want.csv", "hdr", ["cells"], dec_rows)
+    for name in ("hex", "dec"):
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_want.csv").read_bytes()
+        assert got.count(b"\n") == rows + 2
 
 
 def test_waring_output(tmp_path):

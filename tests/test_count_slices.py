@@ -164,3 +164,17 @@ def test_forced_slices_on_object_keys_and_masses(modulus):
     assert whole == forced(lambda: _tables.power_sum_squares(factors, modulus=modulus,
                                                              budget=budget))
     assert whole == table.sum_squares()
+
+
+@pytest.mark.parametrize("modulus", [None, 25])
+@pytest.mark.parametrize("cap", [None, 20, 600])
+def test_unsliced_last_step_matches_whole_table(monkeypatch, modulus, cap):
+    """A last step within _SLICE_CANDIDATES (q = 1) is one merge, no slice:
+    the same sum of squares as the whole table's."""
+    monkeypatch.setattr(_tables, "_slice", None)  # any slice would raise
+    xs = SQUARES_1875[:27]
+    factors = [([xs, [x * x for x in xs]], None)] * 3
+    args = dict(modulus=modulus, cap=cap, budget=_tables.DEFAULT_BUDGET)
+    whole = _tables.power_sum_table(factors, **args)
+    assert len(whole.masses) > 1
+    assert _tables.power_sum_squares(factors, **args) == whole.sum_squares()

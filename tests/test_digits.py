@@ -1,6 +1,7 @@
 """Digit-set construction, enumeration, membership, and representation profiles."""
 
 import itertools
+import json
 import math
 
 import pytest
@@ -202,7 +203,7 @@ def test_rep_profile_higher_t():
         assert profile.count(n) == direct
     # 2**70 ordered tuples: counts overflow int64 and stay exact
     profile = rep_profile(DigitSource.explicit([0, 1]), 70, 70)
-    assert profile.counts == tuple(math.comb(70, n) for n in range(71))
+    assert profile.counts.tolist() == [math.comb(70, n) for n in range(71)]
 
 
 def test_rep_profile_validation():
@@ -232,6 +233,36 @@ def test_et_star_window_maxima_small():
         expected.append((start, max(profile.counts[start:stop])))
         start *= 2
     assert report.windows == tuple(expected)
+    assert all(type(v) is int for window in report.windows for v in window)
+
+
+def test_et_star_matches_python_window_scan():
+    """Object-dtype counts past 2**63 and a horizon that is not a power of two:
+    the vectorised scan gives the Python scan's figures, all Python ints, so
+    the JSON payload of a report is unchanged."""
+    profile = rep_profile(DigitSource.explicit([0, 1]), 70, 1000)
+    assert profile.counts.dtype == object and max(profile.counts) > 1 << 63
+    counts = profile.counts.tolist()
+    report = et_star_report(profile)
+    windows = []
+    start = 1
+    while start <= 1000:
+        windows.append((start, max(counts[start : min(2 * start, 1001)])))
+        start *= 2
+    figures = [report.max_count, report.max_at, *itertools.chain(*report.windows)]
+    assert all(type(v) is int for v in figures)
+    got = {"max_count": report.max_count, "max_at": report.max_at, "windows": report.windows}
+    want = {"max_count": max(counts), "max_at": counts.index(max(counts)), "windows": windows}
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_profile_arrays_are_read_only_and_compared_by_identity():
+    profile = rep_profile(DigitSource.squares(), 2, 30)
+    assert profile == profile and profile != rep_profile(DigitSource.squares(), 2, 30)
+    assert hash(profile) == hash(profile)
+    assert type(profile.count(25)) is int
+    with pytest.raises(ValueError):
+        profile.counts[0] = 2
 
 
 def test_et_star_needs_horizon():

@@ -80,6 +80,15 @@ def test_table_s1_k2_example():
     assert represented_count(table) == 3
 
 
+def test_table_arrays_are_read_only_and_compared_by_identity():
+    table = representation_table(DS3, 2, 1, 8)
+    assert table.n.tolist() == [2, 4, 5, 6, 7, 8] and table.r.tolist() == [1, 2, 2, 1, 2, 1]
+    assert table == table and table != representation_table(DS3, 2, 1, 8)
+    assert hash(table) == hash(table)
+    with pytest.raises(ValueError):
+        table.r[0] = 5
+
+
 def test_table_s2_k1_example():
     table = representation_table(DS3, 2, 1, 8)
     assert table.counts == {2: 1, 4: 2, 5: 2, 6: 1, 7: 2, 8: 1}
