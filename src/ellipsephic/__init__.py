@@ -35,7 +35,6 @@ from .congruence import (
     RestrictionRatio,
     class_norms,
     class_refinement_check,
-    class_split,
     congruence_mean_value,
     discrete_integral,
     normalized_two_class,

@@ -303,11 +303,11 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
         if min(levels) < 1:
             raise ValidationError(f"config key B needs levels >= 1, got {levels}")
         bounds = [_get_int(cfg, "X", ds.base**b_level) for b_level in levels]
-        # U^B's one class holds all Y members: each level is priced first, most members first
+        # U^B's one class has at most min(Y, p^B) residues; levels priced first, most members first
         counts = [dg.count_members(ds, bound) for bound in bounds]
         for y, bound, b_level in sorted(zip(counts, bounds, levels), reverse=True):
             q = ds.base**b_level
-            price([Shape(y, ((0, q - 1),) * k, y)] * s, modulus=q, budget=budget)
+            price([Shape(min(y, q), ((0, q - 1),) * k, y)] * s, modulus=q, budget=budget)
         rows = []
         for b_level, bound, y in zip(levels, bounds, counts):
             weights = cg.WeightAssignment.unit(list(dg.counted_members(ds, bound, y)))

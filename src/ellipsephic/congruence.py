@@ -7,10 +7,11 @@ single-class and two-class congruence mean values, and the finite
 restriction-ratio diagnostic.
 
 Every mean value is built from per-class blocks, one per residue class and
-power, each built once per call from the class's phi columns (the only phi
-evaluation here).  In grid mode a block is the class's values over the whole
-grid, one DFT of its weight histogram over the residues (phi_j(x) mod p^B)_j;
-in count mode it is the class's factors of the exact power-sum table.
+power, each built once per call from the class's residues (``_classes``):
+their phi columns (the only phi evaluation here) and summed masses.  In grid
+mode a block is the class's values over the whole grid, one DFT of its weight
+histogram over (phi_j(x) mod p^B)_j; in count mode it is the class's factors
+of the exact power-sum table.
 
 Exact arithmetic policy: counting paths hand the kernel integer masses
 (``WeightAssignment.masses``) and divide once per table; grid paths are
@@ -28,7 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +45,6 @@ __all__ = [
     "GridPoint",
     "MeanValueSpec",
     "class_norms",
-    "class_split",
     "restricted_exp_sum",
     "discrete_integral",
     "congruence_mean_value",
@@ -78,31 +78,45 @@ class ClassNorms:
     table: dict[int, object]
 
 
-def class_split(
-    weights: WeightAssignment, base: int, level: int
-) -> dict[int, list[tuple[int, object]]]:
-    """Support entries grouped by residue class modulo base**level."""
+class _Class(NamedTuple):
+    """A class's distinct member residues, the summed masses on each, and rho^2."""
+
+    residues: list
+    masses: list
+    rho_sq: object
+
+
+_EMPTY = _Class([], [], 0)
+
+
+def _classes(weights: WeightAssignment, base: int, level: int, modulus: int) -> dict[int, _Class]:
+    """The support's classes modulo base**level, the one reader of its members.
+
+    A member x enters only through x mod lcm(modulus, base**level), which
+    fixes phi_j(x) mod ``modulus`` (phi has integer coefficients) and x's
+    class, so the masses and squared masses are summed per residue first.
+    """
     if level < 0:
         raise ValidationError("level must be >= 0")
-    modulus = base**level
-    out: dict[int, list[tuple[int, object]]] = {}
-    for x, w in weights.entries:
-        out.setdefault(x % modulus, []).append((x, w))
-    return out
-
-
-def _classes(
-    weights: WeightAssignment, base: int, level: int
-) -> dict[int, tuple[list[tuple[int, object]], object]]:
-    """Per residue class modulo base**level: its support entries and rho^2."""
+    step = base**level
+    reduce_by = math.lcm(modulus, step)
+    hist: dict[int, list] = {}
+    for x, m in weights.masses.items():
+        sums = hist.setdefault(x % reduce_by, [0, 0])
+        sums[0] += m
+        sums[1] += m * m
+    groups: dict[int, list[int]] = {}
+    for r in sorted(hist):
+        groups.setdefault(r % step, []).append(r)
+    scale = Fraction(1, weights.denom**2) if weights.exact else 1  # rho^2 in weight units
     return {
-        residue: (part, weights.norm_sq(x for x, _ in part))
-        for residue, part in class_split(weights, base, level).items()
+        res: _Class(rs, [hist[r][0] for r in rs], scale * sum(hist[r][1] for r in rs))
+        for res, rs in groups.items()
     }
 
 
 def class_norms(weights: WeightAssignment, base: int, level: int) -> ClassNorms:
-    table = {res: rho_sq for res, (_, rho_sq) in _classes(weights, base, level).items()}
+    table = {res: cls.rho_sq for res, cls in _classes(weights, base, level, 1).items()}
     return ClassNorms(base, level, table)
 
 
@@ -165,79 +179,71 @@ def restricted_exp_sum(
 
     Empty classes return 0 by convention.  At level 0 this is the full sum f.
     """
-    entries, rho_sq = _classes(weights, system.base, level).get(
-        residue % system.base**level, ([], 0)
-    )
-    return _class_exp_sum(_class_factor(system, entries), rho_sq, point)
+    q = system.base**level
+    cls = _classes(weights, system.base, level, point.modulus).get(residue % q, _EMPTY)
+    return _class_exp_sum(_class_factor(system, cls), cls.rho_sq, point, weights.denom)
 
 
-def _class_factor(system: SpacedSystem, entries: list[tuple[int, object]], masses=None):
-    """One class's (phi columns, weights), the weights read off ``masses`` if
-    given (a ``WeightAssignment.masses``): every phi value this module uses."""
-    xs = [x for x, _ in entries]
-    ws = [w for _, w in entries] if masses is None else [masses[x] for x in xs]
-    return _phi_columns(system, xs), ws
+def _class_factor(system: SpacedSystem, cls: _Class):
+    """One class's (phi columns, summed masses) over its residues, in both modes:
+    every phi value here.  A kernel factor; the float paths read weights m / D."""
+    return _phi_columns(system, cls.residues), cls.masses
 
 
-def _class_exp_sum(factor, rho_sq, point: GridPoint) -> complex:
+def _class_exp_sum(factor, rho_sq, point: GridPoint, denom: int) -> complex:
     """f at alpha = point over one class's ``_class_factor``; 0 if it is empty."""
-    cols, ws = factor
+    cols, ms = factor
     if len(point.u) != len(cols):
         raise ValidationError(
             f"grid point has {len(point.u)} coordinates for a k={len(cols)} system"
         )
-    if not ws:
+    if not ms:
         return 0j
     modulus = point.modulus
     total = 0j
-    for i, w in enumerate(ws):
+    for i, m in enumerate(ms):
         phase = sum(u * col[i] for u, col in zip(point.u, cols))
-        total += float(w) * cmath.exp(2j * cmath.pi * (phase % modulus) / modulus)
+        total += m / denom * cmath.exp(2j * cmath.pi * (phase % modulus) / modulus)
     return total / math.sqrt(float(rho_sq))
 
 
-def _grid_class_power_mean(factor, rho_sq, modulus: int, power: int) -> np.ndarray:
+def _grid_class_power_mean(factor, rho_sq, modulus: int, power: int, denom: int) -> np.ndarray:
     """|f_class(u/modulus)|**(2*power) at every u in (Z/modulus)^k, as a k-D array.
 
     f_class sees a member x only through (phi_j(x) mod modulus)_j, read off
-    the class's ``_class_factor``, so the weights are summed into a histogram
-    over those residues first, and the class's grid vector is one DFT of it:
+    the class's ``_class_factor``, so the weights (mass / D, a true division
+    that stays finite for any D) are summed into a histogram over those
+    residues first, and the class's grid vector is one DFT of it:
     the weights are real, so |fftn(histogram)[u]| = |f_class(u/modulus)|,
     index 0 standing for u = modulus.  Every call returns the grid in the same
     order.
     """
-    cols, ws = factor
+    cols, ms = factor
     residues = np.array([[c % modulus for c in col] for col in cols], dtype=np.int64)
     hist = np.zeros((modulus,) * len(cols))
-    np.add.at(hist, tuple(residues), [float(w) for w in ws])
+    np.add.at(hist, tuple(residues), [m / denom for m in ms])
     sums = np.fft.fftn(hist)
     abs2 = sums.real**2 + sums.imag**2
     return abs2**power / float(rho_sq) ** power
 
 
-def _check_grid(system: SpacedSystem, modulus: int) -> None:
-    """Refuse grid mode above GRID_BUDGET points, before any histogram exists."""
-    n_points = modulus**system.k
-    if n_points > GRID_BUDGET:
-        raise BudgetError(
-            f"grid mode needs {n_points} points > {GRID_BUDGET}; use counting mode"
-        )
-
-
-def _block(spec: MeanValueSpec, entries, rho_sq, n: int, mode: str, budget: Budget):
-    """The factor |f_class(alpha)|**(2n) of one class (support entries, rho^2).
+def _block(spec: MeanValueSpec, cls: _Class, n: int, mode: str, budget: Budget):
+    """The factor |f_class(alpha)|**(2n) of one class, from its ``_class_factor``.
 
     "grid" gives its values over the grid u/modulus, one DFT of its residue
-    histogram; "count" gives its n kernel factors, with masses the weights
-    times D, and its norm in the same units, (D**2 * rho_sq)**n; the kernel
-    prices their table in ``_block_mean``.  Callers check ``mode``.
+    histogram; "count" gives its n kernel factors, whose masses are the
+    weights times D, and its norm in the same units, (D**2 * rho_sq)**n; the
+    kernel prices their table in ``_block_mean``.  Grid mode is refused above
+    GRID_BUDGET points, before any phi value.  Callers check ``mode``.
     """
-    if mode == "grid":
-        _check_grid(spec.system, spec.modulus)
-        factor = _class_factor(spec.system, entries)
-        return _grid_class_power_mean(factor, rho_sq, spec.modulus, n)
-    factor = _class_factor(spec.system, entries, spec.weights.masses)
-    return [factor] * n, (spec.weights.denom**2 * rho_sq) ** n
+    denom = spec.weights.denom
+    if mode == "count":
+        return [_class_factor(spec.system, cls)] * n, (denom**2 * cls.rho_sq) ** n
+    n_points = spec.modulus**spec.system.k
+    if n_points > GRID_BUDGET:
+        raise BudgetError(f"grid mode needs {n_points} points > {GRID_BUDGET}; use counting mode")
+    factor = _class_factor(spec.system, cls)
+    return _grid_class_power_mean(factor, cls.rho_sq, spec.modulus, n, denom)
 
 
 def _block_mean(blocks: Sequence, modulus: int, mode: str, budget: Budget):
@@ -273,12 +279,19 @@ def discrete_integral(
     """
     _check_mode(mode)
     level = 0 if residue is None else spec.class_level
-    classes = _classes(spec.weights, spec.base, level)
-    found = classes.get((residue or 0) % spec.base**level)
-    if found is None:
+    return _fixed_classes_mean(spec, [(level, residue or 0, spec.s)], mode, budget)
+
+
+def _fixed_classes_mean(spec: MeanValueSpec, picks, mode: str, budget: Budget):
+    """``_block_mean`` over the classes ``(level, residue, n)``; 0 if one is empty."""
+    found = [
+        _classes(spec.weights, spec.base, level, spec.modulus).get(res % spec.base**level)
+        for level, res, _ in picks
+    ]
+    if None in found:
         return Fraction(0) if spec.weights.exact else 0.0
-    block = _block(spec, *found, spec.s, mode, budget)
-    return _block_mean([block], spec.modulus, mode, budget)
+    blocks = [_block(spec, cls, n, mode, budget) for cls, (_, _, n) in zip(found, picks)]
+    return _block_mean(blocks, spec.modulus, mode, budget)
 
 
 def _class_average(
@@ -298,11 +311,8 @@ def _class_average(
     first block's class changes slowest, so only its current one is kept,
     beside every one of the later blocks.
     """
-    modulus = spec.modulus
-    tables = [_classes(spec.weights, spec.base, level) for level, _ in blocks]
+    tables = [_classes(spec.weights, spec.base, level, spec.modulus) for level, _ in blocks]
     built: list[dict] = [{} for _ in blocks]
-    if mode == "grid":
-        _check_grid(spec.system, modulus)
     total = Fraction(0) if spec.weights.exact else 0.0
     for residues in itertools.product(*(sorted(table) for table in tables)):
         if nu >= 1 and (residues[0] - residues[-1]) % spec.base**nu == 0:
@@ -312,10 +322,10 @@ def _class_average(
             if res not in built[i]:
                 if i == 0:
                     built[0].clear()
-                built[i][res] = _block(spec, *table[res], n, mode, budget)
+                built[i][res] = _block(spec, table[res], n, mode, budget)
             parts.append(built[i][res])
-        rho_prod = math.prod(table[res][1] for table, res in zip(tables, residues))
-        total = total + rho_prod * _block_mean(parts, modulus, mode, budget)
+        rho_prod = math.prod(table[res].rho_sq for table, res in zip(tables, residues))
+        total = total + rho_prod * _block_mean(parts, spec.modulus, mode, budget)
     return total / spec.weights.rho0_sq ** len(blocks)
 
 
@@ -372,16 +382,7 @@ def two_class_mean_value(
         raise ValidationError("give both xi and eta or neither")
     if xi is None:
         return _class_average(spec, [(a, big_r), (b, s - big_r)], mode, budget, nu)
-
-    class_a = _classes(spec.weights, spec.base, a).get(xi % spec.base**a)
-    class_b = _classes(spec.weights, spec.base, b).get(eta % spec.base**b)
-    if class_a is None or class_b is None:
-        return Fraction(0) if spec.weights.exact else 0.0
-    blocks = [
-        _block(spec, *found, n, mode, budget)
-        for found, n in ((class_a, big_r), (class_b, s - big_r))
-    ]
-    return _block_mean(blocks, spec.modulus, mode, budget)
+    return _fixed_classes_mean(spec, [(a, xi, big_r), (b, eta, s - big_r)], mode, budget)
 
 
 def normalized_two_class(k_value, delta: float, r: int, k: int, u_bh, q_h: int) -> float:
@@ -492,7 +493,7 @@ def class_refinement_check(
     base = system.base
     split_factor = 1
     for level in range(a, b):
-        per_parent = Counter(res % base**level for res in class_split(weights, base, level + 1))
+        per_parent = Counter(res % base**level for res in _classes(weights, base, level + 1, 1))
         split_factor = max([split_factor, *per_parent.values()])
 
     if points is None:
@@ -503,25 +504,25 @@ def class_refinement_check(
             for _ in range(samples)
         ]
 
+    modulus = math.lcm(*(point.modulus for point in points))
     res_a = xi % base**a
-    entries_a, rho_a = _classes(weights, base, a).get(res_a, ([], 0))
-    coarse = _class_factor(system, entries_a)
+    class_a = _classes(weights, base, a, modulus).get(res_a, _EMPTY)
+    coarse = (_class_factor(system, class_a), class_a.rho_sq)
     refining = [
-        (_class_factor(system, part), rho_sq)
-        for res, (part, rho_sq) in _classes(weights, base, b).items()
+        (_class_factor(system, cls), cls.rho_sq)
+        for res, cls in _classes(weights, base, b, modulus).items()
         if res % base**a == res_a
     ]
-    factor = float(split_factor) ** (w * (b - a))
+
+    def term(factor, rho_sq, point):  # rho^2 * |f|^(2w) of one class
+        return float(rho_sq) * abs(_class_exp_sum(factor, rho_sq, point, weights.denom)) ** (2 * w)
+
+    scale = float(split_factor) ** (w * (b - a))
     worst = math.inf
     passed = True
     for point in points:
-        fa = _class_exp_sum(coarse, rho_a, point)
-        lhs = float(rho_a) * abs(fa) ** (2 * w)
-        rhs = 0.0
-        for part, rho_sq in refining:
-            fb = _class_exp_sum(part, rho_sq, point)
-            rhs += float(rho_sq) * abs(fb) ** (2 * w)
-        rhs *= factor
+        lhs = term(*coarse, point)
+        rhs = sum(term(*part, point) for part in refining) * scale
         if lhs > rhs * (1 + 1e-9):
             passed = False
         if lhs > 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -145,6 +145,8 @@ class WeightAssignment:
     dropped, and the total weight must be positive.  ``masses``, worked out
     once, maps x to its weight times ``denom``, the weights' common
     denominator D, as an int (exact mode), or to its float weight (D = 1).
+    ``rho0_sq`` is the one norm kept here; the congruence module sums the
+    masses by residue for its class norms.
     """
 
     entries: tuple[tuple[int, object], ...]
@@ -186,15 +188,11 @@ class WeightAssignment:
     def unit(cls, members: Sequence[int]) -> "WeightAssignment":
         return cls.from_pairs([(x, 1) for x in members])
 
-    def norm_sq(self, support: Iterable[int]):
-        """Sum of the squared weights on ``support``: (sum m**2) / D**2, or a float."""
-        total = sum(self.masses[x] * self.masses[x] for x in support)
-        return Fraction(total, self.denom**2) if self.exact else total
-
     @property
     def rho0_sq(self):
-        """Sum of squared weights (the squared normalising norm)."""
-        return self.norm_sq(self.masses)
+        """The squared normalising norm, sum w**2: (sum m**2) / D**2, or a float."""
+        total = sum(m * m for m in self.masses.values())
+        return Fraction(total, self.denom**2) if self.exact else total
 
 
 @dataclass(frozen=True)

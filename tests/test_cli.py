@@ -310,6 +310,33 @@ def test_congruence_k_output(tmp_path):
     assert cells[5] == "NA"  # k = 1 has no normalised form
 
 
+def test_congruence_lambda_priced_on_residues(tmp_path):
+    # Y = 19683 members, but U^B's factor holds at most p^B distinct residues; priced
+    # per member, B = 2 would need 307,566,558 candidates and 12.3 GB, and be refused
+    config = D5 + "task=lambda\ns=3\nk=2\nB=2,3\nX=1953125\n"
+    code, out = run_cli(tmp_path, "congruence", config)
+    assert code == 0
+    lines = (out / "congruence_lambda.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    # U_B and U_BH of the per-member kernel with the budget lifted
+    want = {"2": (70897949487, 59275334817), "3": (4924155159, 2195382771)}
+    for row in rows:
+        assert (float(row[5]), float(row[6])) == want[row[0]]
+
+
+def test_congruence_k_priced_on_residues(tmp_path):
+    # each level-1 class holds 81 members but 3 residues mod 25; priced per member, the
+    # first class table would need 6642 candidates, and be refused at 1000
+    config = D5 + "task=K\ns=3\nk=2\nB=2\nX=3125\nt=2\na=1\nb=1\nr=1\nnu=1\n"
+    code, out = run_cli(tmp_path, "congruence", config, extra=["--budget-tuples", "1000"])
+    assert code == 0
+    budgeted = (out / "congruence_k.csv").read_bytes()
+    code, out = run_cli(tmp_path, "congruence", config, name="free")
+    assert code == 0
+    assert budgeted == (out / "congruence_k.csv").read_bytes()
+    assert budgeted.decode().splitlines()[2] == "1,1,1,1,27702.0,0.24836601307189543,0"
+
+
 def test_lift_decompose_output(tmp_path):
     config = "task=decompose\ndigitset=p=3;digits=0,1\nt=2\nd=2\nX=9\n"
     code, out = run_cli(tmp_path, "lift", config)
