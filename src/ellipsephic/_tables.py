@@ -126,9 +126,14 @@ def check_pairs(n_tuples: int, max_tuples: int) -> None:
 def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) -> Plan:
     """Price the table over factors of these shapes, a repeated factor passed as
     the same object.  After i factors it has at most min(W_i, M_i) keys: W_i is
-    their key range (modulus**k under a modulus; a cap, applied last by the
-    sparse backend, does not shrink it), M_i the product over each factor used c
-    times of C(n + c - 1, c).  A sparse step costs #keys * #entries candidates
+    their key range, the product over the components of the sums of the
+    factors' extents plus 1 (a cap, applied last by the sparse backend, does
+    not shrink it), M_i the product over each factor used c times of
+    C(n + c - 1, c).  A factor's extent is hi - lo, or under a modulus its
+    largest residue: hi when 0 <= lo <= hi < modulus, else modulus - 1, with
+    W_i's terms at most the modulus.  A component's packing width is then
+    min(sum of extents, modulus - 1 + largest extent) + 1: a reduced table
+    component plus a factor's.  A sparse step costs #keys * #entries candidates
     (two keys, two masses and an index each), a dense step the cheaper
     ``_dense_step`` price at that key bound over _ADDS_PER_CANDIDATE.  Raises
     BudgetError at the first step whose running work or bytes exceed the budget.
@@ -138,12 +143,19 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     is_float = isinstance(mass_bound, float)
     mass_dtype = np.float64 if is_float else np.int64 if mass_bound < _INT64_LIMIT else object
     mass_item = _OBJECT_ITEM_BYTES if mass_dtype is object else 8
-    spans, key_ranges = [0] * k, []  # W_i after each factor
+    spans, largest, key_ranges = [0] * k, [0] * k, []  # W_i after each factor
     for sh in shapes:
-        spans = [w + hi - lo for w, (lo, hi) in zip(spans, sh.ranges)]
-        key_ranges.append(math.prod([w + 1 for w in spans]) if modulus is None else modulus**k)
-    # packing widths: under a modulus two residues add without carry
-    widths = [w + 1 for w in spans] if modulus is None else [2 * modulus - 1] * k
+        if modulus is None:
+            spans = [w + hi - lo for w, (lo, hi) in zip(spans, sh.ranges)]
+            key_ranges.append(math.prod([w + 1 for w in spans]))
+        else:  # each component's largest residue
+            ext = [hi if 0 <= lo <= hi < modulus else modulus - 1 for lo, hi in sh.ranges]
+            spans = [w + e for w, e in zip(spans, ext)]
+            largest = list(map(max, largest, ext))
+            key_ranges.append(math.prod([min(w + 1, modulus) for w in spans]))
+    # packing widths: under a modulus, a reduced table component plus a factor's
+    widths = ([w + 1 for w in spans] if modulus is None
+              else [min(w, modulus - 1 + most) + 1 for w, most in zip(spans, largest)])
     key_dtype = np.int64 if math.prod(widths) < _INT64_LIMIT else object
     step_bytes = 2 * ((_OBJECT_ITEM_BYTES if key_dtype is object else 8) + mass_item) + 8
     top = sum([sh.ranges[0][1] for sh in shapes])
@@ -383,10 +395,12 @@ def _step(keys, masses, f_keys, f_masses, packing: _Packing):
 def _merge(cand: np.ndarray, cand_mass: np.ndarray, packing: _Packing):
     """Reduce the candidates' components mod the modulus, if any, then sum the
     masses of equal keys by a sort and np.add.reduceat: the distinct keys,
-    increasing, and their masses.  The inputs are reordered in place."""
-    if packing.modulus is not None:
-        for stride in packing.strides:
-            cand[cand // stride % packing.widths[0] >= packing.modulus] -= packing.modulus * stride
+    increasing, and their masses.  Only a component wider than the modulus
+    can reach it.  The inputs are reordered in place."""
+    modulus = packing.modulus
+    for stride, width in zip(packing.strides, packing.widths):
+        if modulus is not None and width > modulus:
+            cand[cand // stride % width >= modulus] -= modulus * stride
     order = np.argsort(cand, kind="stable")
     cand[:] = cand[order]  # in place: a caller's reference holds no second copy
     cand_mass[:] = cand_mass[order]

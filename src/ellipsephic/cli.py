@@ -292,6 +292,13 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
         _write_columns(out / "histogram.csv", header, "key_hex,multiplicity", fmt, columns)
 
 
+def _class_shape(p: int, k: int, b_level: int, level: int, y: int) -> Shape:
+    """A level-``level`` class factor of Y members under the modulus p^B: its
+    members fall on at most min(Y, p^(max(B, level) - level)) residues."""
+    q = p**b_level
+    return Shape(min(y, p ** (max(b_level, level) - level)), ((0, q - 1),) * k, y)
+
+
 def _run_congruence(cfg, out: Path, header: str, budget) -> None:
     task = cfg.get("task")
     ds = _digit_set(cfg)
@@ -303,15 +310,16 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
         if min(levels) < 1:
             raise ValidationError(f"config key B needs levels >= 1, got {levels}")
         bounds = [_get_int(cfg, "X", ds.base**b_level) for b_level in levels]
-        # U^B's one class has at most min(Y, p^B) residues; levels priced first, most members first
+        # U^B's one class is at level 0; levels priced first, most members first
         counts = [dg.count_members(ds, bound) for bound in bounds]
         for y, bound, b_level in sorted(zip(counts, bounds, levels), reverse=True):
-            q = ds.base**b_level
-            price([Shape(min(y, q), ((0, q - 1),) * k, y)] * s, modulus=q, budget=budget)
-        rows = []
+            shape = _class_shape(ds.base, k, b_level, 0, y)
+            price([shape] * s, modulus=ds.base**b_level, budget=budget)
+        rows, weights = [], {}  # one assignment per distinct X
         for b_level, bound, y in zip(levels, bounds, counts):
-            weights = cg.WeightAssignment.unit(list(dg.counted_members(ds, bound, y)))
-            spec = cg.MeanValueSpec(system, weights, s, b_level, 0)
+            if bound not in weights:
+                weights[bound] = cg.WeightAssignment.unit(dg.counted_members(ds, bound, y))
+            spec = cg.MeanValueSpec(system, weights[bound], s, b_level, 0)
             rr = cg.restriction_ratio(spec, ds, budget=budget)
             for ratio, normalizer in (
                 (rr.ratio, "q^H"),
@@ -327,19 +335,26 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
         )
         return
     if task == "K":
-        b_level = _get_int(cfg, "B")
+        b_level = _get_int(cfg, "B", least=1)
         t = _get_int(cfg, "t")
-        a = _get_int(cfg, "a")
-        b = _get_int(cfg, "b")
+        a = _get_int(cfg, "a", least=0)
+        b = _get_int(cfg, "b", least=0)
         r = _get_int(cfg, "r")
         nu = _get_int(cfg, "nu")
         deltas = _get_int_list(cfg, "delta") if "delta" in cfg else [0]
         bound = _get_int(cfg, "X", ds.base**b_level)
-        members = list(dg.counted_members(ds, bound, dg.count_members(ds, bound)))
-        weights = cg.WeightAssignment.unit(members)
+        big_r = cg._two_class_r(s, k, t, r, nu)
+        level = -(-b_level // k)
+        # K's table: R factors of a level-a class, s - R of a level-b one; U^{B,H}'s: s of level H
+        y = dg.count_members(ds, bound)
+        q = ds.base**b_level
+        shape_a, shape_b, shape_h = (_class_shape(ds.base, k, b_level, ell, y)
+                                     for ell in (a, b, level))
+        price([shape_a] * big_r + [shape_b] * (s - big_r), modulus=q, budget=budget)
+        price([shape_h] * s, modulus=q, budget=budget)
+        weights = cg.WeightAssignment.unit(dg.counted_members(ds, bound, y))
         spec = cg.MeanValueSpec(system, weights, s, b_level, 0)
         k_value = cg.two_class_mean_value(spec, t, r, a, b, nu, budget=budget)
-        level = -(-b_level // k)
         spec_h = cg.MeanValueSpec(system, weights, s, b_level, level)
         u_bh = cg.congruence_mean_value(spec_h, budget=budget)
         n_classes = len(cg.class_norms(weights, ds.base, level).table)

@@ -227,7 +227,7 @@ def _grid_class_power_mean(factor, rho_sq, modulus: int, power: int, denom: int)
     return abs2**power / float(rho_sq) ** power
 
 
-def _block(spec: MeanValueSpec, cls: _Class, n: int, mode: str, budget: Budget):
+def _block(spec: MeanValueSpec, cls: _Class, n: int, mode: str):
     """The factor |f_class(alpha)|**(2n) of one class, from its ``_class_factor``.
 
     "grid" gives its values over the grid u/modulus, one DFT of its residue
@@ -290,7 +290,7 @@ def _fixed_classes_mean(spec: MeanValueSpec, picks, mode: str, budget: Budget):
     ]
     if None in found:
         return Fraction(0) if spec.weights.exact else 0.0
-    blocks = [_block(spec, cls, n, mode, budget) for cls, (_, _, n) in zip(found, picks)]
+    blocks = [_block(spec, cls, n, mode) for cls, (_, _, n) in zip(found, picks)]
     return _block_mean(blocks, spec.modulus, mode, budget)
 
 
@@ -322,7 +322,7 @@ def _class_average(
             if res not in built[i]:
                 if i == 0:
                     built[0].clear()
-                built[i][res] = _block(spec, table[res], n, mode, budget)
+                built[i][res] = _block(spec, table[res], n, mode)
             parts.append(built[i][res])
         rho_prod = math.prod(table[res].rho_sq for table, res in zip(tables, residues))
         total = total + rho_prod * _block_mean(parts, spec.modulus, mode, budget)
@@ -369,7 +369,18 @@ def two_class_mean_value(
     """
     _check_mode(mode)
     s = spec.s
-    if not 0 <= r <= spec.system.k:
+    big_r = _two_class_r(s, spec.system.k, t, r, nu)
+    if (xi is None) != (eta is None):
+        raise ValidationError("give both xi and eta or neither")
+    if xi is None:
+        return _class_average(spec, [(a, big_r), (b, s - big_r)], mode, budget, nu)
+    return _fixed_classes_mean(spec, [(a, xi, big_r), (b, eta, s - big_r)], mode, budget)
+
+
+def _two_class_r(s: int, k: int, t: int, r: int, nu: int) -> int:
+    """R = t*r*(r+1)/2, the size of the level-a block, once the two-class
+    parameters are checked; the CLI checks them before it prices."""
+    if not 0 <= r <= k:
         raise ValidationError(f"need 0 <= r <= k, got r={r}")
     if t < 2:
         raise ValidationError("t must be >= 2")
@@ -378,11 +389,7 @@ def two_class_mean_value(
     big_r = t * r * (r + 1) // 2
     if big_r > s:
         raise ValidationError(f"R = t*r(r+1)/2 = {big_r} exceeds s = {s}")
-    if (xi is None) != (eta is None):
-        raise ValidationError("give both xi and eta or neither")
-    if xi is None:
-        return _class_average(spec, [(a, big_r), (b, s - big_r)], mode, budget, nu)
-    return _fixed_classes_mean(spec, [(a, xi, big_r), (b, eta, s - big_r)], mode, budget)
+    return big_r
 
 
 def normalized_two_class(k_value, delta: float, r: int, k: int, u_bh, q_h: int) -> float:

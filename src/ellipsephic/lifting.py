@@ -13,7 +13,6 @@ the sum of squares of one power-sum table, without listing a pair.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence

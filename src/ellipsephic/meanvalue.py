@@ -19,9 +19,9 @@ process; the library has no worker pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -135,6 +135,17 @@ class SpacedSystem:
         )
 
 
+def _check_support(xs: list[int]) -> None:
+    """Refuse a sorted support that is empty or has a value below 1 or a repeat."""
+    if not xs:
+        raise ValidationError("total weight must be positive")
+    if xs[0] < 1:
+        raise ValidationError(f"support values must be >= 1, got {xs[0]}")
+    for x, nxt in zip(xs, xs[1:]):
+        if x == nxt:
+            raise ValidationError(f"repeated support value {x}")
+
+
 @dataclass(frozen=True)
 class WeightAssignment:
     """Finitely supported weights in [0, 1] on positive integers, the one
@@ -142,51 +153,49 @@ class WeightAssignment:
 
     Integer and Fraction inputs run in exact rational mode; any float input
     switches the whole assignment to float mode.  Zero-weight entries are
-    dropped, and the total weight must be positive.  ``masses``, worked out
-    once, maps x to its weight times ``denom``, the weights' common
-    denominator D, as an int (exact mode), or to its float weight (D = 1).
-    ``rho0_sq`` is the one norm kept here; the congruence module sums the
-    masses by residue for its class norms.
+    dropped, and the total weight must be positive.  ``masses``, the only
+    stored form of the weights, maps each x, in increasing order, to its
+    weight times ``denom``, the weights' common denominator D, as an int
+    (exact mode), or to its float weight (D = 1).
     """
 
-    entries: tuple[tuple[int, object], ...]
+    masses: dict
+    denom: int
     exact: bool
-    denom: int = field(init=False, repr=False, compare=False)
-    masses: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.exact:
-            denom = math.lcm(*(w.denominator for _, w in self.entries))
-            masses = {x: w.numerator * (denom // w.denominator) for x, w in self.entries}
-        else:
-            denom, masses = 1, dict(self.entries)
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "masses", masses)
 
     @classmethod
     def from_pairs(cls, pairs) -> "WeightAssignment":
-        items = [(int(x), w) for x, w in (pairs.items() if isinstance(pairs, Mapping) else pairs)]
+        pairs = pairs.items() if isinstance(pairs, Mapping) else pairs
+        items = sorted((int(x), w) for x, w in pairs)
+        _check_support([x for x, _ in items])
         exact = all(isinstance(w, (int, Fraction)) for _, w in items)
-        seen = set()
-        entries = []
-        for x, w in sorted(items):
-            if x < 1:
-                raise ValidationError(f"support values must be >= 1, got {x}")
-            if x in seen:
-                raise ValidationError(f"repeated support value {x}")
-            seen.add(x)
-            wv = Fraction(w) if exact else float(w)
+        kept = {}
+        for x, w in items:
+            wv = w if exact else float(w)
             if not 0 <= wv <= 1:
                 raise ValidationError(f"weight for {x} outside [0, 1]: {w}")
             if wv != 0:
-                entries.append((x, wv))
-        if not entries:
+                kept[x] = wv
+        if not kept:
             raise ValidationError("total weight must be positive")
-        return cls(tuple(entries), exact)
+        denom = math.lcm(*(w.denominator for w in kept.values())) if exact else 1  # an int's is 1
+        if exact:
+            kept = {x: w.numerator * (denom // w.denominator) for x, w in kept.items()}
+        return cls(kept, denom, exact)
 
     @classmethod
-    def unit(cls, members: Sequence[int]) -> "WeightAssignment":
-        return cls.from_pairs([(x, 1) for x in members])
+    def unit(cls, members: Iterable[int]) -> "WeightAssignment":
+        """Weight 1 on each member: mass 1 over D = 1, checked as from_pairs checks."""
+        xs = sorted(map(int, members))
+        _check_support(xs)
+        return cls(dict.fromkeys(xs, 1), 1, True)
+
+    @property
+    def entries(self) -> tuple[tuple[int, object], ...]:
+        """(x, weight) in increasing x, built from ``masses``: m / D as a Fraction, or a float."""
+        if self.exact:
+            return tuple((x, Fraction(m, self.denom)) for x, m in self.masses.items())
+        return tuple(self.masses.items())
 
     @property
     def rho0_sq(self):

@@ -222,6 +222,14 @@ def test_timing_fills_only_seconds(tmp_path, config):
         ("count", "digitset=p=5;digits=0,4\ns=2\nk=0\nX=125\n"),
         ("lift", D5 + "task=decompose\nt=2\nd=0\nX=3125\n"),
         ("congruence", D5 + "task=lambda\ns=2\nk=2\nB=2,0\n"),
+        *(("congruence", D5 + "task=K\ns=2\nk=2\nX=125\n" + params) for params in (
+            "t=1\nB=2\na=1\nb=1\nr=1\nnu=1\n",
+            "t=2\nB=2\na=1\nb=1\nr=3\nnu=1\n",  # r > k
+            "t=2\nB=2\na=1\nb=1\nr=1\nnu=-1\n",
+            "t=3\nB=2\na=1\nb=1\nr=1\nnu=1\n",  # R = 3 > s
+            "t=2\nB=2\na=-1\nb=1\nr=1\nnu=1\n",
+            "t=2\nB=0\na=1\nb=1\nr=1\nnu=1\n",
+        )),
     ],
     ids=[
         "count-histogram-several-X",
@@ -231,9 +239,19 @@ def test_timing_fills_only_seconds(tmp_path, config):
         "count-k0",
         "lift-decompose-d0",
         "congruence-lambda-B0",
+        "congruence-K-t1",
+        "congruence-K-r-over-k",
+        "congruence-K-nu-negative",
+        "congruence-K-R-over-s",
+        "congruence-K-a-negative",
+        "congruence-K-B0",
     ],
 )
-def test_validation_error_leaves_no_output(tmp_path, capsys, subcommand, config):
+def test_validation_error_leaves_no_output(tmp_path, capsys, monkeypatch, subcommand, config):
+    def unpriced(*args, **kwargs):
+        raise AssertionError("priced before the config was validated")
+
+    monkeypatch.setattr(cli, "price", unpriced)
     code, out = run_cli(tmp_path, subcommand, config)
     assert code == 2
     assert capsys.readouterr().err.startswith("error kind=validation")
@@ -337,6 +355,23 @@ def test_congruence_k_priced_on_residues(tmp_path):
     assert budgeted.decode().splitlines()[2] == "1,1,1,1,27702.0,0.24836601307189543,0"
 
 
+def test_congruence_lambda_weighs_each_x_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.cg.WeightAssignment.unit
+
+    def counting(members):
+        calls.append(1)
+        return real(members)
+
+    monkeypatch.setattr(cli.cg.WeightAssignment, "unit", counting)
+    config = D5 + "task=lambda\ns=2\nk=2\nB=2,3,4\nX=3125\n"
+    code, out = run_cli(tmp_path, "congruence", config)
+    assert code == 0
+    assert len(calls) == 1
+    rows = (out / "congruence_lambda.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["2", "2", "3", "3", "4", "4"]
+
+
 def test_lift_decompose_output(tmp_path):
     config = "task=decompose\ndigitset=p=3;digits=0,1\nt=2\nd=2\nX=9\n"
     code, out = run_cli(tmp_path, "lift", config)
@@ -371,6 +406,8 @@ def test_lift_decompose_refuses_before_weights(tmp_path, capsys, monkeypatch):
         ("lift", f"task=chain\nt=2\nc=1\nB=3\npsi=0,0,1\nX={5**14}\n", []),
         # level 2 alone is admitted; level 10 (X = 5^10) is refused before it
         ("congruence", "task=lambda\ns=3\nk=2\nB=2,10\n", []),
+        # a level-1 class mod 5^10 holds up to min(Y, 5^9) = 59049 residues
+        ("congruence", "task=K\ns=3\nk=2\nB=10\nt=2\na=1\nb=1\nr=1\nnu=1\n", []),
         ("enumerate", "X=125\n", ["--budget-tuples", "10"]),
     ],
     ids=[
@@ -380,6 +417,7 @@ def test_lift_decompose_refuses_before_weights(tmp_path, capsys, monkeypatch):
         "lift-decompose",
         "lift-chain",
         "congruence-lambda",
+        "congruence-K",
         "enumerate",
     ],
 )

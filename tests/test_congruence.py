@@ -70,6 +70,49 @@ def test_weight_modes():
     assert not mixed.exact
 
 
+@pytest.mark.parametrize("members, message", [
+    ([3, 0, 5], "support values must be >= 1, got 0"),
+    ([4, 2, 4], "repeated support value 4"),
+    ([], "total weight must be positive"),
+])
+def test_unit_weight_validation(members, message):
+    with pytest.raises(ValidationError, match=message):
+        WeightAssignment.unit(members)
+    with pytest.raises(ValidationError, match=message):
+        WeightAssignment.from_pairs([(x, 1) for x in members])
+
+
+def test_unit_weights_build_no_fraction(monkeypatch):
+    from ellipsephic import meanvalue
+
+    class Unbuilt(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("unit weights built a Fraction")
+
+    monkeypatch.setattr(meanvalue, "Fraction", Unbuilt)
+    weights = WeightAssignment.unit(reversed(E9))
+    assert weights == WeightAssignment(dict.fromkeys(E9, 1), 1, True)
+    assert list(weights.masses) == E9  # increasing x
+
+
+@pytest.mark.parametrize("pairs", [
+    {1: 1, 3: 1, 4: 0, 9: 1},
+    {1: Fraction(1, 2), 3: 1, 4: Fraction(2, 3), 10: Fraction(5, 12)},
+    {1: 0.5, 3: Fraction(1, 3), 4: 1, 12: 0.125},
+    # odd denominators near 2**300: D passes 2**600
+    {x: Fraction((1 << 300) // (x + 2), (1 << 300) + 2 * x + 1) for x in (1, 2, 4, 5, 7)},
+], ids=["int", "fraction", "float", "huge-D"])
+def test_entries_rebuild_the_masses(pairs):
+    weights = WeightAssignment.from_pairs(pairs)
+    again = WeightAssignment.from_pairs(weights.entries)
+    assert (again.masses, again.denom, again.exact) == (weights.masses, weights.denom, weights.exact)
+    assert again == weights
+    assert [x for x, _ in weights.entries] == sorted(x for x, w in pairs.items() if w)
+    if weights.exact:
+        assert dict(weights.entries) == {x: w for x, w in pairs.items() if w}
+        assert weights.denom == math.lcm(*(Fraction(w).denominator for w in pairs.values()))
+
+
 def test_partition_identity_random_weights():
     rng = random.Random(20240917)
     for base, digits in ((3, (0, 1)), (5, (0, 1, 4))):

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -374,6 +375,31 @@ def test_lifting_chain_golden(monkeypatch):
     assert all(st.verified for st in chain.steps)
     assert chain.steps[0].pairs_checked == 208
     assert chain_rows(chain) == pair_list_chain(system, 2, members, 3)
+
+
+def test_lifting_chain_packs_slot_columns_from_the_data(monkeypatch):
+    """p = 3, t = 3, B = 9: the slot columns take at most the 63 members'
+    residues, so packed keys fit int64 at every step (width 2 * 3**9 - 1 per
+    column would need object arrays)."""
+    from ellipsephic import _tables
+
+    plans = []
+    real = _tables.price
+
+    def recording(*args, **kwargs):
+        plans.append(real(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(_tables, "price", recording)
+    system = SpacedSystem.perturbed(3, 1, [[0, 0, 1]])  # phi(z) = z + 3 z^2
+    members = list(iter_members(DS3, 728))
+    chain = lifting_chain(system, 3, members, 9)
+    assert [step.pairs_checked for step in chain.steps] == [
+        5431503, 2198259, 1011105, 568191, 367707, 298497, 250047, 250047, 250047
+    ]
+    assert all(step.verified for step in chain.steps)
+    assert len(plans) == 9
+    assert all(plan.key_dtype is np.int64 for plan in plans)
 
 
 def test_lifting_chain_c_at_least_b():

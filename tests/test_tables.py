@@ -147,6 +147,35 @@ def test_repeated_factor_is_reduced_and_packed_once(monkeypatch):
             assert shared.masses.dtype == apart.masses.dtype
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_modular_keys_match_reduced_convolution(data):
+    """Under a modulus each component is packed at its own width: one whose
+    residues never reach the modulus is not reduced, a wider one wraps."""
+    modulus = data.draw(st.sampled_from([7, 25, 27]))
+    k = data.draw(st.integers(1, 3))
+    spans = st.sampled_from([(0, 0), (0, 3), (0, modulus - 1), (-50, 200)])
+    distinct = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        n = data.draw(st.integers(1, 6))
+        cols = [data.draw(st.lists(st.integers(*data.draw(spans)), min_size=n, max_size=n))
+                for _ in range(k)]
+        distinct.append((cols, draw_weights(data, data.draw(st.sampled_from(["unit", "int"])), n)))
+    factors = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=4))
+    want = {(0,) * k: 1}
+    for cols, weights in factors:
+        nxt = {}
+        for key, m in want.items():
+            for entry, w in zip(zip(*cols), weights or [1] * len(cols[0])):
+                total = tuple((a + b) % modulus for a, b in zip(key, entry))
+                nxt[total] = nxt.get(total, 0) + m * w
+        want = nxt
+    table = power_sum_table(factors, modulus=modulus, budget=BUDGET)
+    assert dict(zip(map(tuple, table.keys.tolist()), table.masses.tolist())) == want
+    squares = _tables.power_sum_squares(factors, modulus=modulus, budget=BUDGET)
+    assert squares == sum(m * m for m in want.values())
+
+
 # --- pricing: predicted work and bytes bound the kernel's own ---------------
 
 UNBOUNDED = Budget(max_tuples=1 << 200, max_table_bytes=1 << 200)
