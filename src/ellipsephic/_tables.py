@@ -8,12 +8,13 @@ repeated ordered convolution, one factor at a time, starting from the table
 
 ``price``, the one budget rule for tables, predicts a table's backend, work
 and peak bytes from one ``Shape`` per factor before anything is allocated;
-``power_sum_table``, ``power_sum_squares`` and the callers that refuse before
-enumerating call it.
+``power_sum_table``, ``power_sum_dense``, ``power_sum_squares`` and the
+callers that refuse before enumerating call it.
 
 * dense -- one key component, no modulus, all keys >= 0, and the array fits
   the byte budget: a 1-D array indexed by key value, each factor folded in by
-  a shift or a scatter step, whichever ``_dense_step`` prices lower.
+  a shift or a scatter step, whichever ``_dense_step`` prices lower;
+  ``power_sum_dense`` returns that array itself.
 * sparse -- otherwise: each key tuple is packed into one integer in mixed
   radix, every pairwise sum of table and factor entries (a *candidate*) is
   formed at once, and equal keys are merged by a sort and ``np.add.reduceat``.
@@ -216,6 +217,30 @@ def power_sum_table(
     if cap is None and plan.mass_dtype is not np.float64:
         _check_mass(int(masses.sum()), masses_in)
     return Table(keys, masses, plan.mass_bound)
+
+
+def power_sum_dense(
+    factors: Sequence[tuple[Sequence[Sequence[int]], Sequence | None]],
+    *,
+    cap: int,
+    budget: Budget,
+) -> np.ndarray:
+    """``power_sum_table`` of keys of one component >= 0 as the dense backend's
+    own array of length cap + 1, index v holding m(v), with no keys built.
+
+    Priced as ``power_sum_table`` is, with the same mass dtype.  Refused when
+    ``price`` finds no dense array within the byte budget (a sparse table of
+    such keys would need more bytes per candidate than the array per key),
+    or when the cap + 1 entries returned would not fit it.
+    """
+    factors, masses_in, _, plan = _prepare(factors, None, cap, budget)
+    item = _OBJECT_ITEM_BYTES if plan.mass_dtype is object else 8
+    if plan.length is None or (cap + 1) * item > budget.max_table_bytes:
+        raise BudgetError(f"no dense table of keys up to {cap} fits {budget.max_table_bytes} bytes")
+    dense = _dense([cols[0] for cols, _ in factors], masses_in, plan.length, plan.mass_dtype)
+    if len(dense) <= cap:  # every sum is below the cap
+        dense = np.concatenate((dense, np.zeros(cap + 1 - len(dense), dtype=dense.dtype)))
+    return dense
 
 
 def power_sum_squares(

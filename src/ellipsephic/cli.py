@@ -402,9 +402,13 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
         bound = _get_int(cfg, "X")
         system = mv.SpacedSystem.perturbed(ds.base, spacing, [psi])
         y = dg.count_members(ds, bound)
-        # a step's table: t distinct factors of y entries, t + 2 key columns mod p^B
+        # a step's table mod q = p^B: factor i keys phi and the check column by
+        # residues mod q, x mod a power of p below q in slot i of t, and 0 in the others
         q = ds.base**b_level
-        price([Shape(y, ((0, q - 1),) * (t + 2), y) for _ in range(t)], modulus=q, budget=budget)
+        wide, slot = (0, q - 1), (0, min(bound, q - 1))
+        shapes = [Shape(y, (wide, *[slot if n == i else (0, 0) for n in range(t)], wide), y)
+                  for i in range(t)]
+        price(shapes, modulus=q, budget=budget)
         members = list(dg.counted_members(ds, bound, y))
         chain = lf.lifting_chain(system, t, members, b_level, budget=budget)
         rows = [[st.j, st.c_j, st.verified] for st in chain.steps]

@@ -9,9 +9,11 @@ restriction-ratio diagnostic.
 Every mean value is built from per-class blocks, one per residue class and
 power, each built once per call from the class's residues (``_classes``):
 their phi columns (the only phi evaluation here) and summed masses.  In grid
-mode a block is the class's values over the whole grid, one DFT of its weight
-histogram over (phi_j(x) mod p^B)_j; in count mode it is the class's factors
-of the exact power-sum table.
+mode a block is the class's values over half the grid, the u with u_k <=
+p^B // 2, whose mirror images -u cover the rest: a real DFT of each populated
+row of its weight histogram over (phi_j(x) mod p^B)_j, completed by a DFT over
+the first k - 1 axes.  In count mode it is the class's factors of the exact
+power-sum table.
 
 Exact arithmetic policy: counting paths hand the kernel integer masses
 (``WeightAssignment.masses``) and divide once per table; grid paths are
@@ -23,6 +25,7 @@ need square roots.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -208,33 +211,49 @@ def _class_exp_sum(factor, rho_sq, point: GridPoint, denom: int) -> complex:
 
 
 def _grid_class_power_mean(factor, rho_sq, modulus: int, power: int, denom: int) -> np.ndarray:
-    """|f_class(u/modulus)|**(2*power) at every u in (Z/modulus)^k, as a k-D array.
+    """|f_class(u/modulus)|**(2*power) over half the grid, as a k-D array of
+    shape (modulus,)**(k-1) x (modulus//2 + 1): the u with u_k <= modulus // 2.
 
     f_class sees a member x only through (phi_j(x) mod modulus)_j, read off
     the class's ``_class_factor``, so the weights (mass / D, a true division
     that stays finite for any D) are summed into a histogram over those
-    residues first, and the class's grid vector is one DFT of it:
-    the weights are real, so |fftn(histogram)[u]| = |f_class(u/modulus)|,
-    index 0 standing for u = modulus.  Every call returns the grid in the same
+    residues first.  Only its populated rows are held: one row over the last
+    residue per distinct tuple of the first k - 1.  Each row's real DFT
+    (``rfft``) is scattered into the half grid, and a DFT over the leading
+    k - 1 axes, in place, completes the transform.  The weights are real, so
+    |DFT[u]| = |f_class(u/modulus)| = |f_class(-u/modulus)|, index 0 standing
+    for u = modulus; u -> -u maps the rest of the grid onto the half held
+    (``_block_mean`` weighs it in).  Every call returns the grid in the same
     order.
     """
     cols, ms = factor
+    k = len(cols)
     residues = np.array([[c % modulus for c in col] for col in cols], dtype=np.int64)
-    hist = np.zeros((modulus,) * len(cols))
-    np.add.at(hist, tuple(residues), [m / denom for m in ms])
-    sums = np.fft.fftn(hist)
-    abs2 = sums.real**2 + sums.imag**2
-    return abs2**power / float(rho_sq) ** power
+    lead, row = np.unique(residues[:-1], axis=1, return_inverse=True)
+    hist = np.zeros((lead.shape[1], modulus))
+    np.add.at(hist, (row, residues[-1]), [m / denom for m in ms])
+    sums = np.zeros((modulus,) * (k - 1) + (modulus // 2 + 1,), dtype=complex)
+    sums[tuple(lead)] = np.fft.rfft(hist)
+    if k > 1:
+        np.fft.fftn(sums, axes=range(k - 1), out=sums)
+    re, im = sums.real, sums.imag  # in place: each fresh grid costs its page faults
+    np.square(re, out=re)
+    np.square(im, out=im)
+    abs2 = re + im
+    abs2 **= power
+    abs2 /= float(rho_sq) ** power
+    return abs2
 
 
 def _block(spec: MeanValueSpec, cls: _Class, n: int, mode: str):
     """The factor |f_class(alpha)|**(2n) of one class, from its ``_class_factor``.
 
-    "grid" gives its values over the grid u/modulus, one DFT of its residue
-    histogram; "count" gives its n kernel factors, whose masses are the
-    weights times D, and its norm in the same units, (D**2 * rho_sq)**n; the
-    kernel prices their table in ``_block_mean``.  Grid mode is refused above
-    GRID_BUDGET points, before any phi value.  Callers check ``mode``.
+    "grid" gives its values over half the grid u/modulus
+    (``_grid_class_power_mean``); "count" gives its n kernel factors, whose
+    masses are the weights times D, and its norm in the same units,
+    (D**2 * rho_sq)**n; the kernel prices their table in ``_block_mean``.
+    Grid mode is refused above GRID_BUDGET points of the whole grid, before
+    any phi value.  Callers check ``mode``.
     """
     denom = spec.weights.denom
     if mode == "count":
@@ -249,15 +268,19 @@ def _block(spec: MeanValueSpec, cls: _Class, n: int, mode: str):
 def _block_mean(blocks: Sequence, modulus: int, mode: str, budget: Budget):
     """Grid average of prod_i |f_i(alpha)|**(2 n_i) over alpha = u/modulus.
 
-    ``blocks`` are ``_block`` results of one mode.  "grid" averages the
-    product of their grid vectors; "count" evaluates the equal congruence
+    ``blocks`` are ``_block`` results of one mode.  "grid" multiplies their
+    half grids: the product is unchanged by u -> -u, which fixes the plane
+    u_k = 0 and swaps u_k with modulus - u_k elsewhere, so it sums that plane
+    once and the rest twice.  The modulus is a power of an odd prime, so no
+    u_k equals -u_k except 0.  "count" evaluates the equal congruence
     count as the exact sum of squares of the table over all their factors,
     over D**(2 #factors), divided once by the norms, which carry that power.
     ``power_sum_squares`` folds the last factor in by residue classes of v_0
     modulo a power of p dividing the modulus, so the table is never held whole.
     """
     if mode == "grid":
-        return float(np.mean(math.prod(blocks)))
+        prod = functools.reduce(np.multiply, blocks)
+        return float(2 * prod.sum() - prod[..., 0].sum()) / modulus**prod.ndim
     factors = [factor for block_factors, _ in blocks for factor in block_factors]
     raw = power_sum_squares(factors, modulus=modulus, budget=budget)
     return raw / math.prod(norm for _, norm in blocks)

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._tables import Budget, power_sum_table
+from ._tables import Budget, power_sum_dense
 from .errors import BudgetError, InvariantError, ValidationError
 
 __all__ = [
@@ -323,9 +323,7 @@ def rep_profile(
             f"profile of horizon {horizon} needs ~{need} bytes > budget {max_bytes}"
         )
     factor = ([source.up_to(horizon)], None)
-    table = power_sum_table([factor] * t, cap=horizon, budget=Budget(max_table_bytes=max_bytes))
-    counts = np.zeros(horizon + 1, dtype=table.masses.dtype)
-    counts[table.keys[:, 0]] = table.masses
+    counts = power_sum_dense([factor] * t, cap=horizon, budget=Budget(max_table_bytes=max_bytes))
     counts.flags.writeable = False
     return RepProfile(source, t, horizon, counts)
 

@@ -291,6 +291,24 @@ def test_lift_chain_refused_by_the_tuple_proxy(tmp_path):
     assert (out / "lift_chain.csv").read_text().splitlines()[2:] == ["1,1,1", "2,2,1", "3,3,1"]
 
 
+def test_lift_chain_priced_per_factor(tmp_path, monkeypatch):
+    # slot i of factor i holds x mod a power of 3 below 3**9, at most X = 728, and
+    # the other slots 0; priced as five (0, 3**9 - 1) columns the keys were objects
+    plans, real = [], cli.price
+
+    def priced(*args, **kwargs):
+        plans.append(real(*args, **kwargs))
+        raise BudgetError("stop before enumerating")
+
+    monkeypatch.setattr(cli, "price", priced)
+    config = "task=chain\ndigitset=p=3;digits=0,1\nt=3\nc=1\nB=9\npsi=0,0,1\nX=728\n"
+    code, _ = run_cli(tmp_path, "lift", config)
+    assert code == 3
+    [plan] = plans
+    assert plan.key_dtype is np.int64
+    assert plan.widths == [2 * 3**9 - 1, 729, 729, 729, 2 * 3**9 - 1]
+
+
 def test_etstar_output(tmp_path):
     config = "source=explicit:0,1\nt=2\nN=100\n"
     code, out = run_cli(tmp_path, "etstar", config)

@@ -402,6 +402,74 @@ def test_grid_class_vector_freed_before_the_next(monkeypatch):
     assert grid == pytest.approx(float(congruence_mean_value(spec)), rel=1e-12)
 
 
+def grid_abs2(system, weights, modulus, level, residue):
+    """|f_level(u/modulus, residue)|**2 at every GridPoint of (Z/modulus)^k, in
+    one fixed order, each from restricted_exp_sum's per-member loop."""
+    return [
+        abs(restricted_exp_sum(system, weights, GridPoint(u, modulus), level, residue)) ** 2
+        for u in itertools.product(range(1, modulus + 1), repeat=system.k)
+    ]
+
+
+def rho_sq(weights, base, level, residue):
+    return sum(w * w for x, w in weights.entries if (x - residue) % base**level == 0)
+
+
+@pytest.mark.parametrize(
+    "base, digits, k, levels",
+    [(3, (0, 1), 1, (1, 2, 3)), (3, (0, 1), 2, (1, 2)), (3, (0, 1), 3, (1, 2)),
+     (7, (0, 1, 3), 1, (1, 2)), (7, (0, 1, 3), 2, (1, 2)), (7, (0, 1, 3), 3, (1,))],
+)
+def test_grid_mode_matches_a_mean_over_every_grid_point(base, digits, k, levels):
+    # rational weights on the members up to base**2 (8 in each digit set)
+    members = list(iter_members(DigitSet(base, digits), base**2))
+    weights = random_rational_weights(members, random.Random(base * 10 + k))
+    system = SpacedSystem.pure_powers(k, base)
+    residues = {h: sorted({x % base**h for x, _ in weights.entries}) for h in (0, 1)}
+    rho0_sq = rho_sq(weights, base, 0, 0)
+    for b_level in levels:
+        modulus = base**b_level
+        abs2 = {(h, xi): grid_abs2(system, weights, modulus, h, xi)
+                for h in (0, 1) for xi in residues[h]}
+
+        def mean(*blocks):  # grid mean of prod |f_h(., xi)|**(2n) over (h, xi, n)
+            return math.fsum(
+                math.prod(abs2[h, xi][i] ** n for h, xi, n in blocks) for i in range(modulus**k)
+            ) / modulus**k
+
+        for s in (1, 3):
+            for h in (0, 1):
+                spec = MeanValueSpec(system, weights, s, b_level, h)
+                want = sum(rho_sq(weights, base, h, xi) * mean((h, xi, s)) for xi in residues[h])
+                got = congruence_mean_value(spec, mode="grid")
+                assert got == pytest.approx(float(want / rho0_sq), rel=1e-12)
+        spec = MeanValueSpec(system, weights, 3, b_level, 0)
+        for r, nu in ((1, 1), (0, 0)):  # R = 2 pairs of class xi, then 0
+            big_r = r * (r + 1)
+            want = sum(
+                rho_sq(weights, base, 1, xi) * rho_sq(weights, base, 1, eta)
+                * mean((1, xi, big_r), (1, eta, 3 - big_r))
+                for xi in residues[1] for eta in residues[1]
+                if nu == 0 or (xi - eta) % base**nu
+            )
+            got = two_class_mean_value(spec, t=2, r=r, a=1, b=1, nu=nu, mode="grid")
+            assert got == pytest.approx(float(want / rho0_sq**2), rel=1e-12)
+        xi, eta = residues[1][0], residues[1][-1]
+        pair = two_class_mean_value(spec, t=2, r=1, a=1, b=1, xi=xi, eta=eta, mode="grid")
+        assert pair == pytest.approx(mean((1, xi, 2), (1, eta, 1)), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_grid_block_holds_half_the_grid(k):
+    # the last axis stops at modulus // 2; u -> -u maps the rest onto it
+    weights = WeightAssignment.unit(iter_members(DS5, 125))
+    system = SpacedSystem.pure_powers(k, 5)
+    cls = congruence._classes(weights, 5, 0, 125)[0]
+    factor = congruence._class_factor(system, cls)
+    block = congruence._grid_class_power_mean(factor, cls.rho_sq, 125, 1, 1)
+    assert block.shape == (125,) * (k - 1) + (63,)
+
+
 def test_unknown_mode_rejected():
     weights = WeightAssignment.unit(iter_members(DS5, 125))
     spec = MeanValueSpec(SpacedSystem.pure_powers(2, 5), weights, 2, 2, 0)

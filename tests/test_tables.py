@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsephic import BudgetError, ValidationError, _tables
-from ellipsephic._tables import Budget, power_sum_table
+from ellipsephic._tables import Budget, power_sum_dense, power_sum_table
 
 BUDGET = Budget(max_table_bytes=1 << 27)
 
@@ -80,6 +80,28 @@ def test_dense_table_matches_dict_convolution(data):
             assert math.isclose(got[v], m, rel_tol=1e-12)
     else:
         assert got == want
+
+
+def test_dense_array_is_the_table_up_to_the_cap():
+    squares = [x * x for x in range(12)]
+    big = [(1 << 62) - x for x in range(12)]
+    for factors, cap in (
+        ([(squares, None)] * 2, 100),  # cut at the cap
+        ([(squares, None)] * 3, 500),  # every sum below the cap: zero-padded
+        ([(squares, big)] * 2, 300),  # masses past int64 stay Python integers
+    ):
+        args = [([values], weights) for values, weights in factors]
+        dense = power_sum_dense(args, cap=cap, budget=BUDGET)
+        table = power_sum_table(args, cap=cap, budget=BUDGET)
+        assert len(dense) == cap + 1 and dense.dtype == table.masses.dtype
+        want = dict_convolution(factors, cap)
+        assert dense.tolist() == [want.get(v, 0) for v in range(cap + 1)]
+    # three sparse keys fit 1000 bytes, the array of 2001 does not
+    with pytest.raises(BudgetError, match="no dense table"):
+        power_sum_dense([([[0, 1000]], None)] * 2, cap=10**6, budget=Budget(max_table_bytes=1000))
+    # the sums stop at 2000, but the array returned has cap + 1 entries
+    with pytest.raises(BudgetError, match="no dense table"):
+        power_sum_dense([([[0, 1000]], None)] * 2, cap=10**6, budget=Budget(max_table_bytes=10**5))
 
 
 class _SearchsortedSpy:
