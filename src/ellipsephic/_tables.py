@@ -6,10 +6,12 @@ keys add up to v, with x_i running over the i-th factor.  It is built here by
 repeated ordered convolution, one factor at a time, starting from the table
 {0: 1} of the empty sum.
 
-``price``, the one budget rule for tables, predicts a table's backend, work
-and peak bytes from one ``Shape`` per factor before anything is allocated;
-``power_sum_table``, ``power_sum_dense``, ``power_sum_squares`` and the
-callers that refuse before enumerating call it.
+``price``, the one budget rule for tables, predicts a table's backend, work,
+peak bytes and key layout from one ``Shape`` per factor before anything is
+allocated; ``power_sum_table``, ``power_sum_dense``, ``power_sum_squares`` and
+the callers that refuse before enumerating call it.  ``_prepare`` then turns
+each distinct factor into the backend's input once, so [factor] * s is
+priced, reduced, packed and converted a single time.
 
 * dense -- one key component, no modulus, all keys >= 0, and the array fits
   the byte budget: a 1-D array indexed by key value, each factor folded in by
@@ -107,15 +109,33 @@ class Shape(NamedTuple):
 
 
 class Plan(NamedTuple):
-    """A priced table: dense length (None: sparse), packing widths, dtypes and costs."""
+    """A priced table: dense length (None: sparse), key layout, dtypes and costs.
+
+    The layout packs key tuples into one integer in mixed radix with these
+    ``widths`` and ``strides``: component 0 is the most significant digit, so
+    packed order is lexicographic order.  Each factor's keys are packed less
+    its per-component lows (0 under ``modulus``: residues are packed as they
+    are), so a sum of packed keys is the packed key of the sum less
+    ``offsets``, the sums of the factors' lows.
+    """
 
     length: int | None
     widths: list
+    strides: list
+    offsets: list
+    modulus: int | None
     key_dtype: object
     mass_dtype: object
     mass_bound: object
     work: int
     nbytes: int
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """Packed keys of the whole table as an (n, k) array of components."""
+        if any(abs(off) + w >= _INT64_LIMIT for w, off in zip(self.widths, self.offsets)):
+            keys = keys.astype(object)  # narrow packed range, components beyond int64
+        comps = [keys // st % w + off for st, w, off in zip(self.strides, self.widths, self.offsets)]
+        return np.stack(comps, axis=1)
 
 
 def check_pairs(n_tuples: int, max_tuples: int) -> None:
@@ -134,10 +154,11 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     largest residue: hi when 0 <= lo <= hi < modulus, else modulus - 1, with
     W_i's terms at most the modulus.  A component's packing width is then
     min(sum of extents, modulus - 1 + largest extent) + 1: a reduced table
-    component plus a factor's.  A sparse step costs #keys * #entries candidates
-    (two keys, two masses and an index each), a dense step the cheaper
-    ``_dense_step`` price at that key bound over _ADDS_PER_CANDIDATE.  Raises
-    BudgetError at the first step whose running work or bytes exceed the budget.
+    component plus a factor's; the plan carries the whole key layout.  A
+    sparse step costs #keys * #entries candidates (two keys, two masses and
+    an index each), a dense step the cheaper ``_dense_step`` price at that
+    key bound over _ADDS_PER_CANDIDATE.  Raises BudgetError at the first
+    step whose running work or bytes exceed the budget.
     """
     k = len(shapes[0].ranges)
     mass_bound = math.prod([sh.mass for sh in shapes])  # a float for float weights
@@ -157,6 +178,9 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     # packing widths: under a modulus, a reduced table component plus a factor's
     widths = ([w + 1 for w in spans] if modulus is None
               else [min(w, modulus - 1 + most) + 1 for w, most in zip(spans, largest)])
+    strides = [math.prod(widths[j + 1 :]) for j in range(k)]
+    offsets = [0 if modulus is not None else sum([sh.ranges[j][0] for sh in shapes])
+               for j in range(k)]
     key_dtype = np.int64 if math.prod(widths) < _INT64_LIMIT else object
     step_bytes = 2 * ((_OBJECT_ITEM_BYTES if key_dtype is object else 8) + mass_item) + 8
     top = sum([sh.ranges[0][1] for sh in shapes])
@@ -181,7 +205,8 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
         c = used[id(sh)] = used.get(id(sh), 0) + 1
         multisets = multisets * (sh.entries + c - 1) // c  # M_i
         keys = min(multisets, key_ranges[i])
-    return Plan(length, widths, key_dtype, mass_dtype, mass_bound, work, nbytes)
+    return Plan(length, widths, strides, offsets, modulus, key_dtype, mass_dtype, mass_bound,
+                work, nbytes)
 
 
 def power_sum_table(
@@ -202,20 +227,19 @@ def power_sum_table(
     cap the total mass must equal the product of the factor masses (checked
     in the exact dtypes, skipped for floats); a mismatch is an InvariantError.
     """
-    factors, masses_in, shapes, plan = _prepare(factors, modulus, cap, budget)
+    prepared, plan, mass = _prepare(factors, modulus, cap, budget)
     if plan.length is not None:
-        dense = _dense([cols[0] for cols, _ in factors], masses_in, plan.length, plan.mass_dtype)
+        dense = _dense(prepared, plan)
         nz = np.flatnonzero(dense)
         keys, masses = nz.reshape(-1, 1), dense[nz]
     else:
-        packing = _Packing.of(shapes, modulus, plan)
-        keys, masses = _sparse(factors, masses_in, packing, {})
-        keys = packing.unpack(keys)
+        keys, masses = _sparse(prepared, plan)
+        keys = plan.unpack(keys)
         if cap is not None:
             keep = (keys <= cap).all(axis=1)
             keys, masses = keys[keep], masses[keep]
     if cap is None and plan.mass_dtype is not np.float64:
-        _check_mass(int(masses.sum()), masses_in)
+        _check_mass(int(masses.sum()), mass)
     return Table(keys, masses, plan.mass_bound)
 
 
@@ -233,11 +257,11 @@ def power_sum_dense(
     such keys would need more bytes per candidate than the array per key),
     or when the cap + 1 entries returned would not fit it.
     """
-    factors, masses_in, _, plan = _prepare(factors, None, cap, budget)
+    prepared, plan, _ = _prepare(factors, None, cap, budget)
     item = _OBJECT_ITEM_BYTES if plan.mass_dtype is object else 8
     if plan.length is None or (cap + 1) * item > budget.max_table_bytes:
         raise BudgetError(f"no dense table of keys up to {cap} fits {budget.max_table_bytes} bytes")
-    dense = _dense([cols[0] for cols, _ in factors], masses_in, plan.length, plan.mass_dtype)
+    dense = _dense(prepared, plan)
     if len(dense) <= cap:  # every sum is below the cap
         dense = np.concatenate((dense, np.zeros(cap + 1 - len(dense), dtype=dense.dtype)))
     return dense
@@ -257,12 +281,11 @@ def power_sum_squares(
     cap per slice and checks the slices' total mass.  An int for unit and
     integer weights, else a float, summed slice by slice.
     """
-    factors, masses_in, shapes, plan = _prepare(factors, modulus, cap, budget)
+    prepared, plan, mass = _prepare(factors, modulus, cap, budget)
     if plan.length is not None:  # the zeros of the dense array add nothing
-        dense = _dense([cols[0] for cols, _ in factors], masses_in, plan.length, plan.mass_dtype)
-        slices = [dense]
+        slices = [_dense(prepared, plan)]
     else:
-        slices = _last_step(factors, masses_in, _Packing.of(shapes, modulus, plan), cap)
+        slices = _last_step(prepared, plan, cap)
     exact = plan.mass_dtype is not np.float64
     total, squares = 0, 0 if exact else 0.0
     for masses in slices:
@@ -270,27 +293,37 @@ def power_sum_squares(
             total += int(masses.sum())
         squares += _sum_squares(masses, plan.mass_bound)
     if cap is None and exact:
-        _check_mass(total, masses_in)
+        _check_mass(total, mass)
     return squares
 
 
 def _prepare(factors, modulus, cap, budget):
-    """Price the table, then reduce each distinct factor's keys mod modulus
-    once: the factors, their masses (1 for unit weights), shapes and plan."""
-    distinct = {id(f): f for f in factors}  # [factor] * s is priced and reduced once
-    by_id = {i: Shape.of(*f) for i, f in distinct.items()}
-    shapes = [by_id[id(f)] for f in factors]
-    plan = price(shapes, modulus=modulus, cap=cap, budget=budget)
-    if modulus is not None:
-        for i, (cols, ws) in distinct.items():
-            distinct[i] = ([[c % modulus for c in col] for col in cols], ws)
-        factors = [distinct[id(f)] for f in factors]
-    masses_in = [[1] * len(cols[0]) if ws is None else ws for cols, ws in factors]
-    return factors, masses_in, shapes, plan
+    """Price the table, then turn each distinct factor into (keys, masses)
+    once, masses 1 for unit weights: for a dense plan its one column and its
+    masses as lists, for a sparse one its keys reduced mod the modulus and
+    packed, and its masses as an array of the plan's mass dtype.  Returns
+    them in factor order, the plan and the product of the factors' total
+    masses."""
+    distinct = {id(f): f for f in factors}  # [factor] * s is prepared once
+    shapes = {i: Shape.of(*f) for i, f in distinct.items()}
+    plan = price([shapes[id(f)] for f in factors], modulus=modulus, cap=cap, budget=budget)
+    totals = {}
+    for i, (cols, ws) in distinct.items():
+        ms = [1] * len(cols[0]) if ws is None else ws
+        totals[i] = sum(ms)
+        if plan.length is not None:
+            distinct[i] = (cols[0], ms)
+            continue
+        if modulus is not None:
+            cols = [[c % modulus for c in col] for col in cols]
+        lo = [low if modulus is None else 0 for low, _ in shapes[i].ranges]
+        distinct[i] = (_pack(cols, lo, plan.strides, plan.key_dtype),
+                       np.array(ms, dtype=plan.mass_dtype))
+    mass = math.prod([totals[id(f)] for f in factors])
+    return [distinct[id(f)] for f in factors], plan, mass
 
 
-def _check_mass(total: int, masses_in) -> None:
-    expected = math.prod(sum(ms) for ms in masses_in)
+def _check_mass(total: int, expected: int) -> None:
     if total != expected:
         raise InvariantError(f"table mass {total} != product of factor masses {expected}")
 
@@ -309,8 +342,9 @@ def _dense_step(entries: int, cur_len: int, nnz: int, distinct: int) -> tuple[in
     return entries * (_SHIFT_CALL + cur_len), nnz * (_SCATTER_CALL + _SCATTER_ELEMENT * distinct)
 
 
-def _dense(values: list, masses_in: list, length: int, dtype) -> np.ndarray:
-    """Convolution into an array indexed by key value below length.
+def _dense(prepared: list, plan: Plan) -> np.ndarray:
+    """Convolution of the prepared (values, masses) lists into an array of
+    the plan's mass dtype, indexed by key value below its length.
 
     Each step takes the kind ``_dense_step`` prices lower: a *shift*, one
     shifted add of the current array per factor entry, or a *scatter*,
@@ -326,12 +360,12 @@ def _dense(values: list, masses_in: list, length: int, dtype) -> np.ndarray:
     operations alone, without the per-call terms, picks scatter for small
     dense tables and made such steps several times slower.
     """
-    cur = np.ones(1, dtype=dtype)
+    cur = np.ones(1, dtype=plan.mass_dtype)
     top = 0
-    for f_values, f_masses in zip(values, masses_in):
+    for f_values, f_masses in prepared:
         top += max(f_values, default=0)
-        nxt = np.zeros(min(length, top + 1), dtype=dtype)
-        uv, um = _distinct(f_values, f_masses, len(nxt), dtype)
+        nxt = np.zeros(min(plan.length, top + 1), dtype=plan.mass_dtype)
+        uv, um = _distinct(f_values, f_masses, len(nxt), plan.mass_dtype)
         shift, scatter = _dense_step(len(f_values), len(cur), np.count_nonzero(cur), len(uv))
         if scatter < shift:
             rows = np.flatnonzero(cur)
@@ -360,70 +394,29 @@ def _distinct(f_values, f_masses, size: int, dtype) -> tuple[np.ndarray, np.ndar
     return vals[first], np.add.reduceat(masses, first) if len(first) else masses
 
 
-class _Packing(NamedTuple):
-    """Mixed-radix packing of key tuples into one integer: component 0 is the
-    most significant digit, so packed order is lexicographic order.  Each
-    factor's keys are packed less its per-component lows ``lo`` (0 under a
-    modulus: residues are packed as they are), so a sum of packed keys is the
-    packed key of the sum less ``offsets``, the lows' sums."""
-
-    widths: list
-    strides: list
-    lo: list
-    offsets: list
-    modulus: int | None
-    key_dtype: object
-    mass_dtype: object
-
-    @classmethod
-    def of(cls, shapes, modulus, plan: Plan) -> "_Packing":
-        widths = plan.widths
-        lo = [[low if modulus is None else 0 for low, _ in sh.ranges] for sh in shapes]
-        offsets = [sum(col) for col in zip(*lo)]
-        strides = [math.prod(widths[j + 1 :]) for j in range(len(widths))]
-        return cls(widths, strides, lo, offsets, modulus, plan.key_dtype, plan.mass_dtype)
-
-    def unpack(self, keys: np.ndarray) -> np.ndarray:
-        """Packed keys of the whole table as an (n, k) array of components."""
-        if any(abs(off) + w >= _INT64_LIMIT for w, off in zip(self.widths, self.offsets)):
-            keys = keys.astype(object)  # narrow packed range, components beyond int64
-        comps = [keys // st % w + off for st, w, off in zip(self.strides, self.widths, self.offsets)]
-        return np.stack(comps, axis=1)
-
-
-def _sparse(factors, masses_in, packing: _Packing, packed: dict):
-    """Packed keys and masses of the table over ``factors``, the first
-    len(factors) of the packing's, by one ``_step`` per factor."""
-    keys = np.zeros(1, dtype=packing.key_dtype)
-    masses = np.ones(1, dtype=packing.mass_dtype)
-    for factor, f_masses, f_lo in zip(factors, masses_in, packing.lo):
-        f_keys = _packed(factor, f_lo, packing, packed)
-        f_masses = np.array(f_masses, dtype=packing.mass_dtype)
-        keys, masses = _step(keys, masses, f_keys, f_masses, packing)
+def _sparse(prepared: list, plan: Plan):
+    """Packed keys and masses of the table over the prepared (packed keys,
+    masses) factors, by one ``_step`` per factor."""
+    keys = np.zeros(1, dtype=plan.key_dtype)
+    masses = np.ones(1, dtype=plan.mass_dtype)
+    for f_keys, f_masses in prepared:
+        keys, masses = _step(keys, masses, f_keys, f_masses, plan)
     return keys, masses
 
 
-def _packed(factor, lo, packing: _Packing, packed: dict) -> np.ndarray:
-    """The factor's packed keys, cached in ``packed`` by identity: [factor] * s
-    is packed once."""
-    if id(factor) not in packed:
-        packed[id(factor)] = _pack(factor[0], lo, packing.strides, packing.key_dtype)
-    return packed[id(factor)]
-
-
-def _step(keys, masses, f_keys, f_masses, packing: _Packing):
+def _step(keys, masses, f_keys, f_masses, plan: Plan):
     """The table folded with one factor: every candidate at once, one merge."""
     return _merge((keys[:, None] + f_keys[None, :]).ravel(),
-                  np.outer(masses, f_masses).ravel(), packing)
+                  np.outer(masses, f_masses).ravel(), plan)
 
 
-def _merge(cand: np.ndarray, cand_mass: np.ndarray, packing: _Packing):
+def _merge(cand: np.ndarray, cand_mass: np.ndarray, plan: Plan):
     """Reduce the candidates' components mod the modulus, if any, then sum the
     masses of equal keys by a sort and np.add.reduceat: the distinct keys,
     increasing, and their masses.  Only a component wider than the modulus
     can reach it.  The inputs are reordered in place."""
-    modulus = packing.modulus
-    for stride, width in zip(packing.strides, packing.widths):
+    modulus = plan.modulus
+    for stride, width in zip(plan.strides, plan.widths):
         if modulus is not None and width > modulus:
             cand[cand // stride % width >= modulus] -= modulus * stride
     order = np.argsort(cand, kind="stable")
@@ -451,11 +444,11 @@ class _Groups(NamedTuple):
     starts: np.ndarray
 
     @classmethod
-    def of(cls, packed: np.ndarray, packing: _Packing, q: int) -> "_Groups":
+    def of(cls, packed: np.ndarray, plan: Plan, q: int) -> "_Groups":
         if q == 1:  # one group, in entry order
             zero = np.zeros(1, dtype=np.int64)
             return cls(slice(None), zero, np.array([len(packed)]), zero)
-        res = (packed // packing.strides[0] % q).astype(np.int64)
+        res = (packed // plan.strides[0] % q).astype(np.int64)
         order = np.argsort(res, kind="stable")
         res = res[order]
         starts = _run_starts(res)
@@ -477,38 +470,37 @@ def _slice_pairs(table: _Groups, factor: _Groups, q: int):
     return a, b, np.append(first, len(c)), sizes
 
 
-def _last_step(factors, masses_in, packing: _Packing, cap):
-    """The masses of the whole table, one slice at a time, each after its cap.
+def _last_step(prepared: list, plan: Plan, cap):
+    """The masses of the table over the prepared (packed keys, masses)
+    factors, one slice at a time, each after its cap.
 
     The first n - 1 factors are folded in by ``_sparse``.  A last step within
     _SLICE_CANDIDATES is q = 1, one ``_step``; a larger one goes to ``_slices``.
     """
-    packed = {}
-    keys, masses = _sparse(factors[:-1], masses_in[:-1], packing, packed)
-    f_keys = _packed(factors[-1], packing.lo[-1], packing, packed)
-    f_masses = np.array(masses_in[-1], dtype=packing.mass_dtype)
+    keys, masses = _sparse(prepared[:-1], plan)
+    f_keys, f_masses = prepared[-1]
     if len(keys) * len(f_keys) <= _SLICE_CANDIDATES:
-        slices = [_step(keys, masses, f_keys, f_masses, packing)]
+        slices = [_step(keys, masses, f_keys, f_masses, plan)]
     else:
-        slices = _slices((keys, masses), (f_keys, f_masses), packing)
+        slices = _slices((keys, masses), prepared[-1], plan)
     for s_keys, s_masses in slices:
         if cap is not None:
-            s_masses = s_masses[(packing.unpack(s_keys) <= cap).all(axis=1)]
+            s_masses = s_masses[(plan.unpack(s_keys) <= cap).all(axis=1)]
         yield s_masses
 
 
-def _slices(table, factor, packing: _Packing):
+def _slices(table, factor, plan: Plan):
     """The merged keys and masses of the table folded with the factor, one
     residue class mod q at a time, q as small as the module docstring allows;
     each slice is merged by ``_slice``."""
     keys, masses = table
     f_keys, f_masses = factor
-    modulus = packing.modulus
+    modulus = plan.modulus
     # past this q every residue class holds one value of component 0
-    limit = packing.widths[0] if modulus is None else modulus
+    limit = plan.widths[0] if modulus is None else modulus
     q, base = 1, None
     while True:
-        t_groups, f_groups = _Groups.of(keys, packing, q), _Groups.of(f_keys, packing, q)
+        t_groups, f_groups = _Groups.of(keys, plan, q), _Groups.of(f_keys, plan, q)
         a, b, bounds, sizes = _slice_pairs(t_groups, f_groups, q)
         if sizes.max(initial=0) <= _SLICE_CANDIDATES or q >= limit:
             break
@@ -521,10 +513,10 @@ def _slices(table, factor, packing: _Packing):
     f_keys, f_masses = f_keys[f_groups.order], f_masses[f_groups.order]
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         yield _slice((keys, masses, t_groups), (f_keys, f_masses, f_groups),
-                     a[lo:hi], b[lo:hi], packing)
+                     a[lo:hi], b[lo:hi], plan)
 
 
-def _slice(table, factor, a: np.ndarray, b: np.ndarray, packing: _Packing):
+def _slice(table, factor, a: np.ndarray, b: np.ndarray, plan: Plan):
     """One slice's merged keys and masses.  ``table`` and ``factor`` are
     (keys, masses, groups) in their groups' sorted order; the slice pairs
     every table entry of group a[i] with every factor entry of group b[i].
@@ -543,7 +535,7 @@ def _slice(table, factor, a: np.ndarray, b: np.ndarray, packing: _Packing):
     cand += f_keys[f]
     cand_mass *= f_masses[f]
     del t, f
-    return _merge(cand, cand_mass, packing)
+    return _merge(cand, cand_mass, plan)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

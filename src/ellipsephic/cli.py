@@ -459,7 +459,10 @@ def _run_fit(cfg, out: Path, header: str, budget) -> None:
                     if needed not in columns:
                         raise ValidationError(f"fit input lacks column {needed!r}")
             else:
-                row = dict(zip(columns, line.split(",")))
+                cells = line.split(",")
+                if len(cells) != len(columns):
+                    raise ValidationError(f"fit input line {line!r} has {len(cells)} cells")
+                row = dict(zip(columns, cells))
                 points.append(tuple(_parse_int(row[c], c) for c in ("X", "Y", "count")))
     fit = mv.fit_exponent(points)
     _write_json(

@@ -307,10 +307,9 @@ def discrete_integral(
 
 def _fixed_classes_mean(spec: MeanValueSpec, picks, mode: str, budget: Budget):
     """``_block_mean`` over the classes ``(level, residue, n)``; 0 if one is empty."""
-    found = [
-        _classes(spec.weights, spec.base, level, spec.modulus).get(res % spec.base**level)
-        for level, res, _ in picks
-    ]
+    levels = {level for level, _, _ in picks}  # one class table per distinct level
+    tables = {lv: _classes(spec.weights, spec.base, lv, spec.modulus) for lv in levels}
+    found = [tables[level].get(res % spec.base**level) for level, res, _ in picks]
     if None in found:
         return Fraction(0) if spec.weights.exact else 0.0
     blocks = [_block(spec, cls, n, mode) for cls, (_, _, n) in zip(found, picks)]
@@ -334,7 +333,9 @@ def _class_average(
     first block's class changes slowest, so only its current one is kept,
     beside every one of the later blocks.
     """
-    tables = [_classes(spec.weights, spec.base, level, spec.modulus) for level, _ in blocks]
+    levels = {level for level, _ in blocks}  # one class table per distinct level
+    by_level = {lv: _classes(spec.weights, spec.base, lv, spec.modulus) for lv in levels}
+    tables = [by_level[level] for level, _ in blocks]
     built: list[dict] = [{} for _ in blocks]
     total = Fraction(0) if spec.weights.exact else 0.0
     for residues in itertools.product(*(sorted(table) for table in tables)):

@@ -219,11 +219,10 @@ def carry_decomposition(
     conj(w_y) are accumulated per vector and sum exactly to the congruence
     count.  The carry vector depends on a pair only through the two tuples'
     prefix sums, so the weights are summed per prefix-sum class first and
-    the classes are paired, not the tuples.
+    the classes are paired, not the tuples, and priced once they are known.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    check_pairs(len(weights), budget.max_tuples)
     if (2 * t - 1) ** depth > budget.max_tuples:
         raise BudgetError("carry table would exceed the tuple budget")
     powers = [base ** (r + 1) for r in range(depth)]
@@ -233,6 +232,7 @@ def carry_decomposition(
             raise ValidationError(f"tuple {tup} does not have length {t}")
         px = _prefix_sums(tup, powers)
         masses[px] = masses.get(px, 0) + w
+    check_pairs(len(masses), budget.max_tuples)
     table: dict[tuple[int, ...], object] = {}
     for px, wx in masses.items():
         for py, wy in masses.items():

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, determinism, exit codes, config handling."""
 
 import json
+import random
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from ellipsephic import (
     multiplicity_table,
     representation_table,
 )
-from ellipsephic import cli
+from ellipsephic import _tables, cli
 from ellipsephic.cli import (
     _fmt,
     _write_columns,
@@ -307,6 +308,66 @@ def test_lift_chain_priced_per_factor(tmp_path, monkeypatch):
     [plan] = plans
     assert plan.key_dtype is np.int64
     assert plan.widths == [2 * 3**9 - 1, 729, 729, 729, 2 * 3**9 - 1]
+
+
+def random_priced_job(rng):
+    """A small random count, congruence or lift chain config: (kind, subcommand, text)."""
+    p = rng.choice((3, 5, 7))
+    digits = sorted(rng.sample(range(p), rng.randint(2, p - 1)))
+    text = f"digitset=p={p};digits={','.join(map(str, digits))}\nstrict=off\n"
+    x = rng.randint(1, 400)
+    kind = rng.choice(("count", "lambda", "K", "chain"))
+    if kind == "count":
+        xs = ",".join(str(rng.randint(1, 400)) for _ in range(rng.randint(1, 2)))
+        histogram = rng.choice(("on", "off"))
+        return kind, "count", text + (f"s={rng.randint(1, 3)}\nk={rng.randint(1, 3)}\n"
+                                      f"X={x if histogram == 'on' else xs}\n"
+                                      f"histogram={histogram}\n")
+    if kind == "lambda":
+        levels = ",".join(str(rng.randint(1, 3)) for _ in range(rng.randint(1, 2)))
+        return kind, "congruence", text + (f"task=lambda\ns={rng.randint(1, 3)}\n"
+                                           f"k={rng.randint(1, 2)}\nB={levels}\nX={x}\n")
+    if kind == "K":
+        k = rng.randint(1, 2)
+        return kind, "congruence", text + (
+            f"task=K\ns={rng.randint(1, 3)}\nk={k}\nB={rng.randint(1, 3)}\nX={x}\nt=2\n"
+            f"a={rng.randint(0, 3)}\nb={rng.randint(0, 3)}\nr={rng.randint(0, k)}\n"
+            f"nu={rng.randint(0, 2)}\n")
+    return kind, "lift", text + (f"task=chain\nt={rng.randint(1, 3)}\nc={rng.randint(1, 2)}\n"
+                                 f"B={rng.randint(1, 3)}\npsi=0,0,1\nX={x}\n")
+
+
+def test_pre_price_bounds_the_kernel_price(tmp_path, monkeypatch):
+    """The CLI prices hand-built shapes before it enumerates a member, so that
+    a job is refused before memory is allocated; no plan the engines then
+    price from the real factors may need more work or bytes than the
+    largest of the job's pre-prices."""
+    real = _tables.price
+
+    def recording(plans):
+        def priced(*args, **kwargs):
+            plans.append(real(*args, **kwargs))
+            return plans[-1]
+
+        return priced
+
+    pre, engine = [], []
+    monkeypatch.setattr(cli, "price", recording(pre))
+    monkeypatch.setattr(_tables, "price", recording(engine))
+    rng = random.Random(19)
+    ran = []
+    for i in range(120):
+        kind, subcommand, config = random_priced_job(rng)
+        pre.clear()
+        engine.clear()
+        code, _ = run_cli(tmp_path, subcommand, config, name=f"job{i}")
+        if code != 0 or not engine:  # refused (e.g. r too large for s), or no members
+            continue
+        ran.append(kind)
+        for field in ("work", "nbytes"):
+            most = max(getattr(plan, field) for plan in pre)
+            assert max(getattr(plan, field) for plan in engine) <= most, (field, config)
+    assert all(ran.count(kind) >= 10 for kind in ("count", "lambda", "K", "chain")), ran
 
 
 def test_etstar_output(tmp_path):
@@ -645,6 +706,17 @@ def test_fit_on_count_series(tmp_path):
     assert code2 == 0
     payload = json.loads((out2 / "fit.json").read_text())
     assert payload["slope"] == pytest.approx(1.0, abs=1e-9)  # s=1 counts equal Y
+
+
+@pytest.mark.parametrize("row", ["4,5", "4,5,6,7"])
+def test_fit_refuses_a_row_of_the_wrong_length(tmp_path, capsys, row):
+    series = tmp_path / "series.csv"
+    series.write_text(f"X,Y,count\n1,2,3\n{row}\n")
+    code, out = run_cli(tmp_path, "fit", f"input={series}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=validation") and repr(row) in err
+    assert not (out / "fit.json").exists()
 
 
 def test_missing_config_key(tmp_path, capsys):

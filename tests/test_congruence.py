@@ -383,6 +383,27 @@ def test_two_class_grid_builds_each_class_once(monkeypatch):
         assert values["grid"] == pytest.approx(float(values["count"]), rel=1e-12)
 
 
+def test_two_class_reads_each_level_once(monkeypatch):
+    # a == b: both blocks range over one table of level-1 classes
+    levels = []
+    build = congruence._classes
+
+    def counted(weights, base, level, modulus):
+        levels.append(level)
+        return build(weights, base, level, modulus)
+
+    monkeypatch.setattr(congruence, "_classes", counted)
+    spec = MeanValueSpec(SYS31, W9, 2, 2, 0)
+    assert two_class_mean_value(spec, t=2, r=1, a=1, b=1, nu=1) == Fraction(3, 4)
+    assert levels == [1]
+    levels.clear()
+    assert two_class_mean_value(spec, t=2, r=1, a=1, b=1, xi=1, eta=0) == pytest.approx(1.5)
+    assert levels == [1]
+    levels.clear()
+    two_class_mean_value(spec, t=2, r=0, a=1, b=2, nu=1)
+    assert levels == [1, 2]
+
+
 def test_grid_class_vector_freed_before_the_next(monkeypatch):
     # one block: only the current class's grid vector may be alive
     weights = WeightAssignment.unit(iter_members(DS5, 625))

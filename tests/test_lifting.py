@@ -324,6 +324,15 @@ def test_decomposition_budget():
         carry_decomposition(3, 2, 2, weights, budget=Budget(max_tuples=100))
 
 
+def test_decomposition_budget_counts_class_pairs():
+    # 400 tuples, 400**2 tuple pairs, but 5 prefix-sum classes at depth 1: 25 class pairs
+    weights = unit_tuple_weights(list(range(1, 21)), 2)
+    dec = carry_decomposition(3, 2, 1, weights, budget=Budget(max_tuples=25))
+    assert dec.total == sum_congruence_count(3, 2, 1, weights)
+    with pytest.raises(BudgetError, match=r"^5\*\*2 pairs"):
+        carry_decomposition(3, 2, 1, weights, budget=Budget(max_tuples=24))
+
+
 # --- lifting chain -----------------------------------------------------------------
 
 def pair_list_chain(system, t, members, modulus_level):
