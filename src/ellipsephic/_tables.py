@@ -349,9 +349,10 @@ def _dense(prepared: list, plan: Plan) -> np.ndarray:
     Each step takes the kind ``_dense_step`` prices lower: a *shift*, one
     shifted add of the current array per factor entry, or a *scatter*,
     ``nxt[i + uv] += cur[i] * um`` per nonzero index i, where uv are the
-    factor's distinct values, increasing, and um their masses summed in the
-    mass dtype; uv has no repeats, so each fancy-index add is exact, and each
-    row is cut where i + uv reaches the end of nxt.
+    factor's distinct values below the length of nxt, increasing, and um
+    their masses summed in the mass dtype by ``_merge``; uv has no repeats,
+    so each fancy-index add is exact, and each row is cut where i + uv
+    reaches the end of nxt.
 
     A table with few nonzeros, such as the squares or their pairwise sums,
     scatters; a dense one shifts.  The constants were timed on a 2-core x86
@@ -365,7 +366,10 @@ def _dense(prepared: list, plan: Plan) -> np.ndarray:
     for f_values, f_masses in prepared:
         top += max(f_values, default=0)
         nxt = np.zeros(min(plan.length, top + 1), dtype=plan.mass_dtype)
-        uv, um = _distinct(f_values, f_masses, len(nxt), plan.mass_dtype)
+        vals = np.array(f_values)  # object past int64, so cut before the cast
+        below = vals < len(nxt)
+        masses = np.array(f_masses, dtype=plan.mass_dtype)[below]
+        uv, um = _merge(vals[below].astype(np.int64), masses, plan)
         shift, scatter = _dense_step(len(f_values), len(cur), np.count_nonzero(cur), len(uv))
         if scatter < shift:
             rows = np.flatnonzero(cur)
@@ -379,19 +383,6 @@ def _dense(prepared: list, plan: Plan) -> np.ndarray:
                     nxt[a : a + n] += cur[:n] if w == 1 else cur[:n] * w
         cur = nxt
     return cur
-
-
-def _distinct(f_values, f_masses, size: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The factor's distinct values below size, increasing, and their summed masses."""
-    if max(f_values, default=0) >= size:
-        kept = [(v, w) for v, w in zip(f_values, f_masses) if v < size]
-        f_values, f_masses = [v for v, _ in kept], [w for _, w in kept]
-    vals = np.array(f_values, dtype=np.int64)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    first = np.flatnonzero(np.diff(vals, prepend=-1))
-    masses = np.array(f_masses, dtype=dtype)[order]
-    return vals[first], np.add.reduceat(masses, first) if len(first) else masses
 
 
 def _sparse(prepared: list, plan: Plan):

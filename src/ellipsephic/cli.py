@@ -203,7 +203,7 @@ def _write_columns(path: Path, header: str, names: str, fmt: str, columns) -> No
 
 def _write_json(path: Path, header: str, payload: dict) -> None:
     text = json.dumps({**payload, "config": header}, sort_keys=True, separators=(",", ":"))
-    path.write_text(text + "\n")
+    _write_text(path, [text])
 
 
 # --- subcommands -------------------------------------------------------------
@@ -221,7 +221,7 @@ def _run_etstar(cfg, out: Path, header: str, budget) -> None:
     source = _source(cfg)
     t = _get_int(cfg, "t")
     horizon = _get_int(cfg, "N")
-    profile = dg.rep_profile(source, t, horizon)
+    profile = dg.rep_profile(source, t, horizon, budget=budget)
     report = dg.et_star_report(profile)
     _write_csv(
         out / "etstar_windows.csv",

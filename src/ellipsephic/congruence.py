@@ -6,14 +6,14 @@ orthogonality to a congruence count, which is the default evaluation path),
 single-class and two-class congruence mean values, and the finite
 restriction-ratio diagnostic.
 
-Every mean value is built from per-class blocks, one per residue class and
-power, each built once per call from the class's residues (``_classes``):
-their phi columns (the only phi evaluation here) and summed masses.  In grid
-mode a block is the class's values over half the grid, the u with u_k <=
-p^B // 2, whose mirror images -u cover the rest: a real DFT of each populated
-row of its weight histogram over (phi_j(x) mod p^B)_j, completed by a DFT over
-the first k - 1 axes.  In count mode it is the class's factors of the exact
-power-sum table.
+One driver, ``_class_average``, sums every mean value over tuples of per-class
+blocks, one per residue class and power, each built once per call from the
+class's residues (``_classes``): their phi columns (the only phi evaluation
+here) and summed masses.  In grid mode a block is the class's values over half
+the grid, the u with u_k <= p^B // 2, whose mirror images -u cover the rest: a
+real DFT of each populated row of its weight histogram over (phi_j(x) mod
+p^B)_j, completed by a DFT over the first k - 1 axes.  In count mode it is the
+class's factors of the exact power-sum table.
 
 Exact arithmetic policy: counting paths hand the kernel integer masses
 (``WeightAssignment.masses``) and divide once per table; grid paths are
@@ -302,55 +302,52 @@ def discrete_integral(
     """
     _check_mode(mode)
     level = 0 if residue is None else spec.class_level
-    return _fixed_classes_mean(spec, [(level, residue or 0, spec.s)], mode, budget)
-
-
-def _fixed_classes_mean(spec: MeanValueSpec, picks, mode: str, budget: Budget):
-    """``_block_mean`` over the classes ``(level, residue, n)``; 0 if one is empty."""
-    levels = {level for level, _, _ in picks}  # one class table per distinct level
-    tables = {lv: _classes(spec.weights, spec.base, lv, spec.modulus) for lv in levels}
-    found = [tables[level].get(res % spec.base**level) for level, res, _ in picks]
-    if None in found:
-        return Fraction(0) if spec.weights.exact else 0.0
-    blocks = [_block(spec, cls, n, mode) for cls, (_, _, n) in zip(found, picks)]
-    return _block_mean(blocks, spec.modulus, mode, budget)
+    return _class_average(spec, [(level, spec.s, residue or 0)], mode, budget)
 
 
 def _class_average(
     spec: MeanValueSpec,
-    blocks: Sequence[tuple[int, int]],
+    blocks: Sequence[tuple[int, int, int | None]],
     mode: str,
     budget: Budget,
     nu: int = 0,
+    by_level: dict | None = None,
 ):
-    """rho_0^(-2m) * sum over class tuples of prod_i rho_i^2 * _block_mean.
+    """Every congruence mean value, a ``_block_mean`` over tuples of classes.
 
-    Block i of the m ``blocks`` ``(level, n)`` ranges over the classes modulo
-    base**level, in sorted order, with power n.  With nu >= 1 the tuples whose
-    first and last residues agree modulo base**nu are left out.
+    Block i of the m ``blocks`` ``(level, n, residue)`` reads the classes
+    mod base**level (``by_level``, else one ``_classes`` table per level)
+    with power n.  Given residues return their tuple's bare _block_mean, 0
+    if a picked class is empty.  Residues None give rho_0^(-2m) * sum of
+    prod_i rho_i^2 * _block_mean over every class tuple, in sorted order,
+    less those whose first and last residues agree mod base**nu if nu >= 1.
 
     Each class's ``_block`` is built once per block, not once per tuple.  The
     first block's class changes slowest, so only its current one is kept,
     beside every one of the later blocks.
     """
-    levels = {level for level, _ in blocks}  # one class table per distinct level
-    by_level = {lv: _classes(spec.weights, spec.base, lv, spec.modulus) for lv in levels}
-    tables = [by_level[level] for level, _ in blocks]
+    if by_level is None:
+        levels = {level for level, _, _ in blocks}
+        by_level = {lv: _classes(spec.weights, spec.base, lv, spec.modulus) for lv in levels}
+    tables = [by_level[level] for level, _, _ in blocks]
+    chosen = blocks[0][2] is not None
+    picks = [sorted(table) if res is None else table.keys() & {res % spec.base**level}
+             for table, (level, _, res) in zip(tables, blocks)]  # an empty class: no tuple
     built: list[dict] = [{} for _ in blocks]
     total = Fraction(0) if spec.weights.exact else 0.0
-    for residues in itertools.product(*(sorted(table) for table in tables)):
-        if nu >= 1 and (residues[0] - residues[-1]) % spec.base**nu == 0:
+    for residues in itertools.product(*picks):
+        if not chosen and nu >= 1 and (residues[0] - residues[-1]) % spec.base**nu == 0:
             continue
         parts = []  # before the builds: the last tuple's blocks are freed
-        for i, (table, res, (_, n)) in enumerate(zip(tables, residues, blocks)):
+        for i, (table, res, (_, n, _)) in enumerate(zip(tables, residues, blocks)):
             if res not in built[i]:
                 if i == 0:
                     built[0].clear()
                 built[i][res] = _block(spec, table[res], n, mode)
             parts.append(built[i][res])
-        rho_prod = math.prod(table[res].rho_sq for table, res in zip(tables, residues))
-        total = total + rho_prod * _block_mean(parts, spec.modulus, mode, budget)
-    return total / spec.weights.rho0_sq ** len(blocks)
+        weight = 1 if chosen else math.prod(t[res].rho_sq for t, res in zip(tables, residues))
+        total = total + weight * _block_mean(parts, spec.modulus, mode, budget)
+    return total if chosen else total / spec.weights.rho0_sq ** len(blocks)
 
 
 def congruence_mean_value(
@@ -366,7 +363,7 @@ def congruence_mean_value(
     full congruence system.  Exact (Fraction) in rational mode.
     """
     _check_mode(mode)
-    return _class_average(spec, [(spec.class_level, spec.s)], mode, budget)
+    return _class_average(spec, [(spec.class_level, spec.s, None)], mode, budget)
 
 
 def two_class_mean_value(
@@ -396,9 +393,7 @@ def two_class_mean_value(
     big_r = _two_class_r(s, spec.system.k, t, r, nu)
     if (xi is None) != (eta is None):
         raise ValidationError("give both xi and eta or neither")
-    if xi is None:
-        return _class_average(spec, [(a, big_r), (b, s - big_r)], mode, budget, nu)
-    return _fixed_classes_mean(spec, [(a, xi, big_r), (b, eta, s - big_r)], mode, budget)
+    return _class_average(spec, [(a, big_r, xi), (b, s - big_r, eta)], mode, budget, nu)
 
 
 def _two_class_r(s: int, k: int, t: int, r: int, nu: int) -> int:
@@ -458,20 +453,15 @@ def restriction_ratio(
 ) -> RestrictionRatio:
     """Compute U^B and U^{B,H} at H = ceil(B/k) and their log ratio."""
     level = -(-spec.modulus_level // spec.system.k)
-    u_b = congruence_mean_value(
-        MeanValueSpec(spec.system, spec.weights, spec.s, spec.modulus_level, 0),
-        budget=budget,
-    )
-    u_bh = congruence_mean_value(
-        MeanValueSpec(spec.system, spec.weights, spec.s, spec.modulus_level, level),
-        budget=budget,
-    )
-    if u_bh <= 0:
-        raise ValidationError("degenerate weights: U^{B,H} is zero")
     q = count_members(digit_set, digit_set.base)
     if q < 2:
         raise ValidationError(f"q = #members in [1, base] is {q}; ratio needs q >= 2")
-    n_classes = len(class_norms(spec.weights, spec.base, level).table)
+    by_level = {lv: _classes(spec.weights, spec.base, lv, spec.modulus) for lv in (0, level)}
+    u_b = _class_average(spec, [(0, spec.s, None)], "count", budget, by_level=by_level)
+    u_bh = _class_average(spec, [(level, spec.s, None)], "count", budget, by_level=by_level)
+    if u_bh <= 0:
+        raise ValidationError("degenerate weights: U^{B,H} is zero")
+    n_classes = len(by_level[level])
     log_ratio = math.log(float(u_b)) - math.log(float(u_bh))
     ratio = log_ratio / (level * math.log(q))
     ratio_classes = log_ratio / math.log(n_classes) if n_classes > 1 else None

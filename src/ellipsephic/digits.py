@@ -11,13 +11,14 @@ t-tuples of source elements sum to each integer.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from ._tables import Budget, power_sum_dense
-from .errors import BudgetError, InvariantError, ValidationError
+from ._tables import DEFAULT_BUDGET, Budget, Shape, power_sum_dense, price
+from .errors import InvariantError, ValidationError
 
 __all__ = [
     "DigitSet",
@@ -31,6 +32,7 @@ __all__ = [
     "is_member",
     "count_members",
     "base_digits",
+    "integer_root",
     "rep_profile",
     "et_star_report",
 ]
@@ -138,6 +140,25 @@ def digit_set_text(ds: DigitSet) -> str:
     return f"p={ds.base};digits={','.join(str(d) for d in ds.digits)}"
 
 
+def integer_root(n: int, k: int) -> int:
+    """Exact floor of n**(1/k) for n >= 0, k >= 1."""
+    if n < 0 or k < 1:
+        raise ValidationError("integer_root needs n >= 0 and k >= 1")
+    if k == 1 or n < 2:
+        return n
+    if k == 2:
+        return math.isqrt(n)
+    # integer Newton from 2**ceil(bits/k) > n**(1/k): by AM-GM every step stays
+    # >= the root and falls strictly while above it, so the first non-decrease
+    # is at the root; no float, so exact at every size
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 @dataclass(frozen=True)
 class DigitSource:
     """An increasing integer sequence used to derive digit sets.
@@ -186,12 +207,7 @@ class DigitSource:
         if self.kind == "explicit":
             return [v for v in self.values if v <= bound]
         k = 2 if self.kind == "squares" else self.exponent
-        out = []
-        i = 0
-        while i**k <= bound:
-            out.append(i**k)
-            i += 1
-        return out
+        return [i**k for i in range(integer_root(bound, k) + 1)]
 
     def digit_set(self, base: int, strict: bool = True) -> DigitSet:
         """Truncate the source to [0, base) and build a DigitSet."""
@@ -302,7 +318,7 @@ def rep_profile(
     t: int,
     horizon: int,
     *,
-    max_bytes: int = 1 << 28,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> RepProfile:
     """Exact ordered t-tuple representation counts for all 0 <= n <= horizon.
 
@@ -311,19 +327,24 @@ def rep_profile(
     the sums of one or two squares are, a step scatters each nonzero count
     over the source values; once it fills in, a step shifts the whole table
     once per source value.  Counts are 64-bit when the a-priori bound
-    (#source)**t rules out overflow, and Python integers otherwise.
+    (#source)**t rules out overflow, and Python integers otherwise.  The
+    table is priced before any source value is listed: an explicit source's
+    values come from its own tuple, and the i**k of a generated one number
+    one more than the integer k-th root of the horizon.
     """
     if t < 2:
         raise ValidationError(f"t must be >= 2, got {t}")
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
-    need = (horizon + 1) * 8 * 2
-    if need > max_bytes:
-        raise BudgetError(
-            f"profile of horizon {horizon} needs ~{need} bytes > budget {max_bytes}"
-        )
+    if source.kind == "explicit":
+        shape = Shape.of([source.up_to(horizon)], None)
+    else:
+        k = 2 if source.kind == "squares" else source.exponent
+        root = integer_root(horizon, k)
+        shape = Shape(root + 1, ((0, root**k),), root + 1)
+    price([shape] * t, cap=horizon, budget=budget)
     factor = ([source.up_to(horizon)], None)
-    counts = power_sum_dense([factor] * t, cap=horizon, budget=Budget(max_table_bytes=max_bytes))
+    counts = power_sum_dense([factor] * t, cap=horizon, budget=budget)
     counts.flags.writeable = False
     return RepProfile(source, t, horizon, counts)
 

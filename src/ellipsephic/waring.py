@@ -7,14 +7,13 @@ exact Cauchy-Schwarz lower bound N >= (sum R)^2 / (sum R^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._tables import Shape, power_sum_table, price
-from .digits import DigitSet, count_members, counted_members
+from .digits import DigitSet, count_members, counted_members, integer_root
 from .errors import ValidationError
 from .meanvalue import Budget, DEFAULT_BUDGET
 
@@ -26,25 +25,6 @@ __all__ = [
     "represented_count",
     "cauchy_bound_check",
 ]
-
-
-def integer_root(n: int, k: int) -> int:
-    """Exact floor of n**(1/k) for n >= 0, k >= 1."""
-    if n < 0 or k < 1:
-        raise ValidationError("integer_root needs n >= 0 and k >= 1")
-    if k == 1 or n < 2:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    # integer Newton from 2**ceil(bits/k) > n**(1/k): by AM-GM every step stays
-    # >= the root and falls strictly while above it, so the first non-decrease
-    # is at the root; no float, so exact at every size
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
 
 
 @dataclass(frozen=True, eq=False)

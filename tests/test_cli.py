@@ -381,6 +381,29 @@ def test_etstar_output(tmp_path):
     assert windows[1] == "window_start,window_max"
 
 
+@pytest.mark.parametrize(
+    "config, extra",
+    [
+        # the table of two squares up to 10^6 is priced at 94,001 candidates
+        ("source=squares\nt=2\nN=1000000\n", ["--budget-tuples", "1"]),
+        # 10^7 + 1 values: refused from the integer root, before any is listed
+        ("source=powers:1\nt=2\nN=10000000\n", []),
+    ],
+    ids=["squares-budget-tuples", "powers-unlisted"],
+)
+def test_etstar_refused_before_listing(tmp_path, capsys, monkeypatch, config, extra):
+    from ellipsephic import digits
+
+    def unlisted(*args):
+        raise AssertionError("source values listed before the budget refused")
+
+    monkeypatch.setattr(digits.DigitSource, "up_to", unlisted)
+    code, out = run_cli(tmp_path, "etstar", config, extra=extra)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error kind=budget")
+    assert list(out.iterdir()) == []
+
+
 def test_congruence_lambda_output(tmp_path):
     config = "task=lambda\ndigitset=p=3;digits=0,1\ns=2\nk=1\nB=2,3\n"
     code, out = run_cli(tmp_path, "congruence", config)
@@ -629,6 +652,31 @@ def test_write_lines_streams_and_leaves_nothing_on_failure(tmp_path):
     with pytest.raises(BudgetError):
         _write_lines(out / "c.csv", "hdr", failing())
     assert list(out.iterdir()) == []
+
+
+class _FailingFile:
+    """A text file whose every write stores its first bytes, then fails."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:4])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def test_write_json_leaves_nothing_when_a_write_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "open", _FailingFile, raising=False)
+    with pytest.raises(OSError):
+        cli._write_json(tmp_path / "fit.json", "hdr", {"slope": 2.0})
+    assert list(tmp_path.iterdir()) == []
 
 
 CHUNK = 64  # _CHUNK_LINES in the bulk-row test, so chunk edges stay cheap to spell per row

@@ -33,6 +33,7 @@ DS3 = DigitSet(3, (0, 1))
 DS5 = DigitSet(5, (0, 1, 4))
 SYS31 = SpacedSystem.pure_powers(1, 3)
 E9 = list(iter_members(DS3, 9))
+E27 = list(iter_members(DS3, 27))
 W9 = WeightAssignment.unit(E9)
 
 
@@ -402,6 +403,51 @@ def test_two_class_reads_each_level_once(monkeypatch):
     levels.clear()
     two_class_mean_value(spec, t=2, r=0, a=1, b=2, nu=1)
     assert levels == [1, 2]
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2)])
+@pytest.mark.parametrize("nu", [0, 1])
+def test_two_class_aggregate_is_the_weighted_pair_sum(a, b, nu):
+    # K = rho_0^(-4) * sum over the pairs nu keeps of rho_xi^2 rho_eta^2 K(xi, eta)
+    weights = random_rational_weights(E27, random.Random(a + 2 * b + 4 * nu))
+    spec = MeanValueSpec(SYS31, weights, 3, 2, 0)
+    norms_a, norms_b = class_norms(weights, 3, a).table, class_norms(weights, 3, b).table
+    total = Fraction(0)
+    for xi, eta in itertools.product(norms_a, norms_b):
+        if nu >= 1 and (xi - eta) % 3**nu == 0:
+            continue
+        pair = two_class_mean_value(spec, t=2, r=1, a=a, b=b, nu=nu, xi=xi, eta=eta)
+        total += norms_a[xi] * norms_b[eta] * pair
+    aggregate = two_class_mean_value(spec, t=2, r=1, a=a, b=b, nu=nu)
+    assert aggregate == total / weights.rho0_sq**2
+    assert isinstance(aggregate, Fraction)
+
+
+def test_two_class_single_pair_ignores_the_exclusion():
+    # xi = eta = 1 agree mod 3: the aggregate leaves the pair out, the pair form does not
+    spec = MeanValueSpec(SYS31, W9, 2, 2, 0)
+    kept = two_class_mean_value(spec, t=2, r=1, a=1, b=1, nu=0, xi=1, eta=1)
+    assert kept > 0
+    assert two_class_mean_value(spec, t=2, r=1, a=1, b=1, nu=1, xi=1, eta=1) == kept
+
+
+def test_restriction_ratio_reads_the_support_twice(monkeypatch):
+    # U^B at level 0 and U^{B,H} at level H; the class count comes from the level-H table
+    levels = []
+    build = congruence._classes
+
+    def counted(weights, base, level, modulus):
+        levels.append(level)
+        return build(weights, base, level, modulus)
+
+    def no_norms(*args):
+        raise AssertionError("class_norms called")
+
+    monkeypatch.setattr(congruence, "_classes", counted)
+    monkeypatch.setattr(congruence, "class_norms", no_norms)
+    rr = restriction_ratio(MeanValueSpec(SYS31, WeightAssignment.unit(E27), 2, 3, 0), DS3)
+    assert sorted(levels) == [0, 3]
+    assert rr.n_classes == 8
 
 
 def test_grid_class_vector_freed_before_the_next(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsephic import (
+    Budget,
     DigitSet,
     DigitSource,
     ValidationError,
@@ -212,7 +213,7 @@ def test_rep_profile_validation():
     from ellipsephic import BudgetError
 
     with pytest.raises(BudgetError):
-        rep_profile(DigitSource.squares(), 2, 10**9, max_bytes=1 << 20)
+        rep_profile(DigitSource.squares(), 2, 10**9, budget=Budget(max_table_bytes=1 << 20))
 
 
 def test_et_star_explicit_digits():

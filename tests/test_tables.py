@@ -89,6 +89,7 @@ def test_dense_array_is_the_table_up_to_the_cap():
         ([(squares, None)] * 2, 100),  # cut at the cap
         ([(squares, None)] * 3, 500),  # every sum below the cap: zero-padded
         ([(squares, big)] * 2, 300),  # masses past int64 stay Python integers
+        ([([5], None)] * 2, 3),  # every value past the cap: each step cuts them all
     ):
         args = [([values], weights) for values, weights in factors]
         dense = power_sum_dense(args, cap=cap, budget=BUDGET)
