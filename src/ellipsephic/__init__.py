@@ -5,6 +5,7 @@ from .digits import (
     DigitSet,
     DigitSource,
     EtStarReport,
+    MemberSet,
     RepProfile,
     count_members,
     digit_set_text,

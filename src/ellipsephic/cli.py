@@ -209,12 +209,10 @@ def _write_json(path: Path, header: str, payload: dict) -> None:
 # --- subcommands -------------------------------------------------------------
 
 def _run_enumerate(cfg, out: Path, header: str, budget) -> None:
-    ds = _digit_set(cfg)
-    bound = _get_int(cfg, "X")
-    y = dg.count_members(ds, bound)
-    if y > budget.max_tuples:
-        raise BudgetError(f"{y} members exceed the tuple budget {budget.max_tuples}")
-    _write_lines(out / "enumerate.txt", header, map(str, dg.counted_members(ds, bound, y)))
+    members = dg.MemberSet(_digit_set(cfg), _get_int(cfg, "X"))
+    if members.y > budget.max_tuples:
+        raise BudgetError(f"{members.y} members exceed the tuple budget {budget.max_tuples}")
+    _write_lines(out / "enumerate.txt", header, map(str, members))
 
 
 def _run_etstar(cfg, out: Path, header: str, budget) -> None:
@@ -246,7 +244,9 @@ def _run_etstar(cfg, out: Path, header: str, budget) -> None:
 def _run_count(cfg, out: Path, header: str, budget) -> None:
     """count.csv, and for a single X with ``histogram=on`` its table m(v) in
     the kernel's increasing key order; with method=mitm the count is read off
-    that table.  ``seconds`` times the engine call that gave the count."""
+    that table.  ``seconds`` times the engine call that gave the count, its
+    listing included.  Engines price before they list, and the largest X (so
+    the most members) runs first, so it is refused before any count runs."""
     ds = _digit_set(cfg)
     s = _get_int(cfg, "s", least=1)
     k = _get_int(cfg, "k", least=1)
@@ -259,16 +259,9 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     if histogram and len(bounds) != 1:
         raise ValidationError("histogram output needs a single X")
     system = mv.SpacedSystem.pure_powers(k, ds.base)
-    # every X is priced from its member count before any count runs, most members first
-    counts = [dg.count_members(ds, bound) for bound in bounds]
-    for y, bound in sorted(zip(counts, bounds), reverse=True):
-        if method == "brute":
-            check_pairs(y**s, budget.max_tuples)
-        if method == "mitm" or histogram:
-            price([Shape(y, tuple((1, bound**j) for j in range(1, k + 1)), y)] * s, budget=budget)
-    rows = []
-    for bound, y in zip(bounds, counts):
-        members = list(dg.counted_members(ds, bound, y))
+    sets = [dg.MemberSet(ds, bound) for bound in bounds]
+    rows = [None] * len(sets)
+    for i, members in sorted(enumerate(sets), key=lambda item: item[1].bound, reverse=True):
         start = time.perf_counter()
         if method == "brute":
             count = mv.brute_force_count(system, s, members, budget=budget).count
@@ -278,7 +271,7 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
         else:
             count = mv.mitm_count(system, s, members, budget=budget).count
         seconds = repr(round(time.perf_counter() - start, 6)) if timing else "NA"
-        rows.append([bound, y, s, k, count, method, seconds])
+        rows[i] = [members.bound, members.y, s, k, count, method, seconds]
     if histogram and method == "brute":  # a single X: the loop left its members
         table = mv.multiplicity_table(system, s, members, budget=budget)
     _write_csv(
@@ -299,6 +292,14 @@ def _class_shape(p: int, k: int, b_level: int, level: int, y: int) -> Shape:
     return Shape(min(y, p ** (max(b_level, level) - level)), ((0, q - 1),) * k, y)
 
 
+def _check_unit_weights(y: int, budget) -> None:
+    """Refuse unit weights on Y members, before any is listed, past the table byte cap."""
+    need = y * cg.WeightAssignment.UNIT_BYTES
+    if need > budget.max_table_bytes:
+        raise BudgetError(f"unit weights on {y} members need {need} bytes, "
+                          f"allowed {budget.max_table_bytes}")
+
+
 def _run_congruence(cfg, out: Path, header: str, budget) -> None:
     task = cfg.get("task")
     ds = _digit_set(cfg)
@@ -310,15 +311,16 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
         if min(levels) < 1:
             raise ValidationError(f"config key B needs levels >= 1, got {levels}")
         bounds = [_get_int(cfg, "X", ds.base**b_level) for b_level in levels]
+        sets = {bound: dg.MemberSet(ds, bound) for bound in bounds}
         # U^B's one class is at level 0; levels priced first, most members first
-        counts = [dg.count_members(ds, bound) for bound in bounds]
-        for y, bound, b_level in sorted(zip(counts, bounds, levels), reverse=True):
-            shape = _class_shape(ds.base, k, b_level, 0, y)
+        for bound, b_level in sorted(zip(bounds, levels), reverse=True):
+            shape = _class_shape(ds.base, k, b_level, 0, sets[bound].y)
             price([shape] * s, modulus=ds.base**b_level, budget=budget)
+        _check_unit_weights(sum(members.y for members in sets.values()), budget)
         rows, weights = [], {}  # one assignment per distinct X
-        for b_level, bound, y in zip(levels, bounds, counts):
+        for b_level, bound in zip(levels, bounds):
             if bound not in weights:
-                weights[bound] = cg.WeightAssignment.unit(dg.counted_members(ds, bound, y))
+                weights[bound] = cg.WeightAssignment.unit(sets[bound])
             spec = cg.MeanValueSpec(system, weights[bound], s, b_level, 0)
             rr = cg.restriction_ratio(spec, ds, budget=budget)
             for ratio, normalizer in (
@@ -344,15 +346,18 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
         deltas = _get_int_list(cfg, "delta") if "delta" in cfg else [0]
         bound = _get_int(cfg, "X", ds.base**b_level)
         big_r = cg._two_class_r(s, k, t, r, nu)
+        if min(deltas) < 0:
+            raise ValidationError(f"config key delta needs values >= 0, got {deltas}")
         level = -(-b_level // k)
         # K's table: R factors of a level-a class, s - R of a level-b one; U^{B,H}'s: s of level H
-        y = dg.count_members(ds, bound)
+        members = dg.MemberSet(ds, bound)
         q = ds.base**b_level
-        shape_a, shape_b, shape_h = (_class_shape(ds.base, k, b_level, ell, y)
+        shape_a, shape_b, shape_h = (_class_shape(ds.base, k, b_level, ell, members.y)
                                      for ell in (a, b, level))
         price([shape_a] * big_r + [shape_b] * (s - big_r), modulus=q, budget=budget)
         price([shape_h] * s, modulus=q, budget=budget)
-        weights = cg.WeightAssignment.unit(dg.counted_members(ds, bound, y))
+        _check_unit_weights(members.y, budget)
+        weights = cg.WeightAssignment.unit(members)
         spec = cg.MeanValueSpec(system, weights, s, b_level, 0)
         k_value = cg.two_class_mean_value(spec, t, r, a, b, nu, budget=budget)
         spec_h = cg.MeanValueSpec(system, weights, s, b_level, level)
@@ -381,11 +386,9 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
     t = _get_int(cfg, "t", least=1)
     if task == "decompose":
         depth = _get_int(cfg, "d", least=1)
-        bound = _get_int(cfg, "X")
-        y = dg.count_members(ds, bound)
-        check_pairs(y**t, budget.max_tuples)
-        members = list(dg.counted_members(ds, bound, y))
-        weights = lf.unit_tuple_weights(members, t)
+        members = dg.MemberSet(ds, _get_int(cfg, "X"))
+        check_pairs(members.y**t, budget.max_tuples)
+        weights = lf.unit_tuple_weights(list(members), t)
         dec = lf.carry_decomposition(ds.base, t, depth, weights, budget=budget)
         rows = [
             [":".join(str(v) for v in lam), dec.table[lam]]
@@ -401,15 +404,7 @@ def _run_lift(cfg, out: Path, header: str, budget) -> None:
         psi = _get_int_list(cfg, "psi")
         bound = _get_int(cfg, "X")
         system = mv.SpacedSystem.perturbed(ds.base, spacing, [psi])
-        y = dg.count_members(ds, bound)
-        # a step's table mod q = p^B: factor i keys phi and the check column by
-        # residues mod q, x mod a power of p below q in slot i of t, and 0 in the others
-        q = ds.base**b_level
-        wide, slot = (0, q - 1), (0, min(bound, q - 1))
-        shapes = [Shape(y, (wide, *[slot if n == i else (0, 0) for n in range(t)], wide), y)
-                  for i in range(t)]
-        price(shapes, modulus=q, budget=budget)
-        members = list(dg.counted_members(ds, bound, y))
+        members = dg.MemberSet(ds, bound)
         chain = lf.lifting_chain(system, t, members, b_level, budget=budget)
         rows = [[st.j, st.c_j, st.verified] for st in chain.steps]
         _write_csv(out / "lift_chain.csv", header, ["j", "c_j", "verified"], rows)

@@ -2,10 +2,11 @@
 
 An ellipsephic set over an odd prime base p is the set of positive integers
 whose base-p expansion only uses digits from a prescribed digit set.  This
-module constructs digit sets (either explicit or truncated from an integer
-source such as the squares), enumerates and tests membership, and measures
-the additive representation profile of a digit source, i.e. how many ordered
-t-tuples of source elements sum to each integer.
+module builds digit sets, explicit or cut from a source such as the squares;
+counts and lists the members of [1, X] by one top-first digit walk, whose
+count a ``MemberSet`` holds so that a job is priced before any is listed;
+tests membership; and gives a source's additive representation profile, how
+many ordered t-tuples of source elements sum to each integer.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ __all__ = [
     "EtStarReport",
     "parse_digit_set",
     "digit_set_text",
+    "MemberSet",
     "iter_members",
-    "counted_members",
     "is_member",
     "count_members",
     "base_digits",
@@ -214,44 +215,71 @@ class DigitSource:
         return DigitSet(base, tuple(self.up_to(base - 1)), strict)
 
 
-def iter_members(digit_set: DigitSet, bound: int) -> Iterator[int]:
-    """Yield the ellipsephic members of [1, bound] in increasing order.
-
-    Digit strings are generated most-significant-first in lexicographic digit
-    order, which is numeric order within each length, so the output is sorted
-    without a sort pass.  Within a fixed length and leading digit the values
-    increase, so generation stops early once the bound is passed.
-    """
+def _blocks(digit_set: DigitSet, bound: int) -> Iterator[tuple[int, int]]:
+    """[1, bound] as blocks (head, n), increasing: head * p**n + w for every
+    string w of n permitted digits.  One per nonzero permitted lead at each
+    length below the bound's; then, top digit first, one per permitted digit
+    below the bound's (nonzero at the top) while the bound's digit is
+    permitted, and (bound, 0) if it always is."""
     if bound < 1:
         raise ValidationError(f"bound must be >= 1, got {bound}")
-    p = digit_set.base
-    digits = digit_set.digits
-    leads = [d for d in digits if d != 0]
-    length = 1
-    pow_high = 1  # p**(length-1)
-    while pow_high <= bound:
-        for lead in leads:
-            if lead * pow_high > bound:
+    p, allowed = digit_set.base, digit_set.digits
+    leads = [d for d in allowed if d]
+    top_first = base_digits(bound, p)[::-1]
+    for n in range(len(top_first) - 1):
+        for d in leads:
+            yield d, n
+    head = 0
+    for pos, b in enumerate(top_first):
+        for d in allowed if pos else leads:  # increasing
+            if d >= b:
                 break
-            for rest in itertools.product(digits, repeat=length - 1):
-                value = lead
-                for d in rest:
-                    value = value * p + d
-                if value > bound:
-                    break
-                yield value
-        length += 1
-        pow_high *= p
+            yield head * p + d, len(top_first) - 1 - pos
+        if b not in allowed:
+            return
+        head = head * p + b
+    yield head, 0
 
 
-def counted_members(digit_set: DigitSet, bound: int, count: int) -> Iterator[int]:
-    """The members of [1, bound], increasing, then an InvariantError if they were
-    not ``count``, the ``count_members`` figure a job was priced by."""
-    n = 0
-    for n, x in enumerate(iter_members(digit_set, bound), start=1):
-        yield x
-    if n != count:
-        raise InvariantError(f"{n} members enumerated, {count} counted")
+def iter_members(digit_set: DigitSet, bound: int) -> Iterator[int]:
+    """Yield the ellipsephic members of [1, bound] in increasing order: each
+    block of ``_blocks`` in turn, its digit strings in lexicographic order,
+    which is numeric order, so the output is sorted without a sort pass."""
+    p, digits = digit_set.base, digit_set.digits
+    for head, n in _blocks(digit_set, bound):
+        for tail in itertools.product(digits, repeat=n):
+            value = head
+            for d in tail:
+                value = value * p + d
+            yield value
+
+
+def count_members(digit_set: DigitSet, bound: int) -> int:
+    """#(ellipsephic members in [1, bound]), the sum of r**n over the blocks
+    (head, n) of ``_blocks``, never enumerating.  At most r**(floor(log_p bound)+1)."""
+    r = digit_set.r
+    return sum(r**n for _, n in _blocks(digit_set, bound))
+
+
+@dataclass(frozen=True)
+class MemberSet:
+    """The members of [1, bound], counted in ``y`` (not ``len``: y may pass
+    sys.maxsize) and listed by iterating, increasing, with an InvariantError
+    after the last if they were not y, the figure the job was priced by."""
+
+    digit_set: DigitSet
+    bound: int
+    y: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "y", count_members(self.digit_set, self.bound))
+
+    def __iter__(self) -> Iterator[int]:
+        n = 0
+        for n, x in enumerate(iter_members(self.digit_set, self.bound), start=1):
+            yield x
+        if n != self.y:
+            raise InvariantError(f"{n} members enumerated, {self.y} counted")
 
 
 def is_member(digit_set: DigitSet, n: int) -> bool:
@@ -265,32 +293,6 @@ def is_member(digit_set: DigitSet, n: int) -> bool:
         if d not in allowed:
             return False
     return True
-
-
-def count_members(digit_set: DigitSet, bound: int) -> int:
-    """#(ellipsephic members in [1, bound]) by a digit walk, never enumerating.
-
-    Let the bound have L base-p digits.  The members with fewer digits number
-    r' * r**(l-1) for each length l < L, where r' counts the nonzero permitted
-    digits.  Those with L digits are counted most significant digit first: at
-    each position, every permitted digit below the bound's digit (nonzero in
-    the leading position) leaves the lower positions free, and the walk goes
-    on only while the bound's own digit is permitted; if it always is, the
-    bound itself is a member.  At most r**(floor(log_p bound)+1).
-    """
-    if bound < 1:
-        raise ValidationError(f"bound must be >= 1, got {bound}")
-    allowed = digit_set.digits
-    r = len(allowed)
-    top_first = base_digits(bound, digit_set.base)[::-1]
-    leads = r - (0 in allowed)
-    total = sum(leads * r ** (n - 1) for n in range(1, len(top_first)))
-    for pos, b in enumerate(top_first):
-        below = sum(1 for d in allowed if d < b and (pos or d))
-        total += below * r ** (len(top_first) - 1 - pos)
-        if b not in allowed:
-            return total
-    return total + 1
 
 
 # --- Additive representation profiles -------------------------------------

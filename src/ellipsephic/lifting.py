@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._tables import check_pairs, power_sum_table
-from .digits import DigitSet
+from ._tables import Shape, check_pairs, power_sum_table, price
+from .digits import DigitSet, MemberSet
 from .errors import BudgetError, InvariantError, ValidationError
 from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem
 
@@ -270,7 +270,7 @@ class LiftingChain:
 def lifting_chain(
     system: SpacedSystem,
     t: int,
-    members: Sequence[int],
+    members: Sequence[int] | MemberSet,
     modulus_level: int,
     *,
     budget: Budget = DEFAULT_BUDGET,
@@ -285,8 +285,10 @@ def lifting_chain(
     by phi(x), by x mod q_(j-1) in slot i of t slots (0 in the others), and by
     the check column (x mod q_j) * base**(B - c_j), which sums to
     (sum x mod q_j) * base**(B - c_j).  ``pairs_checked`` is the table's sum
-    of squared masses; the kernel refuses a step over budget.  Two keys that
-    differ only in the check column break the implication, a theorem under the
+    of squared masses; the kernel refuses a step over budget, and every step
+    of a ``MemberSet`` before a member is listed: Y entries per factor, phi and
+    the check column below base**B, slot i at most X.  Two keys that differ
+    only in the check column break the implication, a theorem under the
     spacing, so that is an InvariantError: the arithmetic is wrong, not the maths.
     """
     if system.k != 1:
@@ -295,8 +297,13 @@ def lifting_chain(
         raise ValidationError("lifting chain needs finite spacing c >= 1")
     if t < 1 or modulus_level < 1:
         raise ValidationError(f"lifting chain needs t, B >= 1, got t={t}, B={modulus_level}")
-    mem = sorted(set(members))
     base, c, big_b = system.base, system.spacing, modulus_level
+    q = base**big_b
+    if isinstance(members, MemberSet):
+        wide, low, y = (0, q - 1), (0, min(members.bound, q - 1)), members.y
+        price([Shape(y, (wide, *[low if n == i else (0, 0) for n in range(t)], wide), y)
+               for i in range(t)], modulus=q, budget=budget)
+    mem = sorted(set(members))
     phi, zeros = [system.phi(1, x) for x in mem], [0] * len(mem)
     j_star = max(1, -(-big_b // c))  # first j with min(j*c, B) = B
     steps = []
@@ -307,7 +314,7 @@ def lifting_chain(
         slots = [[slot if n == i else zeros for n in range(t)] for i in range(t)]
         table = power_sum_table(
             [([phi, *cols, check], None) for cols in slots],
-            modulus=base**big_b,
+            modulus=q,
             budget=budget,
         )
         prefix = table.keys[:, :-1]  # sorted: equal prefixes are neighbours

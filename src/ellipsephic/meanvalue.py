@@ -1,8 +1,8 @@
 """Exact solution counting for Vinogradov-type systems over member lists.
 
 Counts 2s-tuples (x, y) with phi_j(x_1)+...+phi_j(x_s) = phi_j(y_1)+...+phi_j(y_s)
-for j = 1..k, where the variables run over a finite sorted member list (an
-ellipsephic enumeration in the intended use).  Two counters are provided:
+for j = 1..k, where the variables run over a member list or a ``MemberSet``,
+which each engine prices before listing it.  Two counters are provided:
 
 * brute_force_count -- scans every (x, y) tuple pair; the ground-truth oracle.
 * mitm_count -- meet-in-the-middle: sum_v m(v)^2 over the multiplicity table
@@ -25,9 +25,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._tables import DEFAULT_BUDGET, Budget, check_pairs, power_sum_squares, power_sum_table
+from ._tables import DEFAULT_BUDGET, Budget, Shape, check_pairs, power_sum_squares, power_sum_table, price
 from .errors import ValidationError
-from .digits import _is_prime
+from .digits import MemberSet, _is_prime
 
 __all__ = [
     "SpacedSystem",
@@ -128,6 +128,12 @@ class SpacedSystem:
         """Power-sum key (sum phi_1(x_i), ..., sum phi_k(x_i))."""
         return tuple(sum(self.phi(j, x) for x in xs) for j in range(1, self.k + 1))
 
+    def phi_ranges(self, x_max: int) -> tuple[tuple[int, int], ...]:
+        """(min, max) of each phi_j over 1 <= x <= x_max, bounded term by term."""
+        return tuple((sum(c if c > 0 else c * x_max**i for i, c in enumerate(row)),
+                      sum(c * x_max**i if c > 0 else c for i, c in enumerate(row)))
+                     for row in self.coeffs)
+
     def phi_bound(self, x_max: int) -> int:
         """Upper bound for max_j |phi_j(x)| over 0 <= x <= x_max."""
         return max(
@@ -183,6 +189,10 @@ class WeightAssignment:
             kept = {x: w.numerator * (denom // w.denominator) for x, w in kept.items()}
         return cls(kept, denom, exact)
 
+    # peak bytes per member of ``unit`` on a MemberSet, above the 100-129 that
+    # tracemalloc measured at Y = 177,147 to 1,594,323 on 64-bit CPython
+    UNIT_BYTES = 130
+
     @classmethod
     def unit(cls, members: Iterable[int]) -> "WeightAssignment":
         """Weight 1 on each member: mass 1 over D = 1, checked as from_pairs checks."""
@@ -224,7 +234,7 @@ def _phi_columns(system: SpacedSystem, members: Sequence[int]):
 def brute_force_count(
     system: SpacedSystem,
     s: int,
-    members: Sequence[int],
+    members: Sequence[int] | MemberSet,
     *,
     budget: Budget = DEFAULT_BUDGET,
 ) -> CountResult:
@@ -235,6 +245,8 @@ def brute_force_count(
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
+    if isinstance(members, MemberSet):
+        check_pairs(members.y**s, budget.max_tuples)
     mem = sorted(set(int(m) for m in members))
     y = len(mem)
     check_pairs(y**s, budget.max_tuples)
@@ -265,27 +277,27 @@ def brute_force_count(
 
 # --- meet-in-the-middle engine ----------------------------------------------
 
-def _members(members: Sequence[int], weights: WeightAssignment | None) -> list[int]:
-    """Sorted distinct members, without those outside the weights' support."""
+def _factors(system, s, members, weights, modulus, cap, budget) -> tuple[int, list]:
+    """The number of distinct members of nonzero weight, and the s kernel factors
+    over them: one (phi columns, masses) object, masses None for unit weights.
+    A ``MemberSet``'s factors are priced from its count and bound first."""
     if weights is not None and not isinstance(weights, WeightAssignment):
         raise ValidationError("weights must be built by WeightAssignment.from_pairs")
-    mem = sorted(set(int(m) for m in members))
+    if isinstance(members, MemberSet) and s:
+        mass = members.y if weights is None else sum(map(abs, weights.masses.values()))
+        shape = Shape(members.y, system.phi_ranges(members.bound), mass)
+        price([shape] * s, modulus=modulus, cap=cap, budget=budget)
+    mem, masses = sorted(set(int(m) for m in members)), None
     if weights is not None:
         mem = [m for m in mem if m in weights.masses]
-    return mem
-
-
-def _factors(system, s, mem, weights) -> list:
-    """The s kernel factors of an s-fold count over the members ``mem``: one
-    (phi columns, masses) object repeated, masses None for unit weights."""
-    masses = None if weights is None else [weights.masses[m] for m in mem]
-    return [(_phi_columns(system, mem), masses)] * s
+        masses = [weights.masses[m] for m in mem]
+    return len(mem), [(_phi_columns(system, mem), masses)] * s
 
 
 def multiplicity_table(
     system: SpacedSystem,
     s: int,
-    members: Sequence[int],
+    members: Sequence[int] | MemberSet,
     weights: WeightAssignment | None = None,
     *,
     modulus: int | None = None,
@@ -303,10 +315,9 @@ def multiplicity_table(
     """
     if s < 0:
         raise ValidationError(f"s must be >= 0, got {s}")
-    mem = _members(members, weights)
-    if s == 0 or not mem:
+    y, factors = _factors(system, s, members, weights, modulus, None, budget)
+    if s == 0 or not y:
         return {(0,) * system.k: 1} if s == 0 else {}
-    factors = _factors(system, s, mem, weights)
     table = power_sum_table(factors, modulus=modulus, budget=budget)
     values = table.masses.tolist()
     if weights is not None and weights.exact:
@@ -317,7 +328,7 @@ def multiplicity_table(
 def mitm_count(
     system: SpacedSystem,
     s: int,
-    members: Sequence[int],
+    members: Sequence[int] | MemberSet,
     weights: WeightAssignment | None = None,
     *,
     modulus: int | None = None,
@@ -336,11 +347,9 @@ def mitm_count(
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
-    mem = _members(members, weights)
-    y = len(mem)
+    y, factors = _factors(system, s, members, weights, modulus, key_cap, budget)
     if y == 0:
         return CountResult(0, s, system.k, 0, "mitm")
-    factors = _factors(system, s, mem, weights)
     total = power_sum_squares(factors, modulus=modulus, cap=key_cap, budget=budget)
     if weights is not None and weights.exact:
         total = Fraction(total, weights.denom ** (2 * s))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._tables import Shape, power_sum_table, price
-from .digits import DigitSet, count_members, counted_members, integer_root
+from .digits import DigitSet, MemberSet, integer_root
 from .errors import ValidationError
 from .meanvalue import Budget, DEFAULT_BUDGET
 
@@ -75,17 +75,17 @@ def representation_table(
     Only members with x**k <= bound can occur in a representation, so the
     member list is the ellipsephic enumeration up to the integer k-th root.
     Partial sums above the bound are dropped as they arise, and the overflow
-    is the remaining mass Y**s - sum R(n).  The table is priced from Y,
-    counted by ``count_members``, and refused before any member is enumerated.
+    is the remaining mass Y**s - sum R(n).  The table is priced from Y, a
+    ``MemberSet``'s count, and refused before any member is enumerated.
     """
     if s < 1 or k < 1:
         raise ValidationError("representation_table needs s >= 1 and k >= 1")
     if bound < 1:
         raise ValidationError("bound must be >= 1")
     root = integer_root(bound, k)
-    y = count_members(digit_set, root)
+    members = MemberSet(digit_set, root)
+    y = members.y
     price([Shape(y, ((1, root**k),), y)] * s, cap=bound, budget=budget)
-    members = list(counted_members(digit_set, root, y))
     factor = ([[m**k for m in members]], None)
     table = power_sum_table([factor] * s, cap=bound, budget=budget)
     n, r = table.keys[:, 0], table.masses

@@ -230,6 +230,7 @@ def test_timing_fills_only_seconds(tmp_path, config):
             "t=3\nB=2\na=1\nb=1\nr=1\nnu=1\n",  # R = 3 > s
             "t=2\nB=2\na=-1\nb=1\nr=1\nnu=1\n",
             "t=2\nB=0\na=1\nb=1\nr=1\nnu=1\n",
+            "t=2\nB=2\na=1\nb=1\nr=1\nnu=1\ndelta=-3,0\n",
         )),
     ],
     ids=[
@@ -246,13 +247,17 @@ def test_timing_fills_only_seconds(tmp_path, config):
         "congruence-K-R-over-s",
         "congruence-K-a-negative",
         "congruence-K-B0",
+        "congruence-K-delta-negative",
     ],
 )
 def test_validation_error_leaves_no_output(tmp_path, capsys, monkeypatch, subcommand, config):
+    from ellipsephic import digits, lifting, meanvalue, waring
+
     def unpriced(*args, **kwargs):
         raise AssertionError("priced before the config was validated")
 
-    monkeypatch.setattr(cli, "price", unpriced)
+    for module in (cli, digits, lifting, meanvalue, waring, _tables):
+        monkeypatch.setattr(module, "price", unpriced)
     code, out = run_cli(tmp_path, subcommand, config)
     assert code == 2
     assert capsys.readouterr().err.startswith("error kind=validation")
@@ -295,13 +300,15 @@ def test_lift_chain_refused_by_the_tuple_proxy(tmp_path):
 def test_lift_chain_priced_per_factor(tmp_path, monkeypatch):
     # slot i of factor i holds x mod a power of 3 below 3**9, at most X = 728, and
     # the other slots 0; priced as five (0, 3**9 - 1) columns the keys were objects
-    plans, real = [], cli.price
+    from ellipsephic import lifting
+
+    plans, real = [], lifting.price
 
     def priced(*args, **kwargs):
         plans.append(real(*args, **kwargs))
         raise BudgetError("stop before enumerating")
 
-    monkeypatch.setattr(cli, "price", priced)
+    monkeypatch.setattr(lifting, "price", priced)
     config = "task=chain\ndigitset=p=3;digits=0,1\nt=3\nc=1\nB=9\npsi=0,0,1\nX=728\n"
     code, _ = run_cli(tmp_path, "lift", config)
     assert code == 3
@@ -338,10 +345,12 @@ def random_priced_job(rng):
 
 
 def test_pre_price_bounds_the_kernel_price(tmp_path, monkeypatch):
-    """The CLI prices hand-built shapes before it enumerates a member, so that
-    a job is refused before memory is allocated; no plan the engines then
-    price from the real factors may need more work or bytes than the
-    largest of the job's pre-prices."""
+    """The CLI and the engines given a MemberSet price its shapes before a
+    member is enumerated, so that a job is refused before memory is
+    allocated; no plan the kernel then prices from the real factors may need
+    more work or bytes than the largest of the job's pre-prices."""
+    from ellipsephic import lifting, meanvalue
+
     real = _tables.price
 
     def recording(plans):
@@ -352,7 +361,8 @@ def test_pre_price_bounds_the_kernel_price(tmp_path, monkeypatch):
         return priced
 
     pre, engine = [], []
-    monkeypatch.setattr(cli, "price", recording(pre))
+    for module in (cli, meanvalue, lifting):
+        monkeypatch.setattr(module, "price", recording(pre))
     monkeypatch.setattr(_tables, "price", recording(engine))
     rng = random.Random(19)
     ran = []
@@ -472,6 +482,26 @@ def test_congruence_lambda_weighs_each_x_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     rows = (out / "congruence_lambda.csv").read_text().splitlines()[2:]
     assert [row.split(",")[0] for row in rows] == ["2", "2", "3", "3", "4", "4"]
+
+
+def test_congruence_unit_weights_priced_before_listing(tmp_path, capsys, monkeypatch):
+    """Unit weights on Y members are priced at WeightAssignment.UNIT_BYTES each
+    before any member is listed: 3**20 of them pass the 4 GiB table cap, the
+    531,441 of task=K at X = 5^12 do not."""
+    from ellipsephic import digits
+
+    def unlisted(*args):
+        raise AssertionError("members listed")
+
+    monkeypatch.setattr(digits, "iter_members", unlisted)
+    config = D5 + f"task=lambda\ns=1\nk=1\nB=1\nX={5**20}\n"
+    code, out = run_cli(tmp_path, "congruence", config)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error kind=budget")
+    assert list(out.iterdir()) == []
+    config = D5 + f"task=K\ns=3\nk=2\nB=2\nX={5**12}\nt=2\na=1\nb=1\nr=1\nnu=1\n"
+    with pytest.raises(AssertionError, match="members listed"):  # admitted, so it lists
+        run_cli(tmp_path, "congruence", config, name="K")
 
 
 def test_lift_decompose_output(tmp_path):

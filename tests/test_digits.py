@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from ellipsephic import (
     Budget,
     DigitSet,
     DigitSource,
+    MemberSet,
     ValidationError,
     count_members,
     digit_set_text,
@@ -130,6 +132,15 @@ def test_count_members_matches_enumeration(base, data):
     bounds = [1, base - 1, base, top - 1, top, data.draw(st.integers(1, 2 * top))]
     for bound in bounds:
         assert count_members(ds, bound) == len(list(iter_members(ds, bound)))
+        # the walk above is the one count_members sums; this filter shares none of it
+        assert count_members(ds, bound) == len(brute_members(base, digits, bound))
+
+
+def test_member_set_counts_past_maxsize():
+    ds = DigitSet(5, (0, 1, 4))
+    members = MemberSet(ds, 10**100)
+    assert members.y == count_members(ds, 10**100) > sys.maxsize
+    assert list(MemberSet(ds, 30)) == [1, 4, 5, 6, 9, 20, 21, 24, 25, 26, 29, 30]
 
 
 @given(

@@ -14,6 +14,7 @@ from ellipsephic import (
     Budget,
     BudgetError,
     DigitSet,
+    MemberSet,
     SpacedSystem,
     ValidationError,
     WeightAssignment,
@@ -22,6 +23,7 @@ from ellipsephic import (
     fit_exponent,
     iter_members,
     key_hex,
+    lifting_chain,
     lower_bound_reference,
     mitm_count,
     multiplicity_table,
@@ -71,6 +73,53 @@ def test_single_power():
     sys_w = SpacedSystem.single_power(2, 5)
     assert sys_w.k == 1
     assert sys_w.phi(1, 7) == 49
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.integers(1, 30))
+def test_phi_ranges_bound_every_member(row, x_max):
+    system = SpacedSystem(1, 3, (tuple(row),), 0)
+    [(lo, hi)] = system.phi_ranges(x_max)
+    values = [system.phi(1, x) for x in range(1, x_max + 1)]
+    assert lo <= min(values) and max(values) <= hi
+    assert SpacedSystem.pure_powers(3, 5).phi_ranges(x_max) == tuple(
+        (1, x_max**j) for j in (1, 2, 3))
+
+
+# --- a MemberSet in place of a list -------------------------------------------
+
+SQUARES5 = DigitSet(5, (0, 1, 4))
+CHAIN = SpacedSystem.perturbed(5, 1, [[0, 0, 1]])
+
+
+def test_member_set_counts_as_its_list():
+    members = MemberSet(SQUARES5, 300)
+    listed = list(iter_members(SQUARES5, 300))
+    sys2 = SpacedSystem.pure_powers(2, 5)
+    assert mitm_count(sys2, 2, members) == mitm_count(sys2, 2, listed)
+    assert brute_force_count(sys2, 2, members) == brute_force_count(sys2, 2, listed)
+    assert multiplicity_table(sys2, 2, members) == multiplicity_table(sys2, 2, listed)
+    assert lifting_chain(CHAIN, 2, members, 2) == lifting_chain(CHAIN, 2, listed, 2)
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda m: mitm_count(SpacedSystem.pure_powers(1, 5), 2, m),
+        lambda m: multiplicity_table(SpacedSystem.pure_powers(2, 5), 2, m),
+        lambda m: brute_force_count(SpacedSystem.pure_powers(1, 5), 1, m),
+        lambda m: lifting_chain(CHAIN, 2, m, 3),
+    ],
+    ids=["mitm_count", "multiplicity_table", "brute_force_count", "lifting_chain"],
+)
+def test_member_set_refused_before_listing(monkeypatch, engine):
+    from ellipsephic import digits
+
+    def unlisted(*args):
+        raise AssertionError("members listed before the budget refused")
+
+    monkeypatch.setattr(digits, "iter_members", unlisted)
+    with pytest.raises(BudgetError):
+        engine(MemberSet(SQUARES5, 5**14))  # Y = 3**14 = 4,782,969
 
 
 # --- brute force oracle -----------------------------------------------------

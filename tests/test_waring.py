@@ -20,7 +20,7 @@ from ellipsephic import (
     representation_table,
     represented_count,
 )
-from ellipsephic import digits, waring
+from ellipsephic import digits
 
 DS3 = DigitSet(3, (0, 1))
 DS5 = DigitSet(5, (0, 1, 4))
@@ -172,7 +172,7 @@ def test_refusal_counts_before_enumerating(monkeypatch):
 
 
 def test_member_count_mismatch_is_invariant_error(monkeypatch):
-    monkeypatch.setattr(waring, "count_members", lambda ds, bound: 0)
+    monkeypatch.setattr(digits, "count_members", lambda ds, bound: 0)
     with pytest.raises(InvariantError):
         representation_table(DS5, 2, 2, 625)
 
