@@ -6,7 +6,9 @@ with (or embed) a canonical reproducibility header.  Identical configs
 produce byte-identical outputs; timing information is only emitted when
 explicitly requested since it would break that guarantee.
 
-Exit codes: 0 ok, 2 validation error, 3 budget refusal, 4 invariant breach.
+Runners hand the engines a ``MemberSet``, which each budgets from its count,
+or congruence from its residue counts, before a member is listed.  Exit
+codes: 0 ok, 2 validation error, 3 budget refusal, 4 invariant breach.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._tables import Shape, check_pairs, price
+from ._tables import check_pairs
 from .errors import BudgetError, InvariantError, ValidationError
 from . import congruence as cg
 from . import digits as dg
@@ -245,7 +247,7 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     """count.csv, and for a single X with ``histogram=on`` its table m(v) in
     the kernel's increasing key order; with method=mitm the count is read off
     that table.  ``seconds`` times the engine call that gave the count, its
-    listing included.  Engines price before they list, and the largest X (so
+    listing included.  Engines refuse before they list, and the largest X (so
     the most members) runs first, so it is refused before any count runs."""
     ds = _digit_set(cfg)
     s = _get_int(cfg, "s", least=1)
@@ -285,21 +287,6 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
         _write_columns(out / "histogram.csv", header, "key_hex,multiplicity", fmt, columns)
 
 
-def _class_shape(p: int, k: int, b_level: int, level: int, y: int) -> Shape:
-    """A level-``level`` class factor of Y members under the modulus p^B: its
-    members fall on at most min(Y, p^(max(B, level) - level)) residues."""
-    q = p**b_level
-    return Shape(min(y, p ** (max(b_level, level) - level)), ((0, q - 1),) * k, y)
-
-
-def _check_unit_weights(y: int, budget) -> None:
-    """Refuse unit weights on Y members, before any is listed, past the table byte cap."""
-    need = y * cg.WeightAssignment.UNIT_BYTES
-    if need > budget.max_table_bytes:
-        raise BudgetError(f"unit weights on {y} members need {need} bytes, "
-                          f"allowed {budget.max_table_bytes}")
-
-
 def _run_congruence(cfg, out: Path, header: str, budget) -> None:
     task = cfg.get("task")
     ds = _digit_set(cfg)
@@ -311,30 +298,15 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
         if min(levels) < 1:
             raise ValidationError(f"config key B needs levels >= 1, got {levels}")
         bounds = [_get_int(cfg, "X", ds.base**b_level) for b_level in levels]
-        sets = {bound: dg.MemberSet(ds, bound) for bound in bounds}
-        # U^B's one class is at level 0; levels priced first, most members first
-        for bound, b_level in sorted(zip(bounds, levels), reverse=True):
-            shape = _class_shape(ds.base, k, b_level, 0, sets[bound].y)
-            price([shape] * s, modulus=ds.base**b_level, budget=budget)
-        _check_unit_weights(sum(members.y for members in sets.values()), budget)
-        rows, weights = [], {}  # one assignment per distinct X
-        for b_level, bound in zip(levels, bounds):
-            if bound not in weights:
-                weights[bound] = cg.WeightAssignment.unit(sets[bound])
-            spec = cg.MeanValueSpec(system, weights[bound], s, b_level, 0)
+        rows = [None] * len(levels)  # levels run largest first, rows kept in config order
+        for i, b_level in sorted(enumerate(levels), key=lambda item: item[1], reverse=True):
+            spec = cg.MeanValueSpec(system, dg.MemberSet(ds, bounds[i]), s, b_level, 0)
             rr = cg.restriction_ratio(spec, ds, budget=budget)
-            for ratio, normalizer in (
-                (rr.ratio, "q^H"),
-                (rr.ratio_by_classes, "classes"),
-            ):
-                row = [b_level, rr.level, 0, s, k, rr.u_b, rr.u_bh]
-                rows.append(row + ["NA" if ratio is None else ratio, normalizer])
-        _write_csv(
-            out / "congruence_lambda.csv",
-            header,
-            ["B", "H", "h", "s", "k", "U_B", "U_BH", "ratio", "normalizer"],
-            rows,
-        )
+            row = [b_level, rr.level, 0, s, k, rr.u_b, rr.u_bh]
+            by_classes = "NA" if rr.ratio_by_classes is None else rr.ratio_by_classes
+            rows[i] = [row + [rr.ratio, "q^H"], row + [by_classes, "classes"]]
+        columns = ["B", "H", "h", "s", "k", "U_B", "U_BH", "ratio", "normalizer"]
+        _write_csv(out / "congruence_lambda.csv", header, columns, itertools.chain(*rows))
         return
     if task == "K":
         b_level = _get_int(cfg, "B", least=1)
@@ -345,37 +317,21 @@ def _run_congruence(cfg, out: Path, header: str, budget) -> None:
         nu = _get_int(cfg, "nu")
         deltas = _get_int_list(cfg, "delta") if "delta" in cfg else [0]
         bound = _get_int(cfg, "X", ds.base**b_level)
-        big_r = cg._two_class_r(s, k, t, r, nu)
         if min(deltas) < 0:
             raise ValidationError(f"config key delta needs values >= 0, got {deltas}")
         level = -(-b_level // k)
-        # K's table: R factors of a level-a class, s - R of a level-b one; U^{B,H}'s: s of level H
         members = dg.MemberSet(ds, bound)
-        q = ds.base**b_level
-        shape_a, shape_b, shape_h = (_class_shape(ds.base, k, b_level, ell, members.y)
-                                     for ell in (a, b, level))
-        price([shape_a] * big_r + [shape_b] * (s - big_r), modulus=q, budget=budget)
-        price([shape_h] * s, modulus=q, budget=budget)
-        _check_unit_weights(members.y, budget)
-        weights = cg.WeightAssignment.unit(members)
-        spec = cg.MeanValueSpec(system, weights, s, b_level, 0)
+        spec = cg.MeanValueSpec(system, members, s, b_level, 0)
         k_value = cg.two_class_mean_value(spec, t, r, a, b, nu, budget=budget)
-        spec_h = cg.MeanValueSpec(system, weights, s, b_level, level)
+        spec_h = cg.MeanValueSpec(system, members, s, b_level, level)
         u_bh = cg.congruence_mean_value(spec_h, budget=budget)
-        n_classes = len(cg.class_norms(weights, ds.base, level).table)
-        rows = []
-        for delta in deltas:
-            if k >= 2 and 1 <= r <= k - 1 and u_bh > 0:
-                k_tilde = cg.normalized_two_class(k_value, delta, r, k, u_bh, n_classes)
-            else:
-                k_tilde = "NA"
-            rows.append([a, b, r, nu, k_value, k_tilde, delta])
-        _write_csv(
-            out / "congruence_k.csv",
-            header,
-            ["a", "b", "r", "nu", "K", "K_tilde", "delta"],
-            rows,
-        )
+        n_classes = len(cg.class_norms(members, ds.base, level).table)
+        normal = k >= 2 and 1 <= r <= k - 1 and u_bh > 0  # else K has no normalised form
+        rows = [[a, b, r, nu, k_value,
+                 cg.normalized_two_class(k_value, delta, r, k, u_bh, n_classes) if normal else "NA",
+                 delta] for delta in deltas]
+        columns = ["a", "b", "r", "nu", "K", "K_tilde", "delta"]
+        _write_csv(out / "congruence_k.csv", header, columns, rows)
         return
     raise ValidationError("congruence task must be lambda or K")
 

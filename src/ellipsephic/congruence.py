@@ -6,6 +6,10 @@ orthogonality to a congruence count, which is the default evaluation path),
 single-class and two-class congruence mean values, and the finite
 restriction-ratio diagnostic.
 
+The weights are a ``WeightAssignment`` or a ``MemberSet`` (unit weights), read
+only by ``_classes``, through each member's residue mod p^max(B, level): its
+summed masses, or the set's residue counts, walked with no member listed.
+
 One driver, ``_class_average``, sums every mean value over tuples of per-class
 blocks, one per residue class and power, each built once per call from the
 class's residues (``_classes``): their phi columns (the only phi evaluation
@@ -36,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .digits import DigitSet, count_members
+from .digits import DigitSet, MemberSet, count_members
 from .errors import BudgetError, InvariantError, ValidationError
 from ._tables import power_sum_squares
 from .meanvalue import Budget, DEFAULT_BUDGET, SpacedSystem, WeightAssignment, _phi_columns
@@ -90,24 +94,33 @@ class _Class(NamedTuple):
 
 
 _EMPTY = _Class([], [], 0)
+Weights = WeightAssignment | MemberSet  # a MemberSet reads as unit weights
 
 
-def _classes(weights: WeightAssignment, base: int, level: int, modulus: int) -> dict[int, _Class]:
+def _classes(
+    weights: Weights, base: int, level: int, modulus: int, budget: Budget = DEFAULT_BUDGET
+) -> dict[int, _Class]:
     """The support's classes modulo base**level, the one reader of its members.
 
     A member x enters only through x mod lcm(modulus, base**level), which
     fixes phi_j(x) mod ``modulus`` (phi has integer coefficients) and x's
-    class, so the masses and squared masses are summed per residue first.
+    class, so the masses and squared masses are summed per residue first (a
+    ``MemberSet``'s are both its residue counts, walked under ``budget``).
     """
     if level < 0:
         raise ValidationError("level must be >= 0")
     step = base**level
     reduce_by = math.lcm(modulus, step)
-    hist: dict[int, list] = {}
-    for x, m in weights.masses.items():
-        sums = hist.setdefault(x % reduce_by, [0, 0])
-        sums[0] += m
-        sums[1] += m * m
+    if isinstance(weights, MemberSet):
+        hist = {r: (c, c) for r, c in weights.residue_counts(reduce_by, budget).items()}
+        if not hist:
+            raise ValidationError("total weight must be positive")
+    else:
+        hist = {}
+        for x, m in weights.masses.items():
+            sums = hist.setdefault(x % reduce_by, [0, 0])
+            sums[0] += m
+            sums[1] += m * m
     groups: dict[int, list[int]] = {}
     for r in sorted(hist):
         groups.setdefault(r % step, []).append(r)
@@ -118,7 +131,7 @@ def _classes(weights: WeightAssignment, base: int, level: int, modulus: int) -> 
     }
 
 
-def class_norms(weights: WeightAssignment, base: int, level: int) -> ClassNorms:
+def class_norms(weights: Weights, base: int, level: int) -> ClassNorms:
     table = {res: cls.rho_sq for res, cls in _classes(weights, base, level, 1).items()}
     return ClassNorms(base, level, table)
 
@@ -149,7 +162,7 @@ class MeanValueSpec:
     """
 
     system: SpacedSystem
-    weights: WeightAssignment
+    weights: Weights
     s: int
     modulus_level: int
     class_level: int = 0
@@ -173,7 +186,7 @@ class MeanValueSpec:
 
 def restricted_exp_sum(
     system: SpacedSystem,
-    weights: WeightAssignment,
+    weights: Weights,
     point: GridPoint,
     level: int,
     residue: int,
@@ -328,7 +341,8 @@ def _class_average(
     """
     if by_level is None:
         levels = {level for level, _, _ in blocks}
-        by_level = {lv: _classes(spec.weights, spec.base, lv, spec.modulus) for lv in levels}
+        by_level = {lv: _classes(spec.weights, spec.base, lv, spec.modulus, budget)
+                    for lv in levels}
     tables = [by_level[level] for level, _, _ in blocks]
     chosen = blocks[0][2] is not None
     picks = [sorted(table) if res is None else table.keys() & {res % spec.base**level}
@@ -390,16 +404,7 @@ def two_class_mean_value(
     """
     _check_mode(mode)
     s = spec.s
-    big_r = _two_class_r(s, spec.system.k, t, r, nu)
-    if (xi is None) != (eta is None):
-        raise ValidationError("give both xi and eta or neither")
-    return _class_average(spec, [(a, big_r, xi), (b, s - big_r, eta)], mode, budget, nu)
-
-
-def _two_class_r(s: int, k: int, t: int, r: int, nu: int) -> int:
-    """R = t*r*(r+1)/2, the size of the level-a block, once the two-class
-    parameters are checked; the CLI checks them before it prices."""
-    if not 0 <= r <= k:
+    if not 0 <= r <= spec.system.k:
         raise ValidationError(f"need 0 <= r <= k, got r={r}")
     if t < 2:
         raise ValidationError("t must be >= 2")
@@ -408,7 +413,9 @@ def _two_class_r(s: int, k: int, t: int, r: int, nu: int) -> int:
     big_r = t * r * (r + 1) // 2
     if big_r > s:
         raise ValidationError(f"R = t*r(r+1)/2 = {big_r} exceeds s = {s}")
-    return big_r
+    if (xi is None) != (eta is None):
+        raise ValidationError("give both xi and eta or neither")
+    return _class_average(spec, [(a, big_r, xi), (b, s - big_r, eta)], mode, budget, nu)
 
 
 def normalized_two_class(k_value, delta: float, r: int, k: int, u_bh, q_h: int) -> float:
@@ -456,7 +463,8 @@ def restriction_ratio(
     q = count_members(digit_set, digit_set.base)
     if q < 2:
         raise ValidationError(f"q = #members in [1, base] is {q}; ratio needs q >= 2")
-    by_level = {lv: _classes(spec.weights, spec.base, lv, spec.modulus) for lv in (0, level)}
+    by_level = {lv: _classes(spec.weights, spec.base, lv, spec.modulus, budget)
+                for lv in (0, level)}
     u_b = _class_average(spec, [(0, spec.s, None)], "count", budget, by_level=by_level)
     u_bh = _class_average(spec, [(level, spec.s, None)], "count", budget, by_level=by_level)
     if u_bh <= 0:
@@ -490,7 +498,7 @@ class RefinementCheck:
 
 def class_refinement_check(
     system: SpacedSystem,
-    weights: WeightAssignment,
+    weights: Weights,
     a: int,
     b: int,
     w: int,

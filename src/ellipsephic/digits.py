@@ -4,7 +4,8 @@ An ellipsephic set over an odd prime base p is the set of positive integers
 whose base-p expansion only uses digits from a prescribed digit set.  This
 module builds digit sets, explicit or cut from a source such as the squares;
 counts and lists the members of [1, X] by one top-first digit walk, whose
-count a ``MemberSet`` holds so that a job is priced before any is listed;
+count a ``MemberSet`` holds so that a job is priced before any is listed, and
+whose blocks give the members on each residue mod p^M without listing one;
 tests membership; and gives a source's additive representation profile, how
 many ordered t-tuples of source elements sum to each integer.
 """
@@ -13,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from ._tables import DEFAULT_BUDGET, Budget, Shape, power_sum_dense, price
-from .errors import InvariantError, ValidationError
+from .errors import BudgetError, InvariantError, ValidationError
 
 __all__ = [
     "DigitSet",
@@ -265,11 +267,15 @@ def count_members(digit_set: DigitSet, bound: int) -> int:
 class MemberSet:
     """The members of [1, bound], counted in ``y`` (not ``len``: y may pass
     sys.maxsize) and listed by iterating, increasing, with an InvariantError
-    after the last if they were not y, the figure the job was priced by."""
+    after the last if they were not y, the figure the job was priced by.
+    The congruence mean values read it as unit weights (mass 1 over ``denom``
+    1, ``rho0_sq`` = y) through ``residue_counts``; ``entries`` lists them."""
 
     digit_set: DigitSet
     bound: int
     y: int = field(init=False)
+    denom, exact = 1, True
+    UNIT_BYTES = 130  # a residue count's bytes: above the 100-129 of a unit weight's dict entry
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "y", count_members(self.digit_set, self.bound))
@@ -280,6 +286,37 @@ class MemberSet:
             yield x
         if n != self.y:
             raise InvariantError(f"{n} members enumerated, {self.y} counted")
+
+    rho0_sq = property(lambda self: self.y)
+    entries = property(lambda self: tuple((x, 1) for x in self))
+
+    def residue_counts(self, modulus: int, budget: Budget = DEFAULT_BUDGET) -> Counter:
+        """Members on each residue mod ``modulus`` = p**M, from the blocks (head, n)
+        of ``_blocks``, listing none: one with n >= M puts r**(n - M) on every
+        string of M permitted digits (summed first: each string is visited
+        once), one with n < M one on (head * p**n + w) mod p**M per n-digit w.
+        Refused first if min(y, p**M) counts at UNIT_BYTES pass the byte cap."""
+        p = self.digit_set.base
+        level = len(base_digits(modulus, p)) - 1 if modulus > 0 else 0
+        if p**level != modulus:
+            raise ValidationError(f"members are read modulo powers of {p}, not {modulus}")
+        if min(self.y, modulus) * self.UNIT_BYTES > budget.max_table_bytes:
+            raise BudgetError(f"residue counts of {self.y} members mod {modulus} pass "
+                              f"{budget.max_table_bytes} bytes")
+        # a string's value is the sum of its digits' place values d * p**i
+        places = [[d * p**i for d in self.digit_set.digits] for i in range(level)]
+        counts, full = Counter(), 0
+        for head, n in _blocks(self.digit_set, self.bound):
+            if n >= level:
+                full += self.digit_set.r ** (n - level)
+            else:
+                top = head * p**n
+                counts.update((top + sum(w)) % modulus for w in itertools.product(*places[:n]))
+        if full:
+            counts.update(dict.fromkeys(map(sum, itertools.product(*places)), full))
+        if counts.total() != self.y:
+            raise InvariantError(f"{counts.total()} members walked by residue, {self.y} counted")
+        return counts
 
 
 def is_member(digit_set: DigitSet, n: int) -> bool:

@@ -189,10 +189,6 @@ class WeightAssignment:
             kept = {x: w.numerator * (denom // w.denominator) for x, w in kept.items()}
         return cls(kept, denom, exact)
 
-    # peak bytes per member of ``unit`` on a MemberSet, above the 100-129 that
-    # tracemalloc measured at Y = 177,147 to 1,594,323 on 64-bit CPython
-    UNIT_BYTES = 130
-
     @classmethod
     def unit(cls, members: Iterable[int]) -> "WeightAssignment":
         """Weight 1 on each member: mass 1 over D = 1, checked as from_pairs checks."""

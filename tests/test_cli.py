@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ def test_validation_error_leaves_no_output(tmp_path, capsys, monkeypatch, subcom
     def unpriced(*args, **kwargs):
         raise AssertionError("priced before the config was validated")
 
-    for module in (cli, digits, lifting, meanvalue, waring, _tables):
+    for module in (digits, lifting, meanvalue, waring, _tables):
         monkeypatch.setattr(module, "price", unpriced)
     code, out = run_cli(tmp_path, subcommand, config)
     assert code == 2
@@ -318,37 +319,28 @@ def test_lift_chain_priced_per_factor(tmp_path, monkeypatch):
 
 
 def random_priced_job(rng):
-    """A small random count, congruence or lift chain config: (kind, subcommand, text)."""
+    """A small random count or lift chain config: (kind, subcommand, text)."""
     p = rng.choice((3, 5, 7))
     digits = sorted(rng.sample(range(p), rng.randint(2, p - 1)))
     text = f"digitset=p={p};digits={','.join(map(str, digits))}\nstrict=off\n"
     x = rng.randint(1, 400)
-    kind = rng.choice(("count", "lambda", "K", "chain"))
+    kind = rng.choice(("count", "chain"))
     if kind == "count":
         xs = ",".join(str(rng.randint(1, 400)) for _ in range(rng.randint(1, 2)))
         histogram = rng.choice(("on", "off"))
         return kind, "count", text + (f"s={rng.randint(1, 3)}\nk={rng.randint(1, 3)}\n"
                                       f"X={x if histogram == 'on' else xs}\n"
                                       f"histogram={histogram}\n")
-    if kind == "lambda":
-        levels = ",".join(str(rng.randint(1, 3)) for _ in range(rng.randint(1, 2)))
-        return kind, "congruence", text + (f"task=lambda\ns={rng.randint(1, 3)}\n"
-                                           f"k={rng.randint(1, 2)}\nB={levels}\nX={x}\n")
-    if kind == "K":
-        k = rng.randint(1, 2)
-        return kind, "congruence", text + (
-            f"task=K\ns={rng.randint(1, 3)}\nk={k}\nB={rng.randint(1, 3)}\nX={x}\nt=2\n"
-            f"a={rng.randint(0, 3)}\nb={rng.randint(0, 3)}\nr={rng.randint(0, k)}\n"
-            f"nu={rng.randint(0, 2)}\n")
     return kind, "lift", text + (f"task=chain\nt={rng.randint(1, 3)}\nc={rng.randint(1, 2)}\n"
                                  f"B={rng.randint(1, 3)}\npsi=0,0,1\nX={x}\n")
 
 
 def test_pre_price_bounds_the_kernel_price(tmp_path, monkeypatch):
-    """The CLI and the engines given a MemberSet price its shapes before a
-    member is enumerated, so that a job is refused before memory is
-    allocated; no plan the kernel then prices from the real factors may need
-    more work or bytes than the largest of the job's pre-prices."""
+    """The engines given a MemberSet price its shapes before a member is
+    enumerated, so that a job is refused before memory is allocated; no plan
+    the kernel then prices from the real factors may need more work or bytes
+    than the largest of the job's pre-prices.  Congruence jobs have no
+    pre-price: the kernel prices each class table from its residues."""
     from ellipsephic import lifting, meanvalue
 
     real = _tables.price
@@ -361,7 +353,7 @@ def test_pre_price_bounds_the_kernel_price(tmp_path, monkeypatch):
         return priced
 
     pre, engine = [], []
-    for module in (cli, meanvalue, lifting):
+    for module in (meanvalue, lifting):
         monkeypatch.setattr(module, "price", recording(pre))
     monkeypatch.setattr(_tables, "price", recording(engine))
     rng = random.Random(19)
@@ -377,7 +369,7 @@ def test_pre_price_bounds_the_kernel_price(tmp_path, monkeypatch):
         for field in ("work", "nbytes"):
             most = max(getattr(plan, field) for plan in pre)
             assert max(getattr(plan, field) for plan in engine) <= most, (field, config)
-    assert all(ran.count(kind) >= 10 for kind in ("count", "lambda", "K", "chain")), ran
+    assert all(ran.count(kind) >= 10 for kind in ("count", "chain")), ran
 
 
 def test_etstar_output(tmp_path):
@@ -468,26 +460,24 @@ def test_congruence_k_priced_on_residues(tmp_path):
 
 
 def test_congruence_lambda_weighs_each_x_once(tmp_path, monkeypatch):
-    calls = []
-    real = cli.cg.WeightAssignment.unit
+    """No member is listed: each level reads the residue counts of its MemberSet."""
+    from ellipsephic import digits
 
-    def counting(members):
-        calls.append(1)
-        return real(members)
+    def unlisted(*args):
+        raise AssertionError("members listed")
 
-    monkeypatch.setattr(cli.cg.WeightAssignment, "unit", counting)
+    monkeypatch.setattr(digits, "iter_members", unlisted)
     config = D5 + "task=lambda\ns=2\nk=2\nB=2,3,4\nX=3125\n"
     code, out = run_cli(tmp_path, "congruence", config)
     assert code == 0
-    assert len(calls) == 1
     rows = (out / "congruence_lambda.csv").read_text().splitlines()[2:]
     assert [row.split(",")[0] for row in rows] == ["2", "2", "3", "3", "4", "4"]
 
 
-def test_congruence_unit_weights_priced_before_listing(tmp_path, capsys, monkeypatch):
-    """Unit weights on Y members are priced at WeightAssignment.UNIT_BYTES each
-    before any member is listed: 3**20 of them pass the 4 GiB table cap, the
-    531,441 of task=K at X = 5^12 do not."""
+def test_congruence_unit_weights_priced_before_listing(tmp_path, monkeypatch):
+    """3**20 unit weights, once refused at 130 bytes a member, are read as
+    residue counts mod 5: the job runs with no member listed, as does task=K
+    on the 531,441 members up to 5^12."""
     from ellipsephic import digits
 
     def unlisted(*args):
@@ -496,12 +486,17 @@ def test_congruence_unit_weights_priced_before_listing(tmp_path, capsys, monkeyp
     monkeypatch.setattr(digits, "iter_members", unlisted)
     config = D5 + f"task=lambda\ns=1\nk=1\nB=1\nX={5**20}\n"
     code, out = run_cli(tmp_path, "congruence", config)
-    assert code == 3
-    assert capsys.readouterr().err.startswith("error kind=budget")
-    assert list(out.iterdir()) == []
+    assert code == 0
+    # the members of [1, 5^20] are the nonzero strings of 20 digits from
+    # {0, 1, 4} and 5^20 itself: 3^19 strings end in each digit, less the zero
+    # string and plus 5^20 on residue 0.  U^1 = sum N_d^2 / Y over the residues
+    # d mod 5, and U^{1,1} equals it, since each class mod 5 is one residue
+    per_residue = [3**19 - 1 + 1, 3**19, 3**19]
+    u_b = Fraction(sum(n * n for n in per_residue), sum(per_residue))
+    rows = [line.split(",") for line in (out / "congruence_lambda.csv").read_text().splitlines()]
+    assert rows[2][:7] == ["1", "1", "0", "1", "1", repr(float(u_b)), repr(float(u_b))]
     config = D5 + f"task=K\ns=3\nk=2\nB=2\nX={5**12}\nt=2\na=1\nb=1\nr=1\nnu=1\n"
-    with pytest.raises(AssertionError, match="members listed"):  # admitted, so it lists
-        run_cli(tmp_path, "congruence", config, name="K")
+    assert run_cli(tmp_path, "congruence", config, name="K")[0] == 0
 
 
 def test_lift_decompose_output(tmp_path):

@@ -14,6 +14,7 @@ from ellipsephic import (
     GridPoint,
     InvariantError,
     MeanValueSpec,
+    MemberSet,
     SpacedSystem,
     ValidationError,
     WeightAssignment,
@@ -389,9 +390,9 @@ def test_two_class_reads_each_level_once(monkeypatch):
     levels = []
     build = congruence._classes
 
-    def counted(weights, base, level, modulus):
+    def counted(weights, base, level, *rest):
         levels.append(level)
-        return build(weights, base, level, modulus)
+        return build(weights, base, level, *rest)
 
     monkeypatch.setattr(congruence, "_classes", counted)
     spec = MeanValueSpec(SYS31, W9, 2, 2, 0)
@@ -436,9 +437,9 @@ def test_restriction_ratio_reads_the_support_twice(monkeypatch):
     levels = []
     build = congruence._classes
 
-    def counted(weights, base, level, modulus):
+    def counted(weights, base, level, *rest):
         levels.append(level)
-        return build(weights, base, level, modulus)
+        return build(weights, base, level, *rest)
 
     def no_norms(*args):
         raise AssertionError("class_norms called")
@@ -448,6 +449,34 @@ def test_restriction_ratio_reads_the_support_twice(monkeypatch):
     rr = restriction_ratio(MeanValueSpec(SYS31, WeightAssignment.unit(E27), 2, 3, 0), DS3)
     assert sorted(levels) == [0, 3]
     assert rr.n_classes == 8
+
+
+@pytest.mark.parametrize("ds, bound", [(DS5, 3000), (DigitSet(3, (1, 2)), 700)])
+def test_member_set_reads_as_unit_weights(monkeypatch, ds, bound):
+    """Every mean value on a MemberSet equals, exactly, the same call on the
+    unit weights of its listed members, and lists none of them itself."""
+    from ellipsephic import digits
+
+    members = MemberSet(ds, bound)
+    unit = WeightAssignment.unit(list(members))
+
+    def unlisted(*args):
+        raise AssertionError("members listed")
+
+    monkeypatch.setattr(digits, "iter_members", unlisted)
+    system = SpacedSystem.pure_powers(2, ds.base)
+    calls = [
+        *(lambda w, h=h: congruence_mean_value(MeanValueSpec(system, w, 2, 2, h))
+          for h in (0, 1, 2)),
+        lambda w: two_class_mean_value(MeanValueSpec(system, w, 3, 2, 0), 2, 1, 1, 2, nu=1),
+        lambda w: two_class_mean_value(MeanValueSpec(system, w, 3, 2, 0), 2, 1, 1, 2,
+                                       xi=1, eta=ds.digits[-1]),
+        lambda w: restriction_ratio(MeanValueSpec(system, w, 2, 3, 0), ds),
+        lambda w: class_norms(w, ds.base, 2),
+    ]
+    for call in calls:
+        got, want = call(members), call(unit)
+        assert got == want and type(got) is type(want)
 
 
 def test_grid_class_vector_freed_before_the_next(monkeypatch):

@@ -1,7 +1,8 @@
 """Congruence mean values from residue histograms against per-member scans.
 
 The library reduces the support to residues before any phi evaluation; the
-oracles here never do.  They scan the ordered tuples of the members
+oracles here never do.  A ``MemberSet`` is one more weight kind: the oracles
+read its listed ``entries``, the library its residue counts.  They scan the ordered tuples of the members
 themselves, reduce each key mod p^B and sum the products of the weights, as
 ``test_count_slices.py`` does for the counting engines.
 """
@@ -16,9 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipsephic import (
+    DigitSet,
     GridPoint,
     MeanValueSpec,
+    MemberSet,
     SpacedSystem,
+    ValidationError,
     WeightAssignment,
     congruence_mean_value,
     discrete_integral,
@@ -51,8 +55,9 @@ def scan(system, parts, modulus):
 
 
 def block_value(system, parts, modulus):
-    """The grid average of prod |f_part|^2 over the parts, normalised."""
-    return scan(system, parts, modulus) / math.prod(norm(part) for part in parts)
+    """The grid average of prod |f_part|^2 over the parts, normalised (exact
+    for integer weights too)."""
+    return scan(system, parts, modulus) / Fraction(math.prod(norm(part) for part in parts))
 
 
 def oracle_mean_value(system, entries, s, b_level, h):
@@ -87,9 +92,14 @@ def systems(draw):
 
 
 @st.composite
-def weight_assignments(draw, max_size=7):
+def weight_assignments(draw, base, max_size=7):
+    kind = draw(st.sampled_from(["unit", "fraction", "float", "members"]))
+    if kind == "members":  # unit weights on E(X), at most about 3 * max_size members
+        digits = draw(st.lists(st.integers(0, base - 1), min_size=2, max_size=base - 1,
+                               unique=True))
+        ds = DigitSet(base, tuple(digits), strict=False)
+        return MemberSet(ds, draw(st.integers(min(d for d in digits if d), 3 * max_size)))
     members = draw(st.lists(st.integers(1, 400), min_size=1, max_size=max_size, unique=True))
-    kind = draw(st.sampled_from(["unit", "fraction", "float"]))
     if kind == "unit":
         return WeightAssignment.unit(members)
     if kind == "fraction":
@@ -108,9 +118,10 @@ def same(got, want, weights):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
 
 
-@given(systems(), weight_assignments(), st.data())
+@given(systems(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_mean_value_and_integral_match_member_scan(system, weights, data):
+def test_mean_value_and_integral_match_member_scan(system, data):
+    weights = data.draw(weight_assignments(system.base))
     s = data.draw(st.integers(1, 3))
     b_level = data.draw(st.integers(1, 2))
     h = data.draw(st.integers(0, b_level))
@@ -126,9 +137,10 @@ def test_mean_value_and_integral_match_member_scan(system, weights, data):
     same(discrete_integral(spec, residue), want, weights)
 
 
-@given(systems(), weight_assignments(max_size=6), st.data())
+@given(systems(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_two_class_matches_member_scan(system, weights, data):
+def test_two_class_matches_member_scan(system, data):
+    weights = data.draw(weight_assignments(system.base, max_size=6))
     k = system.k
     s = data.draw(st.integers(1, 3))
     t, r = data.draw(st.sampled_from(
@@ -156,9 +168,10 @@ def test_two_class_matches_member_scan(system, weights, data):
     same(two_class_mean_value(spec, t, r, a, b, xi=xi, eta=eta), pair, weights)
 
 
-@given(systems(), weight_assignments(max_size=10), st.data())
+@given(systems(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_exp_sum_matches_member_sum_off_prime_powers(system, weights, data):
+def test_exp_sum_matches_member_sum_off_prime_powers(system, data):
+    weights = data.draw(weight_assignments(system.base, max_size=10))
     modulus = data.draw(st.sampled_from([6, 10, 21, system.base**2]))
     u = tuple(data.draw(st.integers(1, modulus)) for _ in range(system.k))
     level = data.draw(st.integers(0, 3))
@@ -170,6 +183,10 @@ def test_exp_sum_matches_member_sum_off_prime_powers(system, weights, data):
         want += float(w) * cmath.exp(2j * cmath.pi * (phase % modulus) / modulus)
     if part:
         want /= math.sqrt(float(norm(part)))
+    if isinstance(weights, MemberSet) and modulus != system.base**2:
+        with pytest.raises(ValidationError):  # a member set is read mod powers of p only
+            restricted_exp_sum(system, weights, GridPoint(u, modulus), level, residue)
+        return
     got = restricted_exp_sum(system, weights, GridPoint(u, modulus), level, residue)
     scale = math.sqrt(len(part))  # bounds |f| for weights in [0, 1]
     assert cmath.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale)

@@ -3,7 +3,9 @@
 import itertools
 import json
 import math
+import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 
 from ellipsephic import (
     Budget,
+    BudgetError,
     DigitSet,
     DigitSource,
+    InvariantError,
     MemberSet,
     ValidationError,
     count_members,
@@ -134,6 +138,43 @@ def test_count_members_matches_enumeration(base, data):
         assert count_members(ds, bound) == len(list(iter_members(ds, bound)))
         # the walk above is the one count_members sums; this filter shares none of it
         assert count_members(ds, bound) == len(brute_members(base, digits, bound))
+
+
+def test_residue_counts_match_the_member_listing():
+    """The walk's counts mod p**M against the members' own x % p**M, on seeded
+    digit sets with and without 0, bounds off the powers of p, and M from 0
+    to past the bound's length."""
+    rng = random.Random(22)
+    for _ in range(300):
+        base = rng.choice((3, 5, 7, 11))
+        digits = sorted(rng.sample(range(base), rng.randint(2, base - 1)))
+        if rng.random() < 0.4:
+            digits = [d for d in digits if d] or [1]
+        ds = DigitSet(base, tuple(digits), strict=False)
+        bound = rng.randint(2, base ** rng.randint(1, 4 if base < 11 else 3))
+        length = len(base_digits(bound, base))
+        if bound == base ** (length - 1):
+            bound += 1
+        level = rng.randint(0, length + 2)
+        want = Counter(x % base**level for x in iter_members(ds, bound))
+        assert MemberSet(ds, bound).residue_counts(base**level) == want
+
+
+def test_residue_counts_guard_and_tripwire(monkeypatch):
+    from ellipsephic import digits
+
+    ds = DigitSet(5, (0, 1, 4))
+    for modulus in (0, 10, 26):
+        with pytest.raises(ValidationError):
+            MemberSet(ds, 125).residue_counts(modulus)
+    # min(y, p**M) counts at UNIT_BYTES each are refused before the walk
+    need = min(3**6, 5**3) * MemberSet.UNIT_BYTES
+    with pytest.raises(BudgetError):
+        MemberSet(ds, 5**6).residue_counts(125, Budget(max_table_bytes=need - 1))
+    assert MemberSet(ds, 5**6).residue_counts(125, Budget(max_table_bytes=need)).total() == 3**6
+    monkeypatch.setattr(digits, "count_members", lambda ds, bound: 0)
+    with pytest.raises(InvariantError):
+        MemberSet(ds, 30).residue_counts(25)
 
 
 def test_member_set_counts_past_maxsize():
