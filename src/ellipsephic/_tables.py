@@ -20,6 +20,12 @@ priced, reduced, packed and converted a single time.
 * sparse -- otherwise: each key tuple is packed into one integer in mixed
   radix, every pairwise sum of table and factor entries (a *candidate*) is
   formed at once, and equal keys are merged by a sort and ``np.add.reduceat``.
+  When the largest key and the largest mass, both int64 and >= 0, fit 63 bits
+  together, each mass is packed below its key and the one array is sorted in
+  place (NumPy's default sort); it splits back into keys, increasing, and
+  masses.  Masses of equal keys then add in another order, which leaves an
+  int64 sum unchanged.  Object keys or masses, float masses and wider pairs
+  take a stable argsort instead, so float sums keep their order bit for bit.
 * count-only -- ``power_sum_squares`` returns sum_v m(v)**2 alone.  Keys whose
   component 0 differs mod q differ, so the sum splits over the classes
   c = v_0 mod q.  The sparse backend builds the first n - 1 factors as above
@@ -61,6 +67,8 @@ _SCATTER_CALL = 5000
 _SCATTER_ELEMENT = 10
 # Element adds per sparse candidate, the unit of work: on a 2-core x86 host an
 # int64 candidate took 57-110 ns (median 75), a dense element add 0.4-0.5 ns.
+# Timed before the fused sort of _merge made most int64 candidates cheaper; it
+# is not retuned, since a new value would move which jobs are refused.
 _ADDS_PER_CANDIDATE = 160
 # Candidates per slice of a count-only last step, about 10 MB of working set.
 _SLICE_CANDIDATES = 1 << 18
@@ -405,17 +413,46 @@ def _merge(cand: np.ndarray, cand_mass: np.ndarray, plan: Plan):
     """Reduce the candidates' components mod the modulus, if any, then sum the
     masses of equal keys by a sort and np.add.reduceat: the distinct keys,
     increasing, and their masses.  Only a component wider than the modulus
-    can reach it.  The inputs are reordered in place."""
+    can reach it.  The inputs are reordered in place.
+
+    When ``_mass_bits`` finds room, each mass is packed below its key and the
+    one int64 array is sorted in place by NumPy's default (unstable) sort:
+    equal keys come out adjacent with their masses in another order, which
+    leaves an int64 sum unchanged.  Otherwise (object keys or masses, float
+    masses, or a key and mass too wide to share 63 bits) a stable argsort
+    orders both arrays, so float sums keep their order bit for bit.
+    """
     modulus = plan.modulus
     for stride, width in zip(plan.strides, plan.widths):
         if modulus is not None and width > modulus:
             cand[cand // stride % width >= modulus] -= modulus * stride
-    order = np.argsort(cand, kind="stable")
-    cand[:] = cand[order]  # in place: a caller's reference holds no second copy
-    cand_mass[:] = cand_mass[order]
-    del order
+    bits = _mass_bits(cand, cand_mass)
+    if bits is None:
+        order = np.argsort(cand, kind="stable")
+        cand[:] = cand[order]  # in place: a caller's reference holds no second copy
+        cand_mass[:] = cand_mass[order]
+        del order
+    else:
+        cand <<= bits
+        cand |= cand_mass
+        cand.sort()
+        np.bitwise_and(cand, (1 << bits) - 1, out=cand_mass)
+        cand >>= bits
     first = _run_starts(cand)
     return cand[first], np.add.reduceat(cand_mass, first)
+
+
+def _mass_bits(cand: np.ndarray, cand_mass: np.ndarray) -> int | None:
+    """The bit length of the largest mass when the keys and masses are int64
+    and >= 0 and the largest key and largest mass fit 63 bits together; else
+    None, as for no candidates.  Measured before any shift, each by an OR:
+    over values >= 0 it has the bit length of the largest, and a value < 0
+    makes it negative."""
+    if cand.dtype != np.int64 or cand_mass.dtype != np.int64 or not len(cand):
+        return None
+    keys, masses = int(np.bitwise_or.reduce(cand)), int(np.bitwise_or.reduce(cand_mass))
+    bits = masses.bit_length()
+    return bits if min(keys, masses) >= 0 and keys.bit_length() + bits <= 63 else None
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -513,8 +550,7 @@ def _slice(table, factor, a: np.ndarray, b: np.ndarray, plan: Plan):
     every table entry of group a[i] with every factor entry of group b[i].
 
     Candidates are laid out factor entry by factor entry, each followed by
-    its table group's entries, whose keys increase: the sort then merges a
-    few long increasing runs instead of many short ones.
+    its table group's entries.
     """
     keys, masses, t_groups = table
     f_keys, f_masses, f_groups = factor

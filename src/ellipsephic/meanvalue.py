@@ -318,7 +318,8 @@ def multiplicity_table(
     values = table.masses.tolist()
     if weights is not None and weights.exact:
         values = [Fraction(v, weights.denom**s) for v in values]
-    return dict(zip(map(tuple, table.keys.tolist()), values))
+    # key tuples zipped from column lists: faster than a tuple() per row list
+    return dict(zip(zip(*table.keys.T.tolist()), values))
 
 
 def mitm_count(

@@ -1,6 +1,10 @@
-"""The dense backend of the power-sum kernel against a dict convolution."""
+"""The dense backend of the power-sum kernel against a dict convolution, its
+pricing, and the merge of candidates against a Counter."""
 
+import contextlib
+import itertools
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -8,7 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsephic import BudgetError, ValidationError, _tables
+from ellipsephic import (
+    BudgetError,
+    DigitSet,
+    MemberSet,
+    SpacedSystem,
+    ValidationError,
+    _tables,
+    iter_members,
+    mitm_count,
+    multiplicity_table,
+)
 from ellipsephic._tables import Budget, power_sum_dense, power_sum_table
 
 BUDGET = Budget(max_table_bytes=1 << 27)
@@ -285,3 +299,143 @@ def test_refusal_names_predicted_and_allowed():
 def test_budget_rejects_nonsense_limits(limits):
     with pytest.raises(ValidationError):
         Budget(**limits)
+
+
+# --- the merge: one fused int64 sort, else a stable argsort ------------------
+
+INT64_MAX = (1 << 63) - 1
+
+
+def merge_plan(modulus=None, width=None):
+    """A plan of one key component, all that _merge reads of it."""
+    return _tables.Plan(None, [width or 1], [1], [0], modulus, np.int64, np.int64, 0, 0, 0)
+
+
+@contextlib.contextmanager
+def recorded_mass_bits():
+    """A list of what _mass_bits returns, one entry per merge, while open."""
+    seen = []
+    real = _tables._mass_bits
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with mock.patch.object(_tables, "_mass_bits", spy):
+        yield seen
+
+
+def recorded_merge(cand, cand_mass, plan):
+    """_merge of the candidates and what _mass_bits returned on each call."""
+    with recorded_mass_bits() as seen:
+        keys, masses = _tables._merge(cand, cand_mass, plan)
+    return keys, masses, seen
+
+
+def stable_merge(cand, cand_mass):
+    """The reference merge: a stable argsort, then np.add.reduceat."""
+    order = np.argsort(cand, kind="stable")
+    cand, cand_mass = cand[order], cand_mass[order]
+    first = _tables._run_starts(cand)
+    return cand[first], np.add.reduceat(cand_mass, first)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_merge_matches_a_counter(data):
+    """Keys whose largest has key_bits bits and masses whose largest has
+    mass_bits, both int64 and >= 0, fuse exactly when key_bits + mass_bits <= 63.
+    Under a modulus m = 2**key_bits the keys reach 2m - 2 before the
+    reduction, so they fit beside their masses only once reduced."""
+    total = data.draw(st.sampled_from([None, 62, 63, 64]))
+    modulus = data.draw(st.booleans())
+    low = 1 if modulus else 0
+    high = 62 if modulus else 63
+    if total is None:
+        key_bits, mass_bits = data.draw(st.integers(low, 40)), data.draw(st.integers(0, 20))
+    else:
+        key_bits = data.draw(st.integers(max(low, total - 62), min(high, total)))
+        mass_bits = total - key_bits
+    top_key = (1 << key_bits) - 1
+    raw_top = [top_key, 2 * top_key] if modulus else [top_key]  # m - 1 and 2m - 2
+    pool = data.draw(st.lists(st.integers(0, raw_top[-1]), min_size=1, max_size=6)) + raw_top
+    n = data.draw(st.integers(0, 40))
+    top_mass = (1 << mass_bits) - 1
+    small = st.integers(0, min(top_mass, (INT64_MAX - top_mass) // (n + 2)))
+    keys = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)) + raw_top
+    masses = data.draw(st.lists(small, min_size=n, max_size=n)) + [top_mass]
+    masses += [0] * (len(raw_top) - 1)
+    order = data.draw(st.permutations(range(len(keys))))
+    keys, masses = [keys[i] for i in order], [masses[i] for i in order]
+    plan = merge_plan(1 << key_bits, 2 * top_key + 1) if modulus else merge_plan()
+    got_keys, got_masses, seen = recorded_merge(np.array(keys, dtype=np.int64),
+                                                np.array(masses, dtype=np.int64), plan)
+    assert seen == [mass_bits if key_bits + mass_bits <= 63 else None]
+    want = Counter()
+    for key, mass in zip(keys, masses):
+        want[key % plan.modulus if modulus else key] += mass
+    assert got_keys.dtype == got_masses.dtype == np.int64
+    assert list(zip(got_keys.tolist(), got_masses.tolist())) == sorted(want.items())
+
+
+def test_merge_of_no_candidates():
+    empty = np.zeros(0, dtype=np.int64)
+    for plan in (merge_plan(), merge_plan(7, 13)):
+        keys, masses, seen = recorded_merge(empty.copy(), empty.copy(), plan)
+        assert seen == [None]
+        assert keys.dtype == masses.dtype == np.int64 and len(keys) == len(masses) == 0
+
+
+def test_merge_fallbacks_keep_the_stable_order():
+    """Object keys, object masses near 2**62, float masses and negative
+    masses take the stable argsort: the same keys and the same masses, floats
+    bit for bit, as the reference."""
+    rng = np.random.default_rng(23)
+    keys = rng.integers(0, 50, 3000)
+    cases = {
+        "object keys": (keys.astype(object) + (1 << 70), rng.integers(1, 9, 3000)),
+        "near 2**62": (keys, np.array([(1 << 62) - int(j) for j in keys], dtype=object)),
+        "float": (keys, rng.random(3000) * 10.0**rng.integers(-8, 8, 3000)),
+        "negative": (keys, rng.integers(-5, 9, 3000)),
+    }
+    for name, (cand, cand_mass) in cases.items():
+        want_keys, want_masses = stable_merge(cand.copy(), cand_mass.copy())
+        got_keys, got_masses, seen = recorded_merge(cand.copy(), cand_mass.copy(), merge_plan())
+        assert seen == [None], name
+        assert got_keys.dtype == want_keys.dtype and got_masses.dtype == want_masses.dtype
+        assert got_keys.tolist() == want_keys.tolist(), name
+        assert got_masses.tolist() == want_masses.tolist(), name
+        if name == "float":
+            assert got_masses.tobytes() == want_masses.tobytes()
+
+
+SQUARES_1875 = list(iter_members(DigitSet(5, (0, 1, 4)), 1875))
+
+
+def test_sliced_count_takes_the_fused_sort():
+    """k = 2, s = 3 over the 161 base-5 squares members up to 1875: both
+    sparse steps and every slice of the last merge int64 keys with their
+    masses packed below them."""
+    slices = []
+    real_slice = _tables._slice
+
+    def counted(*args):
+        slices.append(1)
+        return real_slice(*args)
+
+    with recorded_mass_bits() as seen, mock.patch.object(_tables, "_slice", counted):
+        count = mitm_count(SpacedSystem.pure_powers(2, 5), 3, SQUARES_1875).count
+    assert count == 25_384_553
+    assert len(slices) > 1 and len(seen) == 2 + len(slices)
+    assert None not in seen
+
+
+def test_multiplicity_table_keys_are_int_tuples():
+    system = SpacedSystem.pure_powers(2, 5)
+    members = MemberSet(DigitSet(5, (0, 1, 4)), 400)
+    table = multiplicity_table(system, 2, members)
+    want = Counter(system.key(pair) for pair in itertools.product(list(members), repeat=2))
+    assert table == want and list(table) == sorted(want)
+    for key, value in table.items():
+        assert type(key) is tuple and len(key) == 2
+        assert all(type(c) is int for c in key) and type(value) is int
