@@ -15,8 +15,9 @@ priced, reduced, packed and converted a single time.
 
 * dense -- one key component, no modulus, all keys >= 0, and the array fits
   the byte budget: a 1-D array indexed by key value, each factor folded in by
-  a shift or a scatter step, whichever ``_dense_step`` prices lower;
-  ``power_sum_dense`` returns that array itself.
+  a shift or a scatter step, whichever ``_dense_step`` prices lower; a
+  scatter loops over the shorter of the table's nonzero rows and the
+  factor's distinct values.  ``power_sum_dense`` returns that array itself.
 * sparse -- otherwise: each key tuple is packed into one integer in mixed
   radix, every pairwise sum of table and factor entries (a *candidate*) is
   formed at once, and equal keys are merged by a sort and ``np.add.reduceat``.
@@ -44,8 +45,12 @@ priced, reduced, packed and converted a single time.
   table.
 
 dtypes follow from a-priori bounds: packed keys and masses are int64 when the
-packed range and the product of the factors' total |mass| fit, else Python
-integers (object arrays); float weights use float64.  Rational weights arrive
+packed range and the mass bound fit, else Python integers (object arrays);
+float weights use float64.  The mass bound is the product of the factors'
+total |mass|, an exact factor's counted as at least 1, and bounds every
+partial sum.  A dense plan with int64 masses and a bound below 2**31 works in
+an int32 array and returns it widened to int64, so every table, array and
+sum of squares handed out is in the plan's dtype.  Rational weights arrive
 as integers over one common D (``WeightAssignment``); callers divide it out once.
 """
 
@@ -60,6 +65,7 @@ import numpy as np
 from .errors import BudgetError, InvariantError, ValidationError
 
 _INT64_LIMIT = 1 << 63
+_INT32_LIMIT = 1 << 31
 _OBJECT_ITEM_BYTES = 40  # one pointer plus a small Python int
 # Cost model of a dense step, in vectorised element adds (see _dense).
 _SHIFT_CALL = 2600
@@ -169,7 +175,10 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     step whose running work or bytes exceed the budget.
     """
     k = len(shapes[0].ranges)
-    mass_bound = math.prod([sh.mass for sh in shapes])  # a float for float weights
+    # a float for float weights; an exact factor's total counts as at least 1,
+    # so an all-zero factor leaves the bound over every other factor
+    mass_bound = math.prod([sh.mass if isinstance(sh.mass, float) else max(sh.mass, 1)
+                            for sh in shapes])
     is_float = isinstance(mass_bound, float)
     mass_dtype = np.float64 if is_float else np.int64 if mass_bound < _INT64_LIMIT else object
     mass_item = _OBJECT_ITEM_BYTES if mass_dtype is object else 8
@@ -355,42 +364,61 @@ def _dense(prepared: list, plan: Plan) -> np.ndarray:
     the plan's mass dtype, indexed by key value below its length.
 
     Each step takes the kind ``_dense_step`` prices lower: a *shift*, one
-    shifted add of the current array per factor entry, or a *scatter*,
-    ``nxt[i + uv] += cur[i] * um`` per nonzero index i, where uv are the
-    factor's distinct values below the length of nxt, increasing, and um
-    their masses summed in the mass dtype by ``_merge``; uv has no repeats,
-    so each fancy-index add is exact, and each row is cut where i + uv
-    reaches the end of nxt.
+    shifted add of the current array per factor entry, or a *scatter* of the
+    current array's nonzero indices, its rows, over the factor's distinct
+    values uv below the length of nxt, increasing, with their masses um
+    summed by ``_merge``.  A scatter loops over the shorter of the two index
+    sets: ``nxt[i + uv] += cur[i] * um`` per row i, or
+    ``nxt[rows + v] += cur[rows] * m`` per value v of mass m, each cut where
+    the sums reach the end of nxt.  Neither rows nor uv has repeats, so each
+    fancy-index add is exact.  ``_dense_step`` prices the row loop; for the
+    value loop, the shorter one, its scatter price is an upper bound.
 
     A table with few nonzeros, such as the squares or their pairwise sums,
     scatters; a dense one shifts.  The constants were timed on a 2-core x86
     host with int64 and float64 masses: a shifted add took 1.3 us plus 0.5 ns
     per element, a scatter row 2.5 us plus 5 ns per value.  Counting element
     operations alone, without the per-call terms, picks scatter for small
-    dense tables and made such steps several times slower.
+    dense tables and made such steps several times slower.  These
+    int64-timed constants are not retuned for the value loop or int32
+    arrays, since new values would move step kinds and refusals.
+
+    An int64 plan whose mass bound is below 2**31 works in int32, which
+    bounds every partial sum as it does the int64 one, and widens the
+    finished array once.
     """
-    cur = np.ones(1, dtype=plan.mass_dtype)
+    dtype = plan.mass_dtype
+    if dtype is np.int64 and plan.mass_bound < _INT32_LIMIT:
+        dtype = np.int32
+    cur = np.ones(1, dtype=dtype)
     top = 0
     for f_values, f_masses in prepared:
         top += max(f_values, default=0)
-        nxt = np.zeros(min(plan.length, top + 1), dtype=plan.mass_dtype)
+        nxt = np.zeros(min(plan.length, top + 1), dtype=dtype)
         vals = np.array(f_values)  # object past int64, so cut before the cast
         below = vals < len(nxt)
-        masses = np.array(f_masses, dtype=plan.mass_dtype)[below]
+        masses = np.array(f_masses, dtype=dtype)[below]
         uv, um = _merge(vals[below].astype(np.int64), masses, plan)
+        um = um.astype(dtype, copy=False)  # np.add.reduceat sums int32 in int64
         shift, scatter = _dense_step(len(f_values), len(cur), np.count_nonzero(cur), len(uv))
         if scatter < shift:
             rows = np.flatnonzero(cur)
-            cuts = np.searchsorted(uv, len(nxt) - rows)
-            for i, cut in zip(rows.tolist(), cuts.tolist()):
-                nxt[i + uv[:cut]] += cur[i] * um[:cut]
+            if len(uv) < len(rows):
+                row_masses = cur[rows]
+                cuts = np.searchsorted(rows, len(nxt) - uv)
+                for v, m, cut in zip(uv.tolist(), um.tolist(), cuts.tolist()):
+                    nxt[rows[:cut] + v] += row_masses[:cut] * m
+            else:
+                cuts = np.searchsorted(uv, len(nxt) - rows)
+                for i, cut in zip(rows.tolist(), cuts.tolist()):
+                    nxt[i + uv[:cut]] += cur[i] * um[:cut]
         else:
             for a, w in zip(f_values, f_masses):
                 n = min(len(cur), len(nxt) - a)
                 if n > 0:
                     nxt[a : a + n] += cur[:n] if w == 1 else cur[:n] * w
         cur = nxt
-    return cur
+    return cur.astype(plan.mass_dtype, copy=False)
 
 
 def _sparse(prepared: list, plan: Plan):

@@ -339,7 +339,8 @@ class RepProfile:
     """counts[n] = number of ordered t-tuples of source elements summing to n.
 
     ``counts`` is the kernel's array, read-only: int64, or object (Python
-    integers) when the a-priori bound passes int64.  Profiles compare and hash
+    integers) when the a-priori bound passes int64; int64 also when the
+    kernel built it in int32 (a bound below 2**31).  Profiles compare and hash
     by identity (``eq=False``), since an array has no single truth value.
     """
 
@@ -363,13 +364,15 @@ def rep_profile(
 
     Computed by t ordered convolutions of the source values up to the horizon
     (the dense backend of ``_tables``).  While the partial table is sparse, as
-    the sums of one or two squares are, a step scatters each nonzero count
-    over the source values; once it fills in, a step shifts the whole table
-    once per source value.  Counts are 64-bit when the a-priori bound
-    (#source)**t rules out overflow, and Python integers otherwise.  The
-    table is priced before any source value is listed: an explicit source's
-    values come from its own tuple, and the i**k of a generated one number
-    one more than the integer k-th root of the horizon.
+    the sums of one or two squares are, a step scatters the nonzero counts
+    over the source values, looping over whichever of the two is fewer; once
+    it fills in, a step shifts the whole table once per source value.  Counts
+    are 64-bit when the a-priori bound (#source)**t rules out overflow, and
+    Python integers otherwise; below 2**31 the steps run in 32 bits and the
+    finished array is widened once.  The table is priced before any source
+    value is listed: an explicit source's values come from its own tuple,
+    and the i**k of a generated one number one more than the integer k-th
+    root of the horizon.
     """
     if t < 2:
         raise ValidationError(f"t must be >= 2, got {t}")

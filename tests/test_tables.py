@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ellipsephic import (
     BudgetError,
     DigitSet,
+    DigitSource,
     MemberSet,
     SpacedSystem,
     ValidationError,
@@ -22,8 +23,15 @@ from ellipsephic import (
     iter_members,
     mitm_count,
     multiplicity_table,
+    rep_profile,
 )
-from ellipsephic._tables import Budget, power_sum_dense, power_sum_table
+from ellipsephic._tables import (
+    DEFAULT_BUDGET,
+    Budget,
+    power_sum_dense,
+    power_sum_squares,
+    power_sum_table,
+)
 
 BUDGET = Budget(max_table_bytes=1 << 27)
 
@@ -119,40 +127,136 @@ def test_dense_array_is_the_table_up_to_the_cap():
         power_sum_dense([([[0, 1000]], None)] * 2, cap=10**6, budget=Budget(max_table_bytes=10**5))
 
 
-class _SearchsortedSpy:
-    """numpy for _tables, counting the one searchsorted call of a scatter step."""
+class _NumpySpy:
+    """numpy for _tables, recording the dtype of each array np.zeros makes and
+    the sorted array searched by the one searchsorted call of a scatter step."""
 
     def __init__(self):
-        self.calls = 0
+        self.dtypes, self.searched = [], []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def searchsorted(self, *args, **kwargs):
-        self.calls += 1
-        return np.searchsorted(*args, **kwargs)
+    def zeros(self, *args, **kwargs):
+        out = np.zeros(*args, **kwargs)
+        self.dtypes.append(out.dtype)
+        return out
+
+    def searchsorted(self, a, *args, **kwargs):
+        self.searched.append(a.tolist())
+        return np.searchsorted(a, *args, **kwargs)
 
 
-def test_dense_steps_take_both_kinds(monkeypatch):
+@contextlib.contextmanager
+def numpy_spy():
+    spy = _NumpySpy()
+    with mock.patch.object(_tables, "np", spy):
+        yield spy
+
+
+SQUARES_625 = [0] + [m * m for m in iter_members(DigitSet(5, (0, 1, 4)), 625)]
+
+
+def test_dense_steps_take_both_kinds():
+    """Each scatter step searches the shorter index set's partner: the
+    factor's distinct values uv when it loops over the nonzero rows, the
+    rows when it loops over uv."""
     squares = [x * x for x in range(120)]
     runs = list(range(40)) * 2
     cases = [
         # pairs of squares stay sparse and scatter; their 2,750 distinct sums
         # below the cap fill the table enough for the third step to shift
-        ([(squares, None)] * 2, 10**4, 2),
-        ([(squares, None)] * 3, 10**4, 2),
+        ([(squares, None)] * 2, 10**4, ["uv"] * 2),
+        ([(squares, None)] * 3, 10**4, ["uv"] * 2),
         # the first step scatters a single row; the dense table then shifts
-        ([(runs, None)] * 3, None, 1),
+        ([(runs, None)] * 3, None, ["uv"]),
         # exact masses near 2**62 are held as Python integers
-        ([(squares, [(1 << 62) - x for x in range(120)])] * 2, None, 2),
+        ([(squares, [(1 << 62) - x for x in range(120)])] * 2, None, ["uv"] * 2),
     ]
-    for factors, cap, scatter_steps in cases:
-        spy = _SearchsortedSpy()
-        monkeypatch.setattr(_tables, "np", spy)
-        got = kernel_table(factors, cap)
-        monkeypatch.undo()
-        assert spy.calls == scatter_steps
-        assert got == dict_convolution(factors, cap)
+    # the squares of the 82 base-5 {0, 1, 4} members up to 625 and 0: the
+    # third step scatters the 1,401 sums of two below the cap over the 82
+    # values, so it loops over the values
+    n = len(SQUARES_625)
+    for weights in (None, [0.5 + x / 7 for x in range(n)], [(1 << 62) - x for x in range(n)]):
+        cases.append(([(SQUARES_625, weights)] * 3, 10**5, ["uv", "uv", "rows"]))
+    for factors, cap, searched in cases:
+        with numpy_spy() as spy:
+            got = kernel_table(factors, cap)
+        values = set(factors[0][0])
+        assert ["uv" if set(a) <= values else "rows" for a in spy.searched] == searched
+        want = dict_convolution(factors, cap)
+        assert sorted(got) == sorted(want)
+        for v, m in want.items():  # exact for integers, last bits for floats
+            assert got[v] == m if type(m) is int else math.isclose(got[v], m, rel_tol=1e-12)
+
+
+INT32_BOUND = 1 << 31
+
+
+def test_dense_masses_widen_past_int32():
+    """Twenty copies of {0, 1} bound the masses by 2**20, so the dense steps
+    work in int32; the masses come back int64, and sum m**2 = C(40, 20) is
+    past 2**31.  A bound of 2**31 - 1 still works in int32, one of 2**31 not."""
+    factors = [([[0, 1]], None)] * 20
+    binomials = [math.comb(20, n) for n in range(21)]
+    with numpy_spy() as spy:
+        assert power_sum_squares(factors, budget=BUDGET) == math.comb(40, 20)
+        table = power_sum_table(factors, budget=BUDGET)
+        counts = rep_profile(DigitSource.explicit([0, 1]), 20, 20).counts
+    assert set(spy.dtypes) == {np.dtype(np.int32)}
+    assert table.masses.dtype == counts.dtype == np.int64
+    assert table.masses.tolist() == counts.tolist() == binomials
+    for factors, mass, dtype in (
+        ([([[0]], [INT32_BOUND - 1])], INT32_BOUND - 1, np.int32),
+        ([([[0]], [-(INT32_BOUND - 1)]), ([[3]], [-1])], INT32_BOUND - 1, np.int32),
+        ([([[0]], [1 << 16]), ([[0]], [1 << 15])], INT32_BOUND, np.int64),
+        ([([[2]], [INT32_BOUND])], INT32_BOUND, np.int64),
+    ):
+        with numpy_spy() as spy:
+            table = power_sum_table(factors, budget=BUDGET)
+        assert set(spy.dtypes) == {np.dtype(dtype)}
+        assert table.masses.dtype == np.int64 and table.masses.tolist() == [mass]
+
+
+def signed_split(data, total, n):
+    """n signed weights whose absolute values add up to total."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    parts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+    signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [-w if negative else w for w, negative in zip(parts, signs)]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dense_masses_at_the_int32_bound(data):
+    """Signed masses whose bound, the product of the factors' total |mass|,
+    is 2**31 - 1 (int32 steps) or 2**31 (int64 steps)."""
+    bound = data.draw(st.sampled_from([INT32_BOUND - 1, INT32_BOUND]))
+    n = data.draw(st.integers(1, 3))
+    if bound == INT32_BOUND:  # 2**31 as a product of n powers of 2
+        cuts = sorted(data.draw(st.lists(st.integers(0, 31), min_size=n - 1, max_size=n - 1)))
+        totals = [1 << (hi - lo) for lo, hi in zip([0] + cuts, cuts + [31])]
+    else:  # 2**31 - 1 is prime: one factor carries it, the others 1
+        totals = data.draw(st.permutations([bound] + [1] * (n - 1)))
+    factors = []
+    for total in totals:
+        values = data.draw(st.one_of(sparse_values, dense_values))
+        factors.append((values, signed_split(data, total, len(values))))
+    assert math.prod(sum(map(abs, ws)) for _, ws in factors) == bound
+    with numpy_spy() as spy:
+        got = kernel_table(factors, None)
+    assert set(spy.dtypes) == {np.dtype(np.int32 if bound < INT32_BOUND else np.int64)}
+    assert got == dict_convolution(factors, None)
+
+
+def test_zero_mass_factor_keeps_the_mass_bound():
+    """An all-zero factor counts as mass 1 in the bound, so the other
+    factors' masses still pick the dtype: Python integers past int64, int64
+    past int32.  Every sum then has mass 0."""
+    for big, dtype in ((1 << 70, object), (1 << 40, np.int64)):
+        table = power_sum_table([([[1, 2]], [big, 1]), ([[1]], [0])], budget=DEFAULT_BUDGET)
+        assert table.masses.dtype == dtype and table.mass_bound == big + 1
+        assert len(table.keys) == 0 and table.sum_squares() == 0
 
 
 def test_repeated_factor_is_reduced_and_packed_once(monkeypatch):
