@@ -4,7 +4,10 @@ Subcommands wrap the library modules one-to-one; every run reads a line
 oriented ``key=value`` config file and writes CSV/JSON outputs that start
 with (or embed) a canonical reproducibility header.  Identical configs
 produce byte-identical outputs; timing information is only emitted when
-explicitly requested since it would break that guarantee.
+explicitly requested since it would break that guarantee.  Config and fit
+input files are read as UTF-8 and outputs written as UTF-8, whatever the
+locale, so the bytes do not depend on it; a file that is not UTF-8 is a
+validation error.
 
 Runners hand the engines a ``MemberSet``, which each budgets from its count,
 or congruence from its residue counts, before a member is listed.  Exit
@@ -138,6 +141,14 @@ def _source(cfg: dict[str, str]) -> dg.DigitSource:
     raise ValidationError(f"unknown source spec: {text!r}")
 
 
+def _read_utf8(path: Path, what: str) -> str:
+    """The text of ``path`` decoded as UTF-8, whatever the locale."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} is not UTF-8 at byte {exc.start}: {path}") from exc
+
+
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
@@ -160,14 +171,15 @@ def _fmt(value) -> str:
 
 
 def _write_text(path: Path, blocks) -> None:
-    """Stream the text ``blocks``, each ended by a newline, to a temporary file
-    beside ``path``, and rename it onto ``path`` when all are written: a lazy
-    source that raises leaves neither file."""
+    """Stream ``blocks`` to a temporary file beside ``path``, a str block as
+    UTF-8 ended by a newline and a bytes block (rows already rendered, newlines
+    included) as it is, and rename the file onto ``path`` when all are written:
+    a lazy source that raises leaves neither file."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "wb") as fh:
             for block in blocks:
-                fh.write(block + "\n")
+                fh.write(block if isinstance(block, bytes) else f"{block}\n".encode())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -191,16 +203,75 @@ def _write_csv(path: Path, header: str, columns: list[str], rows) -> None:
 
 
 def _write_columns(path: Path, header: str, names: str, fmt: str, columns) -> None:
-    """The header, the column line ``names``, then one row of ``fmt`` (one %-spec
-    per column) per index of the equal-length integer ``columns``: _CHUNK_LINES
-    rows per ``%`` call, Python ints whatever the columns' dtypes, so the bytes
-    are those of ``_fmt`` (``%d``) or ``key_hex`` (``%x``) row by row."""
+    """The header, the column line ``names``, then one row of ``fmt`` (a ``%d``
+    or ``%x`` per column, each followed by its separator) per index of the
+    equal-length integer ``columns``, in the bytes of ``_fmt`` (``%d``) or
+    ``key_hex`` (``%x``) cell by cell.
+
+    Each chunk of _CHUNK_LINES rows is one ``uint8`` matrix with a slot per
+    column as wide as the digits of the chunk's largest magnitude, plus a sign
+    slot if the column holds a negative value.  Digits fill each slot right to
+    left; every byte left of the leading digit stays NUL but the ``-`` just
+    before a negative value's, and digits, signs and separators are never NUL,
+    so dropping the NULs leaves exactly the row bytes.  Magnitudes are
+    ``uint32`` below 2**32, ``uint64`` below 2**64 and Python ints above,
+    through one digit loop."""
+    cells = fmt.split("%")[1:]  # each a conversion, d or x, then its separator
+    specs = [cell[0] for cell in cells]
+    seps = [cell[1:].encode() for cell in cells]
+    seps[-1] += b"\n"
+
     def blocks():
         for lo in range(0, len(columns[0]), _CHUNK_LINES):
-            chunk = np.column_stack([col[lo : lo + _CHUNK_LINES] for col in columns])
-            yield "\n".join([fmt] * len(chunk)) % tuple(chunk.ravel().tolist())
+            yield _render_rows([col[lo : lo + _CHUNK_LINES] for col in columns], specs, seps)
 
     _write_text(path, itertools.chain([f"# config: {header}", names], blocks()))
+
+
+def _magnitudes(col: np.ndarray, spec: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """|col| in the narrowest of uint32, uint64 and object, ``col < 0``, and
+    the digits of the largest magnitude in ``spec``."""
+    neg = col < 0
+    if col.dtype == object:
+        mag = np.abs(col)
+    else:  # an unsigned wrap, so -2**63 has magnitude 2**63
+        mag = col.astype(np.uint64)
+        np.negative(mag, out=mag, where=neg)
+    top = int(mag.max())
+    if top < 1 << 32:
+        mag = mag.astype(np.uint32)
+    elif top < 1 << 64:
+        mag = mag.astype(np.uint64, copy=False)
+    return mag, neg, len(format(top, spec))
+
+
+def _render_rows(columns, specs, seps) -> bytes:
+    """The rows of ``columns`` as ``_write_columns`` spells them."""
+    parts = [_magnitudes(np.asarray(col), spec) for col, spec in zip(columns, specs)]
+    slots = [width + bool(neg.any()) for _, neg, width in parts]
+    template = b"".join(b"\0" * slot + sep for slot, sep in zip(slots, seps))
+    out = np.empty((len(columns[0]), len(template)), np.uint8)
+    out[:] = np.frombuffer(template, np.uint8)
+    end = 0
+    for (v, neg, width), spec, slot, sep in zip(parts, specs, slots, seps):
+        base = 16 if spec == "x" else 10
+        end += slot
+        for j in range(1, width + 1):
+            q = v // base
+            digit = (v - q * base).astype(np.uint8)
+            digit += 48
+            digit += (digit > 57) * np.uint8(39)  # 10..15 to a..f
+            if j > 1:
+                digit *= v != 0  # left of the leading digit stays NUL
+            out[:, end - j] = digit
+            v = q
+        if slot > width:
+            rows = np.flatnonzero(neg)
+            lead = end - np.count_nonzero(out[rows, end - width : end], axis=1)
+            out[rows, lead - 1] = ord("-")
+        end += len(sep)
+    flat = out.ravel()
+    return flat[flat != 0].tobytes()
 
 
 def _write_json(path: Path, header: str, payload: dict) -> None:
@@ -399,22 +470,21 @@ def _run_fit(cfg, out: Path, header: str, budget) -> None:
     if not path.exists():
         raise ValidationError(f"fit input not found: {path}")
     points = []
-    with open(path) as fh:
-        columns: list[str] | None = None
-        for line in map(str.strip, fh):
-            if not line or line.startswith("#"):
-                continue
-            if columns is None:
-                columns = line.split(",")
-                for needed in ("X", "Y", "count"):
-                    if needed not in columns:
-                        raise ValidationError(f"fit input lacks column {needed!r}")
-            else:
-                cells = line.split(",")
-                if len(cells) != len(columns):
-                    raise ValidationError(f"fit input line {line!r} has {len(cells)} cells")
-                row = dict(zip(columns, cells))
-                points.append(tuple(_parse_int(row[c], c) for c in ("X", "Y", "count")))
+    columns: list[str] | None = None
+    for line in map(str.strip, _read_utf8(path, "fit input").split("\n")):
+        if not line or line.startswith("#"):
+            continue
+        if columns is None:
+            columns = line.split(",")
+            for needed in ("X", "Y", "count"):
+                if needed not in columns:
+                    raise ValidationError(f"fit input lacks column {needed!r}")
+        else:
+            cells = line.split(",")
+            if len(cells) != len(columns):
+                raise ValidationError(f"fit input line {line!r} has {len(cells)} cells")
+            row = dict(zip(columns, cells))
+            points.append(tuple(_parse_int(row[c], c) for c in ("X", "Y", "count")))
     fit = mv.fit_exponent(points)
     _write_json(
         out / "fit.json",
@@ -457,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
         config_path = Path(args.config)
         if not config_path.exists():
             raise ValidationError(f"config file not found: {config_path}")
-        cfg = parse_config_text(config_path.read_text())
+        cfg = parse_config_text(_read_utf8(config_path, "config file"))
         header = canonical_config(args.subcommand, cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

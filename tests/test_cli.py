@@ -1,9 +1,13 @@
 """CLI subcommands: outputs, determinism, exit codes, config handling."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -680,7 +684,7 @@ def test_write_lines_streams_and_leaves_nothing_on_failure(tmp_path):
 
 
 class _FailingFile:
-    """A text file whose every write stores its first bytes, then fails."""
+    """A file whose every write stores its first bytes, then fails."""
 
     def __init__(self, path, mode):
         self.fh = open(path, mode)
@@ -706,22 +710,40 @@ def test_write_json_leaves_nothing_when_a_write_fails(tmp_path, monkeypatch):
 
 CHUNK = 64  # _CHUNK_LINES in the bulk-row test, so chunk edges stay cheap to spell per row
 
+# key columns beside the k base ones, each cycling its values over the rows so
+# that every chunk reaches its largest magnitude: the renderer's dtype edges
+# (uint32 below 2**32, uint64 below 2**64, object above), int64 extremes,
+# zeros only (slot width 1), hex digits a..f and a negative object value
+EDGE_COLUMNS = [
+    (np.int64, [-(1 << 63), (1 << 63) - 1, 0, -1]),
+    (np.int64, [(1 << 32) - 1, 5, 0]),
+    (np.int64, [1 << 32, -3, 0]),
+    (object, [(1 << 64) - 1, 0, -7]),
+    (object, [1 << 64, 1, 0]),
+    (np.int64, [0]),
+    (np.int64, [0xABCDEF, 0xF, 10, 9]),
+    (object, [-(1 << 64) - 5, 3, -1]),
+]
+
 
 @pytest.mark.parametrize("rows", [0, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_bulk_rows_match_per_row_spelling(tmp_path, monkeypatch, rows, k):
     """The bulk writer's bytes equal the per-row key_hex and _fmt spelling:
-    negative components, int64 beside object columns past 2**63, and row
-    counts around chunk edges; the *_rows_render_as_fmt tests run the real
-    chunk size."""
+    negative components, int64 beside object columns past 2**63, the
+    EDGE_COLUMNS in both %x and %d, and row counts around chunk edges; the
+    *_rows_render_as_fmt tests run the real chunk size."""
     monkeypatch.setattr(cli, "_CHUNK_LINES", CHUNK)
     i = np.arange(rows, dtype=np.int64)
     key_cols = [i - 16, np.array([(-1) ** n * (n << 58) for n in range(rows)], dtype=object),
                 i % 7][:k]
+    key_cols += [np.array([vals[n % len(vals)] for n in range(rows)], dtype=dtype)
+                 for dtype, vals in EDGE_COLUMNS]
     masses = np.array([(1 << 64) + n for n in range(rows)], dtype=object)
     keys = [tuple(key) for key in zip(*(col.tolist() for col in key_cols))]
-    assert rows == 0 or key_hex(keys[0]) == "-10" + ":0" * (k - 1)
-    hex_fmt, dec_fmt = ":".join(["%x"] * k) + ",%d", ",".join(["%d"] * (k + 1))
+    assert rows == 0 or key_hex(keys[0][:k]) == "-10" + ":0" * (k - 1)
+    width = len(key_cols)
+    hex_fmt, dec_fmt = ":".join(["%x"] * width) + ",%d", ",".join(["%d"] * (width + 1))
     _write_columns(tmp_path / "hex.csv", "hdr", "key,m", hex_fmt, [*key_cols, masses])
     _write_columns(tmp_path / "dec.csv", "hdr", "cells", dec_fmt, [*key_cols, masses])
     hex_rows = (f"{key_hex(key)},{_fmt(m)}" for key, m in zip(keys, masses.tolist()))
@@ -749,14 +771,18 @@ def test_waring_output(tmp_path):
 
 
 def test_waring_rows_render_as_fmt(tmp_path):
-    config = "digitset=p=5;digits=0,1,4\ns=3\nk=2\nX=20000\n"
-    code, out = run_cli(tmp_path, "waring", config)
-    assert code == 0
-    table = representation_table(DigitSet(5, (0, 1, 4)), 3, 2, 20000)
-    rows = [[n, table.counts[n]] for n in sorted(table.counts)]
-    lines = (out / "waring.csv").read_text().splitlines()
-    assert len(rows) > 1000
-    assert lines[1:] == ["n,R"] + [",".join(_fmt(cell) for cell in row) for row in rows]
+    """Rows at the real chunk size, for an int64 R column and for an object one
+    (Y**s >= 2**63 at s = 8, k = 1, while every R(n) fits uint64)."""
+    for s, k, bound, r_dtype in [(3, 2, 20000, np.int64), (8, 1, 3125, object)]:
+        config = f"digitset=p=5;digits=0,1,4\ns={s}\nk={k}\nX={bound}\n"
+        code, out = run_cli(tmp_path, "waring", config, name=f"s{s}")
+        assert code == 0
+        table = representation_table(DigitSet(5, (0, 1, 4)), s, k, bound)
+        assert table.r.dtype == r_dtype
+        rows = [[n, table.counts[n]] for n in sorted(table.counts)]
+        lines = (out / "waring.csv").read_text().splitlines()
+        assert len(rows) > 1000
+        assert lines[1:] == ["n,R"] + [",".join(_fmt(cell) for cell in row) for row in rows]
 
 
 def test_fit_synthetic_square_law(tmp_path):
@@ -790,6 +816,35 @@ def test_fit_refuses_a_row_of_the_wrong_length(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert err.startswith("error kind=validation") and repr(row) in err
     assert not (out / "fit.json").exists()
+
+
+def test_config_and_outputs_ignore_the_locale(tmp_path, capsys):
+    """Under an ASCII locale, with neither locale coercion nor UTF-8 mode, a
+    UTF-8 config gives the bytes it gives in process, and bytes that are not
+    UTF-8, in a config or a fit input, are a validation error."""
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    base = "digitset=p=5;digits=0,1,4\ns=2\nk=2\nX=625\nnote="
+    for name, note, code in [("utf8", "é".encode(), 0), ("ff", b"\xff", 2)]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(base.encode() + note + b"\n")
+        out = tmp_path / f"ascii_{name}"
+        argv = ["waring", "--config", str(cfg), "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "ellipsephic.cli", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert main([*argv[:3], "--out", str(tmp_path / f"here_{name}")]) == code
+        if code:
+            assert proc.stderr.startswith(b"error kind=validation")
+            assert not out.exists() or list(out.iterdir()) == []
+            continue
+        for fname in ("waring.csv", "waring.json"):
+            assert (out / fname).read_bytes() == (tmp_path / f"here_{name}" / fname).read_bytes()
+        assert "note=é".encode() in (out / "waring.csv").read_bytes()  # JSON escapes it
+    series = tmp_path / "series.csv"
+    series.write_bytes(b"X,Y,count\n1,2,3\n# \xff\n")
+    assert run_cli(tmp_path, "fit", f"input={series}\n")[0] == 2
+    assert capsys.readouterr().err.count("error kind=validation") == 2
 
 
 def test_missing_config_key(tmp_path, capsys):
