@@ -96,13 +96,18 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """Keys (n, k) in increasing lexicographic order and their masses."""
+    """Keys (n, k) in increasing lexicographic order and their masses; ``len``
+    is n.  Also ``meanvalue.multiplicity_table``'s result, so it compares and
+    hashes by identity, since an array has no single truth value."""
 
     keys: np.ndarray
     masses: np.ndarray
     mass_bound: object  # a-priori bound on the sum of |masses|
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
     def sum_squares(self):
         """sum_v m(v)**2: an int for unit and integer weights, else a float."""

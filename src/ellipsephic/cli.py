@@ -340,7 +340,7 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
             count = mv.brute_force_count(system, s, members, budget=budget).count
         elif histogram:
             table = mv.multiplicity_table(system, s, members, budget=budget)
-            count = sum(m * m for m in table.values())
+            count = table.sum_squares()
         else:
             count = mv.mitm_count(system, s, members, budget=budget).count
         seconds = repr(round(time.perf_counter() - start, 6)) if timing else "NA"
@@ -350,10 +350,8 @@ def _run_count(cfg, out: Path, header: str, budget) -> None:
     _write_csv(
         out / "count.csv", header, ["X", "Y", "s", "k", "count", "method", "seconds"], rows
     )
-    if histogram:  # keys and multiplicities are ints: object arrays hold any size exactly
-        keys = np.array(list(table), dtype=object).reshape(len(table), k)
-        columns = [*keys.T, np.array(list(table.values()), dtype=object)]
-        del table  # the job's largest object, dropped before the rows are formatted
+    if histogram:  # the kernel's int64 columns, or object ones past int64
+        columns = [*table.keys.T, table.masses]
         fmt = ":".join(["%x"] * k) + ",%d"
         _write_columns(out / "histogram.csv", header, "key_hex,multiplicity", fmt, columns)
 

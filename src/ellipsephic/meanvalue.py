@@ -11,9 +11,10 @@ which each engine prices before listing it.  Two counters are provided:
   the sparse backend folding the last one in slice by slice); brute-force
   equality guards its correctness.
 
-Keys may optionally be reduced modulo a fixed modulus (congruence counting)
-or capped componentwise (Waring reconciliation).  Every count runs in one
-process; the library has no worker pool.
+``multiplicity_table`` returns that table m(v) itself, the kernel's ``Table``
+of key and mass arrays.  Keys may optionally be reduced modulo a fixed modulus
+(congruence counting) or capped componentwise (Waring reconciliation).  Every
+count runs in one process; the library has no worker pool.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._tables import DEFAULT_BUDGET, Budget, Shape, check_pairs, power_sum_squares, power_sum_table, price
+from ._tables import DEFAULT_BUDGET, Budget, Shape, Table, check_pairs, power_sum_squares, power_sum_table, price
 from .errors import ValidationError
 from .digits import MemberSet, _is_prime
 
@@ -298,28 +299,23 @@ def multiplicity_table(
     *,
     modulus: int | None = None,
     budget: Budget = DEFAULT_BUDGET,
-) -> dict:
-    """Map power-sum key -> (weighted) number of ordered s-tuples with that key.
-
-    Keys come in increasing lexicographic order, the kernel's, and sum m(v)**2
-    is ``mitm_count`` on the same arguments.  Members outside the weights'
-    support are dropped.  Values are ints for unit weights (None), Fractions
-    for exact weights (integer masses divided once by D**s) and floats
-    otherwise.  The table is built by s ordered convolutions of the member
-    list (see ``_tables``), refused before it starts when its predicted work
-    or bytes exceed the budget.
+) -> Table:
+    """The kernel ``Table`` of power-sum keys v and the (weighted) number m(v)
+    of ordered s-tuples with each key: ``keys`` (n, k) in increasing
+    lexicographic order, int64 or object past int64, and ``len(table)`` n.
+    ``masses`` are tuple counts for unit weights (None) and integers over D**s
+    for exact weights, int64 or object, or float64 for float weights, and
+    ``table.sum_squares()`` is ``mitm_count`` on the same arguments times
+    D**(2s).  Members outside the weights' support are dropped.  Built by s
+    ordered convolutions of the member list (see ``_tables``), refused
+    before it starts when its predicted work or bytes exceed the budget.
     """
     if s < 0:
         raise ValidationError(f"s must be >= 0, got {s}")
-    y, factors = _factors(system, s, members, weights, modulus, None, budget)
-    if s == 0 or not y:
-        return {(0,) * system.k: 1} if s == 0 else {}
-    table = power_sum_table(factors, modulus=modulus, budget=budget)
-    values = table.masses.tolist()
-    if weights is not None and weights.exact:
-        values = [Fraction(v, weights.denom**s) for v in values]
-    # key tuples zipped from column lists: faster than a tuple() per row list
-    return dict(zip(zip(*table.keys.T.tolist()), values))
+    factors = _factors(system, s, members, weights, modulus, None, budget)[1]
+    if s == 0:  # the empty sum: one zero key of mass 1
+        return Table(np.zeros((1, system.k), dtype=np.int64), np.ones(1, dtype=np.int64), 1)
+    return power_sum_table(factors, modulus=modulus, budget=budget)
 
 
 def mitm_count(

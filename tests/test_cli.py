@@ -1,11 +1,13 @@
 """CLI subcommands: outputs, determinism, exit codes, config handling."""
 
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,18 +171,43 @@ def test_histogram_builds_one_table(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def expected_histogram(system, members):
+    """histogram.csv's rows spelled cell by cell from a Counter of the keys of
+    every ordered pair, and the sum of its squared multiplicities."""
+    counts = Counter(system.key(pair) for pair in itertools.product(members, repeat=2))
+    rows = [",".join([key_hex(key), _fmt(m)]) for key, m in sorted(counts.items())]
+    return ["key_hex,multiplicity"] + rows, sum(m * m for m in counts.values())
+
+
 def test_histogram_rows_render_as_fmt(tmp_path):
     code, out = run_cli(tmp_path, "count", D5 + "s=2\nk=2\nX=625\nhistogram=on\n")
     assert code == 0
     system = SpacedSystem.pure_powers(2, 5)
     members = list(iter_members(DigitSet(5, (0, 1, 4)), 625))
-    table = multiplicity_table(system, 2, members)
-    rows = [[key_hex(key), m] for key, m in sorted(table.items())]
-    assert len(rows) > 1000
-    assert histogram_lines(out) == ["key_hex,multiplicity"] + [
-        ",".join(_fmt(cell) for cell in row) for row in rows
-    ]
-    assert count_cells(out)[0][4] == str(mitm_count(system, 2, members).count)
+    assert len(members) == 81
+    lines, squares = expected_histogram(system, members)
+    assert len(lines) > 1000
+    assert histogram_lines(out) == lines
+    assert count_cells(out)[0][4] == str(squares) == str(mitm_count(system, 2, members).count)
+
+
+@pytest.mark.parametrize(
+    "p, digits, x, n_rows",
+    [(101, (0, 1), 101**5, 528), (5, (0, 4), 3, 0)],
+    ids=["object-keys", "empty"],
+)
+def test_histogram_edge_cases(tmp_path, p, digits, x, n_rows):
+    config = f"digitset=p={p};digits={','.join(map(str, digits))}\ns=2\nk=2\nX={x}\nhistogram=on\n"
+    code, out = run_cli(tmp_path, "count", config)
+    assert code == 0
+    system = SpacedSystem.pure_powers(2, p)
+    members = list(iter_members(DigitSet(p, digits), x))
+    lines, _ = expected_histogram(system, members)
+    assert len(lines) == 1 + n_rows
+    assert histogram_lines(out) == lines
+    assert count_cells(out)[0][4] == str(brute_force_count(system, 2, members).count)
+    if n_rows:  # squares past 2**63: the kernel's key columns are object arrays
+        assert multiplicity_table(system, 2, members).keys.dtype == object
 
 
 def test_histogram_brute_matches_mitm(tmp_path):

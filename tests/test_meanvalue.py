@@ -91,13 +91,15 @@ SQUARES5 = DigitSet(5, (0, 1, 4))
 CHAIN = SpacedSystem.perturbed(5, 1, [[0, 0, 1]])
 
 
-def test_member_set_counts_as_its_list():
+def test_member_set_counts_as_its_list(table_dict):
     members = MemberSet(SQUARES5, 300)
     listed = list(iter_members(SQUARES5, 300))
     sys2 = SpacedSystem.pure_powers(2, 5)
     assert mitm_count(sys2, 2, members) == mitm_count(sys2, 2, listed)
     assert brute_force_count(sys2, 2, members) == brute_force_count(sys2, 2, listed)
-    assert multiplicity_table(sys2, 2, members) == multiplicity_table(sys2, 2, listed)
+    assert table_dict(multiplicity_table(sys2, 2, members)) == table_dict(
+        multiplicity_table(sys2, 2, listed)
+    )
     assert lifting_chain(CHAIN, 2, members, 2) == lifting_chain(CHAIN, 2, listed, 2)
 
 
@@ -173,13 +175,13 @@ def test_mitm_equals_brute_small_grid():
         ), members
 
 
-def test_mitm_fast_path_matches_general():
+def test_mitm_fast_path_matches_general(table_dict):
     ds = DigitSet(5, (0, 1, 4))
     members = list(iter_members(ds, 5**3))
     system = SpacedSystem.pure_powers(1, 5)
     fast = mitm_count(system, 3, members).count  # unit weights: dense fast path
     general = sum(
-        v * v for v in multiplicity_table(system, 3, members).values()
+        v * v for v in table_dict(multiplicity_table(system, 3, members)).values()
     )
     assert fast == general == 1830465  # golden, frozen from the convolution oracle
 
@@ -193,7 +195,7 @@ def test_mitm_golden_k2():
     assert brute_force_count(system, 3, list(iter_members(ds, 60))).count == 27701
 
 
-def test_mitm_weighted_exact():
+def test_mitm_weighted_exact(table_dict):
     small = {1: Fraction(1, 2), 3: Fraction(1, 3), 4: 1, 9: Fraction(1, 4)}
     # numerators near 2**41 push the table masses past int64
     wide = {x: Fraction(2**41 - x, 2**41 + 1) for x in E9}
@@ -210,8 +212,11 @@ def test_mitm_weighted_exact():
             table[key] += weights[x] * weights[y]
         assert res.count == sum(v * v for v in table.values()), (k, modulus, weights)
         assert isinstance(res.count, Fraction)
-        got = multiplicity_table(system, 2, E9, assignment, modulus=modulus)
-        assert got == dict(table)
+        got = table_dict(multiplicity_table(system, 2, E9, assignment, modulus=modulus))
+        # integer masses over D**2: the exact Fractions times D**2
+        scale = assignment.denom**2
+        assert got == {key: v * scale for key, v in table.items()}
+        assert all(type(v) is int for v in got.values())
 
 
 def test_mitm_weighted_float_close():
@@ -327,10 +332,10 @@ def test_mitm_equals_brute_property(data):
     )
 
 
-def test_cauchy_schwarz_on_multiplicities():
+def test_cauchy_schwarz_on_multiplicities(table_dict):
     sys1 = SpacedSystem.pure_powers(1, 5)
     members = list(iter_members(DigitSet(5, (0, 1, 4)), 124))
-    table = multiplicity_table(sys1, 2, members)
+    table = table_dict(multiplicity_table(sys1, 2, members))
     count = sum(v * v for v in table.values())
     mass = sum(table.values())
     assert count * len(table) >= mass * mass
@@ -345,13 +350,23 @@ def test_cauchy_schwarz_on_multiplicities():
     ],
     ids=["perturbed-signed", "modulus"],
 )
-def test_multiplicity_table_keys_increase(system, modulus):
+def test_multiplicity_table_keys_increase(table_dict, system, modulus):
     members = list(iter_members(DigitSet(5, (0, 1, 4)), 124))
-    keys = list(multiplicity_table(system, 3, members, modulus=modulus))
+    keys = list(table_dict(multiplicity_table(system, 3, members, modulus=modulus)))
     assert len(keys) > 100
     assert keys == sorted(keys)
     if modulus is None:
         assert keys[0][1] < 0 and keys[0][0] < 0 < keys[-1][0]
+
+
+def test_multiplicity_table_s0_and_empty():
+    system = SpacedSystem.pure_powers(2, 5)
+    zero = multiplicity_table(system, 0, E9)  # the empty sum: one zero key of mass 1
+    assert zero.keys.tolist() == [[0, 0]] and zero.masses.tolist() == [1]
+    assert len(zero) == 1 and zero.sum_squares() == 1
+    empty = multiplicity_table(system, 2, MemberSet(DigitSet(5, (0, 4)), 3))  # no member
+    assert empty.keys.shape == (0, 2) and empty.masses.shape == (0,)
+    assert len(empty) == 0 and empty.sum_squares() == 0
 
 
 # --- diagonal and reference curves -------------------------------------------
