@@ -30,19 +30,19 @@ priced, reduced, packed and converted a single time.
 * count-only -- ``power_sum_squares`` returns sum_v m(v)**2 alone.  Keys whose
   component 0 differs mod q differ, so the sum splits over the classes
   c = v_0 mod q.  The sparse backend builds the first n - 1 factors as above
-  and folds the last one in one *slice* per class: table entries of residue a
-  paired with factor entries of residue c - a, merged, summed and dropped.
-  Each slice's candidate count, the cyclic convolution of the two residue
-  histograms, is known before any candidate exists.  q is the smallest power
-  of b whose largest slice holds at most _SLICE_CANDIDATES (a working set,
-  not the budget: price's bytes would leave whole steps of gigabytes
-  unsliced), else the finest q the keys admit below 2**62, where sums of two
-  residues still fit int64.  A step that fits takes q = 1: one merge of all
-  its candidates, as a sparse step of ``power_sum_table``.  b is 2, or under
-  a modulus its smallest prime factor (p for the moduli p**B of the
-  congruence counts), so q divides the modulus and reducing a key mod it
-  keeps its class.  The dense backend builds its whole array, which is the
-  table.
+  and folds the last one in one *slice* per class: each table group of
+  residue a paired with each factor entry of residue c - a, merged, summed
+  and dropped.  Only the table is grouped, so a slice's candidate count, the
+  sum of its pairs' group sizes, is known before any candidate exists.  A
+  step within _SLICE_CANDIDATES (a working set, not the budget: price's
+  bytes would leave whole steps of gigabytes unsliced), or whose keys admit
+  no q > 1, is one merge of all its candidates, as a sparse step of
+  ``power_sum_table``.  Otherwise q is the smallest power b, b**2, ... whose
+  largest slice fits, else the finest q the keys admit below 2**62, where
+  sums of two residues still fit int64.  b is 2, or under a modulus its
+  smallest prime factor (p for the moduli p**B of the congruence counts), so
+  q divides the modulus and reducing a key mod it keeps its class.  The
+  dense backend builds its whole array, which is the table.
 
 dtypes follow from a-priori bounds: packed keys and masses are int64 when the
 packed range and the mass bound fit, else Python integers (object arrays);
@@ -496,8 +496,8 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 
 class _Groups(NamedTuple):
-    """Packed entries sorted by the residue of their digit 0 mod q: per residue
-    present, increasing, its value and count, and its first sorted index."""
+    """The table's packed keys sorted by the residue of their digit 0 mod q: per
+    residue present, increasing, its value and count, and its first sorted index."""
 
     order: np.ndarray
     residues: np.ndarray
@@ -506,9 +506,6 @@ class _Groups(NamedTuple):
 
     @classmethod
     def of(cls, packed: np.ndarray, plan: Plan, q: int) -> "_Groups":
-        if q == 1:  # one group, in entry order
-            zero = np.zeros(1, dtype=np.int64)
-            return cls(slice(None), zero, np.array([len(packed)]), zero)
         res = (packed // plan.strides[0] % q).astype(np.int64)
         order = np.argsort(res, kind="stable")
         res = res[order]
@@ -517,84 +514,78 @@ class _Groups(NamedTuple):
         return cls(order, res[starts], ends - starts, starts)
 
 
-def _slice_pairs(table: _Groups, factor: _Groups, q: int):
-    """Every (table group, factor group) pair, ordered by the slice (sum of
-    residues mod q) it feeds, the index where each slice's pairs begin, with
-    len(pairs) appended, and each slice's exact candidate count: the cyclic
-    convolution of the two residue histograms."""
-    a, b = np.divmod(np.arange(len(table.residues) * len(factor.residues)), len(factor.residues))
-    c = (table.residues[a] + factor.residues[b]) % q
-    order = np.argsort(c, kind="stable")
-    a, b = a[order], b[order]
-    first = _run_starts(c[order])
-    sizes = np.add.reduceat(table.counts[a] * factor.counts[b], first)
-    return a, b, np.append(first, len(c)), sizes
+def _slice_pairs(table: _Groups, f_res: np.ndarray, q: int):
+    """Every (table group a, factor entry j) pair, ordered by the slice (sum
+    of residues mod q) it feeds, then by a and j; the index where each
+    slice's pairs begin, with len(pairs) appended; and each slice's exact
+    candidate count, the sum of its pairs' table group counts."""
+    c = (table.residues[:, None] + f_res) % q  # pair (a, j) at a * len(f_res) + j
+    order = np.argsort(c, axis=None, kind="stable")
+    first = _run_starts(c.ravel()[order])
+    del c
+    a, j = np.divmod(order, len(f_res))
+    sizes = np.add.reduceat(table.counts[a], first)
+    return a, j, np.append(first, len(order)), sizes
 
 
 def _last_step(prepared: list, plan: Plan, cap):
-    """The masses of the table over the prepared (packed keys, masses)
-    factors, one slice at a time, each after its cap.
-
-    The first n - 1 factors are folded in by ``_sparse``.  A last step within
-    _SLICE_CANDIDATES is q = 1, one ``_step``; a larger one goes to ``_slices``.
-    """
-    keys, masses = _sparse(prepared[:-1], plan)
-    f_keys, f_masses = prepared[-1]
-    if len(keys) * len(f_keys) <= _SLICE_CANDIDATES:
-        slices = [_step(keys, masses, f_keys, f_masses, plan)]
-    else:
-        slices = _slices((keys, masses), prepared[-1], plan)
-    for s_keys, s_masses in slices:
+    """The masses of the table over the prepared factors, the first n - 1
+    folded in by ``_sparse``, the last by ``_slices``, each slice after its cap."""
+    for s_keys, s_masses in _slices(_sparse(prepared[:-1], plan), prepared[-1], plan):
         if cap is not None:
             s_masses = s_masses[(plan.unpack(s_keys) <= cap).all(axis=1)]
         yield s_masses
 
 
 def _slices(table, factor, plan: Plan):
-    """The merged keys and masses of the table folded with the factor, one
-    residue class mod q at a time, q as small as the module docstring allows;
-    each slice is merged by ``_slice``."""
+    """The merged keys and masses of the table folded with the factor: one
+    ``_step`` when the step fits _SLICE_CANDIDATES or no q > 1 is admissible,
+    else one ``_slice`` per residue class mod the first q of ``_moduli``
+    whose largest slice fits, or its last."""
     keys, masses = table
     f_keys, f_masses = factor
-    modulus = plan.modulus
-    # past this q every residue class holds one value of component 0
-    limit = plan.widths[0] if modulus is None else modulus
-    q, base = 1, None
-    while True:
-        t_groups, f_groups = _Groups.of(keys, plan, q), _Groups.of(f_keys, plan, q)
-        a, b, bounds, sizes = _slice_pairs(t_groups, f_groups, q)
-        if sizes.max(initial=0) <= _SLICE_CANDIDATES or q >= limit:
+    qs = [] if len(keys) * len(f_keys) <= _SLICE_CANDIDATES else list(_moduli(plan))
+    if not qs:
+        yield _step(keys, masses, f_keys, f_masses, plan)
+        return
+    for q in qs:
+        groups = _Groups.of(keys, plan, q)
+        f_res = (f_keys // plan.strides[0] % q).astype(np.int64)
+        a, j, bounds, sizes = _slice_pairs(groups, f_res, q)
+        if sizes.max() <= _SLICE_CANDIDATES:
             break
-        base = base or (2 if modulus is None else _least_prime_factor(modulus))
-        # q divides the modulus, and two residues add up within int64
-        if (modulus is not None and modulus % (q * base)) or 2 * q * base >= _INT64_LIMIT:
-            break
-        q *= base
-    keys, masses = keys[t_groups.order], masses[t_groups.order]
-    f_keys, f_masses = f_keys[f_groups.order], f_masses[f_groups.order]
+    keys, masses = keys[groups.order], masses[groups.order]
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        yield _slice((keys, masses, t_groups), (f_keys, f_masses, f_groups),
-                     a[lo:hi], b[lo:hi], plan)
+        yield _slice((keys, masses, groups), factor, a[lo:hi], j[lo:hi], plan)
 
 
-def _slice(table, factor, a: np.ndarray, b: np.ndarray, plan: Plan):
-    """One slice's merged keys and masses.  ``table`` and ``factor`` are
-    (keys, masses, groups) in their groups' sorted order; the slice pairs
-    every table entry of group a[i] with every factor entry of group b[i].
+def _moduli(plan: Plan):
+    """The admissible q > 1, increasing: the powers of b (see the module
+    docstring) that divide the modulus, with two residues adding up within
+    int64, up to the first past which every class holds one value of digit 0."""
+    modulus, q = plan.modulus, 1
+    limit = plan.widths[0] if modulus is None else modulus
+    base = 2 if modulus is None else _least_prime_factor(modulus)
+    while q < limit and (modulus is None or modulus % (q * base) == 0) and (
+            2 * q * base < _INT64_LIMIT):
+        q *= base
+        yield q
 
-    Candidates are laid out factor entry by factor entry, each followed by
-    its table group's entries.
-    """
-    keys, masses, t_groups = table
-    f_keys, f_masses, f_groups = factor
-    cols = f_groups.counts[b]
-    runs = np.repeat(t_groups.counts[a], cols)  # table entries per factor entry
-    f = np.repeat(_ranges(f_groups.starts[b], cols), runs)
-    t = _ranges(np.repeat(t_groups.starts[a], cols), runs)
+
+def _slice(table, factor, a: np.ndarray, j: np.ndarray, plan: Plan):
+    """One slice's merged keys and masses.  ``table`` is (keys, masses,
+    groups) in its groups' sorted order, ``factor`` the prepared (keys,
+    masses); the slice pairs every table entry of group a[i] with factor
+    entry j[i].  Candidates are laid out pair by pair, each pair's table
+    group gathered by one index array, the factor entry repeated over it."""
+    keys, masses, groups = table
+    f_keys, f_masses = factor
+    runs = groups.counts[a]
+    t = _ranges(groups.starts[a], runs)
     cand, cand_mass = keys[t], masses[t]
-    cand += f_keys[f]
-    cand_mass *= f_masses[f]
-    del t, f
+    del t
+    cand += np.repeat(f_keys[j], runs)
+    cand_mass *= np.repeat(f_masses[j], runs)
     return _merge(cand, cand_mass, plan)
 
 

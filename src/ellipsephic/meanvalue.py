@@ -242,11 +242,13 @@ def brute_force_count(
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
-    if isinstance(members, MemberSet):
+    priced = isinstance(members, MemberSet)  # refused on its y, which the listing checks
+    if priced:
         check_pairs(members.y**s, budget.max_tuples)
     mem = sorted(set(int(m) for m in members))
     y = len(mem)
-    check_pairs(y**s, budget.max_tuples)
+    if not priced:
+        check_pairs(y**s, budget.max_tuples)
     if y == 0:
         return CountResult(0, s, system.k, 0, "brute")
 

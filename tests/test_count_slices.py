@@ -81,7 +81,7 @@ def test_forced_slices_match_whole_table_and_oracles(data):
     members = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=7, unique=True))
     s = data.draw(st.integers(1, 3))
     weights = data.draw(weight_assignments(members))
-    modulus = data.draw(st.sampled_from([None, None, 9, 27]))
+    modulus = data.draw(st.sampled_from([None, None, 9, 27, 1]))
     cap = data.draw(st.one_of(st.none(), st.integers(0, 3 * 40**system.k)))
 
     def count():
@@ -169,8 +169,8 @@ def test_forced_slices_on_object_keys_and_masses(modulus):
 @pytest.mark.parametrize("modulus", [None, 25])
 @pytest.mark.parametrize("cap", [None, 20, 600])
 def test_unsliced_last_step_matches_whole_table(monkeypatch, modulus, cap):
-    """A last step within _SLICE_CANDIDATES (q = 1) is one merge, no slice:
-    the same sum of squares as the whole table's."""
+    """A last step within _SLICE_CANDIDATES is one ``_step`` in ``_slices``,
+    no slice: the same sum of squares as the whole table's."""
     monkeypatch.setattr(_tables, "_slice", None)  # any slice would raise
     xs = SQUARES_1875[:27]
     factors = [([xs, [x * x for x in xs]], None)] * 3
@@ -178,3 +178,85 @@ def test_unsliced_last_step_matches_whole_table(monkeypatch, modulus, cap):
     whole = _tables.power_sum_table(factors, **args)
     assert len(whole.masses) > 1
     assert _tables.power_sum_squares(factors, **args) == whole.sum_squares()
+
+
+class ConstantFirst:
+    """Keys (7, x**2) per member, summed over a tuple: component 0 is the same
+    for every tuple, so no q > 1 splits it."""
+
+    @staticmethod
+    def key(tup):
+        return (7 * len(tup), sum(x * x for x in tup))
+
+
+@pytest.mark.parametrize("kind", ["unit", "fraction", "float"])
+@pytest.mark.parametrize("modulus", [None, 1])
+def test_forced_slices_without_a_finer_q(monkeypatch, kind, modulus):
+    """Keys that admit no q > 1 (modulus 1, or component 0 the same for every
+    entry) take one merge even when slicing is forced, and give the whole
+    table's sum of squares and the scan's."""
+    xs = SQUARES_1875[:9]
+    weights = {
+        "unit": None,
+        "fraction": WeightAssignment.from_pairs({x: Fraction(1 + x % 5, 6) for x in xs}),
+        "float": WeightAssignment.from_pairs({x: 0.1 + (x % 7) / 9 for x in xs}),
+    }[kind]
+    ms = None if weights is None else [weights.masses[x] for x in xs]
+    factors = [([[7] * len(xs), [x * x for x in xs]], ms)] * 3
+    args = dict(modulus=modulus, budget=_tables.DEFAULT_BUDGET)
+    whole = _tables.power_sum_table(factors, **args)
+    assert len(whole.masses) > 1 or modulus == 1
+    monkeypatch.setattr(_tables, "_SLICE_CANDIDATES", 1)
+    monkeypatch.setattr(_tables, "_slice", None)  # any slice would raise
+    got = _tables.power_sum_squares(factors, **args)
+    assert got == whole.sum_squares()
+    want = ordered_tuple_count(ConstantFirst, 3, xs, weights, modulus, None)
+    if kind == "float":
+        assert math.isclose(got, want, rel_tol=1e-12)
+    else:
+        assert Fraction(got, 1 if weights is None else weights.denom**6) == want
+
+
+def spied(monkeypatch):
+    """Record the keys of the table and factor each ``_slices`` call folds
+    and each ``_Groups.of`` input, and count the ``_step`` calls."""
+    seen = {"slices": [], "groups": [], "steps": 0}
+    real_slices, real_of, real_step = _tables._slices, _tables._Groups.of, _tables._step
+
+    def slices(table, factor, plan):
+        seen["slices"].append((table[0], factor[0]))
+        return real_slices(table, factor, plan)
+
+    def of(*args):
+        seen["groups"].append(args[0])
+        return real_of(*args)
+
+    def step(*args):
+        seen["steps"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(_tables, "_slices", slices)
+    monkeypatch.setattr(_tables._Groups, "of", of)
+    monkeypatch.setattr(_tables, "_step", step)
+    return seen
+
+
+def test_only_the_table_is_grouped(monkeypatch):
+    """A forced-slice count groups the table's keys at each q it tries, never
+    the last factor's, and folds that factor by slices, not by ``_step``."""
+    system, members = SpacedSystem.pure_powers(2, 5), SQUARES_1875[:12]
+    want = brute_force_count(system, 3, members).count
+    monkeypatch.setattr(_tables, "_SLICE_CANDIDATES", 1)
+    seen = spied(monkeypatch)
+    assert mitm_count(system, 3, members).count == want
+    [(table, factor)] = seen["slices"]
+    assert len(table) != len(factor) == len(members)
+    assert len(seen["groups"]) > 1 and all(keys is table for keys in seen["groups"])
+    assert seen["steps"] == 2  # the first two factors, by ``_sparse``
+
+
+def test_a_last_step_that_fits_is_one_step(monkeypatch):
+    seen = spied(monkeypatch)
+    mitm_count(SpacedSystem.pure_powers(2, 5), 3, SQUARES_1875[:12])
+    assert len(seen["slices"]) == 1 and seen["groups"] == []
+    assert seen["steps"] == 3  # two by ``_sparse``, one by ``_slices``

@@ -147,6 +147,20 @@ def test_brute_budget_refusal():
         brute_force_count(sys1, 3, list(range(1, 30)), budget=Budget(max_tuples=1000))
 
 
+@pytest.mark.parametrize("listed", [False, True])
+def test_brute_checks_the_budget_once(monkeypatch, listed):
+    """One tuple-budget check: a MemberSet's y before listing (the listing
+    checks its count), or a sequence's distinct members after it."""
+    from ellipsephic import meanvalue
+
+    seen = []
+    monkeypatch.setattr(meanvalue, "check_pairs", lambda n, limit: seen.append(n))
+    members = MemberSet(SQUARES5, 300)
+    sys1 = SpacedSystem.pure_powers(1, 5)
+    brute_force_count(sys1, 2, list(members) * 2 if listed else members)
+    assert seen == [members.y**2]
+
+
 # --- meet in the middle ------------------------------------------------------
 
 def test_mitm_examples():
