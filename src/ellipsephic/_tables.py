@@ -3,8 +3,9 @@
 Every count in the library is built from one object: the table v -> m(v),
 where m(v) is the total weight of the ordered tuples (x_1, ..., x_n) whose
 keys add up to v, with x_i running over the i-th factor.  It is built here by
-repeated ordered convolution, one factor at a time, starting from the table
-{0: 1} of the empty sum.
+repeated convolution, one factor at a time, starting from the table {0: 1}
+of the empty sum; a run of copies of one factor is convolved over its
+multisets (the run fold below).
 
 ``price``, the one budget rule for tables, predicts a table's backend, work,
 peak bytes and key layout from one ``Shape`` per factor before anything is
@@ -27,22 +28,47 @@ priced, reduced, packed and converted a single time.
   masses.  Masses of equal keys then add in another order, which leaves an
   int64 sum unchanged.  Object keys or masses, float masses and wider pairs
   take a stable argsort instead, so float sums keep their order bit for bit.
+* run fold -- the sparse backend folds a run of consecutive copies of one
+  factor (``[factor] * s``, recognised by id) over non-decreasing factor
+  indices, so each multiset of entries is formed once rather than once per
+  ordering.  An entry of the run's state carries a key, a mass, l (the
+  largest factor index used so far in the run) and mu (how many times l
+  occurs).  Copy i + 1 pairs it with each factor entry j >= l at mass
+  mass * w_j * (i + 1), divided by mu + 1 when j == l.  An entry's mass is
+  thus its start key's times the multinomial i! / (c_0! c_1! ...) times
+  w_{j_1} ... w_{j_i}, c_j counting the j's used, and the division is exact:
+  the product is mu + 1 times the next such mass.  Entries stay sorted by l,
+  each copy laying its candidates out j by j, so those pairing with j are a
+  prefix.  They merge by key only after the run, each key's mass then being
+  the ordered m(v).  A run of c copies takes this fold only when there is no
+  modulus (classes collide mod p**B), keys and masses are int64 with
+  mass_bound * c < 2**63 (each product is at most c times a term of the
+  mass bound, so it fits before the division), and at every copy its
+  candidates stay within what ``price`` charged the ordered step (see
+  ``_extends``).  So no plan or refusal depends on it; float masses keep
+  the ordered fold and its summation order.
 * count-only -- ``power_sum_squares`` returns sum_v m(v)**2 alone.  Keys whose
   component 0 differs mod q differ, so the sum splits over the classes
-  c = v_0 mod q.  The sparse backend builds the first n - 1 factors as above
-  and folds the last one in one *slice* per class: each table group of
-  residue a paired with each factor entry of residue c - a, merged, summed
-  and dropped.  Only the table is grouped, so a slice's candidate count, the
-  sum of its pairs' group sizes, is known before any candidate exists.  A
-  step within _SLICE_CANDIDATES (a working set, not the budget: price's
-  bytes would leave whole steps of gigabytes unsliced), or whose keys admit
-  no q > 1, is one merge of all its candidates, as a sparse step of
-  ``power_sum_table``.  Otherwise q is the smallest power b, b**2, ... whose
-  largest slice fits, else the finest q the keys admit below 2**62, where
-  sums of two residues still fit int64.  b is 2, or under a modulus its
-  smallest prime factor (p for the moduli p**B of the congruence counts), so
-  q divides the modulus and reducing a key mod it keeps its class.  The
-  dense backend builds its whole array, which is the table.
+  c = v_0 mod q.  The sparse backend folds every copy but the last as above,
+  a run's left unmerged, and the last in one *slice* per class: each group
+  of residue a of the table, or of the run's entries, paired with each
+  factor entry j of residue c - a, merged, summed and dropped.  A run's
+  group keeps its entries in order of l, so the entries pairing with j are
+  the group's prefix with l <= j; a merged table pairs whole groups.  Only
+  the table is grouped, so a slice's candidate count, the sum of its pairs'
+  prefix sizes, is known before any candidate exists.  Merged keys are
+  gathered only when a cap needs them.  A step within _SLICE_CANDIDATES (a
+  working set, not the budget: price's bytes would leave whole steps of
+  gigabytes unsliced), or whose keys admit no q > 1, is one merge of all its
+  candidates, as the last step of ``power_sum_table``.  Otherwise q is the
+  smallest power b, b**2, ... whose largest slice fits, sought from the
+  first with q * _SLICE_CANDIDATES >= the step's candidates, else the finest
+  q the keys admit below 2**62, where sums of two residues still fit int64.
+  b is 2, or under a modulus its smallest prime factor (p for the moduli
+  p**B of the congruence counts), so q divides the modulus and reducing a
+  key mod it keeps its class; it is sought by trial division up to the
+  step's candidate count only, and a modulus with no factor that small
+  admits no q.  The dense backend builds its whole array, which is the table.
 
 dtypes follow from a-priori bounds: packed keys and masses are int64 when the
 packed range and the mass bound fit, else Python integers (object arrays);
@@ -56,6 +82,7 @@ as integers over one common D (``WeightAssignment``); callers divide it out once
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -178,8 +205,13 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     an index each), a dense step the cheaper ``_dense_step`` price at that
     key bound over _ADDS_PER_CANDIDATE.  Raises BudgetError at the first
     step whose running work or bytes exceed the budget.
+
+    These are the ordered fold's costs.  The sparse backend's run fold (see
+    the module docstring) forms at most b * C(n + r - 1, r) candidates at
+    the r-th copy of a run entered with at most b keys, and is taken only
+    where that stays within the charge above, so the plan does not depend
+    on it.
     """
-    k = len(shapes[0].ranges)
     # a float for float weights; an exact factor's total counts as at least 1,
     # so an all-zero factor leaves the bound over every other factor
     mass_bound = math.prod([sh.mass if isinstance(sh.mass, float) else max(sh.mass, 1)
@@ -187,16 +219,8 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     is_float = isinstance(mass_bound, float)
     mass_dtype = np.float64 if is_float else np.int64 if mass_bound < _INT64_LIMIT else object
     mass_item = _OBJECT_ITEM_BYTES if mass_dtype is object else 8
-    spans, largest, key_ranges = [0] * k, [0] * k, []  # W_i after each factor
-    for sh in shapes:
-        if modulus is None:
-            spans = [w + hi - lo for w, (lo, hi) in zip(spans, sh.ranges)]
-            key_ranges.append(math.prod([w + 1 for w in spans]))
-        else:  # each component's largest residue
-            ext = [hi if 0 <= lo <= hi < modulus else modulus - 1 for lo, hi in sh.ranges]
-            spans = [w + e for w, e in zip(spans, ext)]
-            largest = list(map(max, largest, ext))
-            key_ranges.append(math.prod([min(w + 1, modulus) for w in spans]))
+    bounds, spans, largest = _key_bounds(shapes, modulus)
+    k = len(spans)
     # packing widths: under a modulus, a reduced table component plus a factor's
     widths = ([w + 1 for w in spans] if modulus is None
               else [min(w, modulus - 1 + most) + 1 for w, most in zip(spans, largest)])
@@ -209,9 +233,9 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     n = (top if cap is None else max(-1, min(top, cap))) + 1
     dense = k == 1 and modulus is None and min([sh.ranges[0][0] for sh in shapes]) >= 0
     length = n if dense and 2 * n * mass_item <= budget.max_table_bytes else None
-    keys, multisets, used, cur, top, adds, work = 1, 1, {}, 1, 0, 0, 0
+    cur, top, adds, work = 1, 0, 0, 0
     nbytes = 0 if length is None else 2 * length * mass_item
-    for i, sh in enumerate(shapes):
+    for i, (sh, keys) in enumerate(zip(shapes, bounds)):
         if length is None:
             work += keys * sh.entries
             nbytes = max(nbytes, keys * sh.entries * step_bytes)
@@ -224,11 +248,29 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
             raise BudgetError(f"table needs {work} candidates and {nbytes} bytes by factor {i + 1}"
                               f" of {len(shapes)}, allowed {budget.max_tuples} and "
                               f"{budget.max_table_bytes}")
-        c = used[id(sh)] = used.get(id(sh), 0) + 1
-        multisets = multisets * (sh.entries + c - 1) // c  # M_i
-        keys = min(multisets, key_ranges[i])
     return Plan(length, widths, strides, offsets, modulus, key_dtype, mass_dtype, mass_bound,
                 work, nbytes)
+
+
+def _key_bounds(shapes: Sequence[Shape], modulus):
+    """``price``'s key bounds: min(W_i, M_i) for the table over the first i
+    factors, i = 0 .. n (1 for the empty table), and each key component's
+    sum of extents and, under a modulus, largest extent."""
+    k = len(shapes[0].ranges)
+    spans, largest, bounds, multisets, used = [0] * k, [0] * k, [1], 1, {}
+    for sh in shapes:
+        if modulus is None:
+            spans = [w + hi - lo for w, (lo, hi) in zip(spans, sh.ranges)]
+            key_range = math.prod([w + 1 for w in spans])
+        else:  # each component's largest residue
+            ext = [hi if 0 <= lo <= hi < modulus else modulus - 1 for lo, hi in sh.ranges]
+            spans = [w + e for w, e in zip(spans, ext)]
+            largest = list(map(max, largest, ext))
+            key_range = math.prod([min(w + 1, modulus) for w in spans])
+        c = used[id(sh)] = used.get(id(sh), 0) + 1
+        multisets = multisets * (sh.entries + c - 1) // c  # M_i
+        bounds.append(min(multisets, key_range))
+    return bounds, spans, largest
 
 
 def power_sum_table(
@@ -249,13 +291,13 @@ def power_sum_table(
     cap the total mass must equal the product of the factor masses (checked
     in the exact dtypes, skipped for floats); a mismatch is an InvariantError.
     """
-    prepared, plan, mass = _prepare(factors, modulus, cap, budget)
+    prepared, plan, mass, extend = _prepare(factors, modulus, cap, budget)
     if plan.length is not None:
         dense = _dense(prepared, plan)
         nz = np.flatnonzero(dense)
         keys, masses = nz.reshape(-1, 1), dense[nz]
     else:
-        keys, masses = _sparse(prepared, plan)
+        keys, masses = _step(*_sparse(prepared, extend, plan), plan)
         keys = plan.unpack(keys)
         if cap is not None:
             keep = (keys <= cap).all(axis=1)
@@ -279,7 +321,7 @@ def power_sum_dense(
     such keys would need more bytes per candidate than the array per key),
     or when the cap + 1 entries returned would not fit it.
     """
-    prepared, plan, _ = _prepare(factors, None, cap, budget)
+    prepared, plan, _, _ = _prepare(factors, None, cap, budget)
     item = _OBJECT_ITEM_BYTES if plan.mass_dtype is object else 8
     if plan.length is None or (cap + 1) * item > budget.max_table_bytes:
         raise BudgetError(f"no dense table of keys up to {cap} fits {budget.max_table_bytes} bytes")
@@ -303,17 +345,18 @@ def power_sum_squares(
     cap per slice and checks the slices' total mass.  An int for unit and
     integer weights, else a float, summed slice by slice.
     """
-    prepared, plan, mass = _prepare(factors, modulus, cap, budget)
+    prepared, plan, mass, extend = _prepare(factors, modulus, cap, budget)
     if plan.length is not None:  # the zeros of the dense array add nothing
         slices = [_dense(prepared, plan)]
     else:
-        slices = _last_step(prepared, plan, cap)
+        slices = _last_step(prepared, extend, plan, cap)
     exact = plan.mass_dtype is not np.float64
     total, squares = 0, 0 if exact else 0.0
     for masses in slices:
         if exact:
             total += int(masses.sum())
         squares += _sum_squares(masses, plan.mass_bound)
+        del masses
     if cap is None and exact:
         _check_mass(total, mass)
     return squares
@@ -324,11 +367,12 @@ def _prepare(factors, modulus, cap, budget):
     once, masses 1 for unit weights: for a dense plan its one column and its
     masses as lists, for a sparse one its keys reduced mod the modulus and
     packed, and its masses as an array of the plan's mass dtype.  Returns
-    them in factor order, the plan and the product of the factors' total
-    masses."""
+    them in factor order, the plan, the product of the factors' total masses
+    and ``_extends``' flags."""
     distinct = {id(f): f for f in factors}  # [factor] * s is prepared once
     shapes = {i: Shape.of(*f) for i, f in distinct.items()}
-    plan = price([shapes[id(f)] for f in factors], modulus=modulus, cap=cap, budget=budget)
+    in_order = [shapes[id(f)] for f in factors]
+    plan = price(in_order, modulus=modulus, cap=cap, budget=budget)
     totals = {}
     for i, (cols, ws) in distinct.items():
         ms = [1] * len(cols[0]) if ws is None else ws
@@ -342,7 +386,30 @@ def _prepare(factors, modulus, cap, budget):
         distinct[i] = (_pack(cols, lo, plan.strides, plan.key_dtype),
                        np.array(ms, dtype=plan.mass_dtype))
     mass = math.prod([totals[id(f)] for f in factors])
-    return [distinct[id(f)] for f in factors], plan, mass
+    return [distinct[id(f)] for f in factors], plan, mass, _extends(in_order, plan)
+
+
+def _extends(shapes: list, plan: Plan) -> list:
+    """Per factor, whether the run fold leaves that copy unmerged: every copy
+    of a folded run but its last.  A run of c >= 2 copies of one factor of n
+    entries, entered at factor i by a table of at most b_i = min(W_i, M_i)
+    keys, is folded when the plan is sparse, without a modulus, with int64
+    keys and masses and mass_bound * c < 2**63, and at its r-th copy, r >= 2,
+    its at most b_i * C(n + r - 1, r) candidates are within the
+    b_{i + r - 1} * n that ``price`` charged the ordered step there."""
+    extend = [False] * len(shapes)
+    if plan.length is not None or plan.modulus is not None or not (
+            plan.key_dtype is plan.mass_dtype is np.int64):
+        return extend
+    bounds, i = _key_bounds(shapes, None)[0], 0
+    for _, same in itertools.groupby(shapes, key=id):
+        copies, n = len(list(same)), shapes[i].entries
+        if copies > 1 and plan.mass_bound * copies < _INT64_LIMIT and all(
+                bounds[i] * math.comb(n + r - 1, r) <= bounds[i + r - 1] * n
+                for r in range(2, copies + 1)):
+            extend[i : i + copies - 1] = [True] * (copies - 1)
+        i += copies
+    return extend
 
 
 def _check_mass(total: int, expected: int) -> None:
@@ -426,27 +493,109 @@ def _dense(prepared: list, plan: Plan) -> np.ndarray:
     return cur.astype(plan.mass_dtype, copy=False)
 
 
-def _sparse(prepared: list, plan: Plan):
-    """Packed keys and masses of the table over the prepared (packed keys,
-    masses) factors, by one ``_step`` per factor."""
-    keys = np.zeros(1, dtype=plan.key_dtype)
-    masses = np.ones(1, dtype=plan.mass_dtype)
-    for f_keys, f_masses in prepared:
-        keys, masses = _step(keys, masses, f_keys, f_masses, plan)
-    return keys, masses
+class _Run(NamedTuple):
+    """A sparse table on its way through a run of copies of one factor,
+    its entries not merged.  After i = ``copies`` copies there is one entry
+    per key of the table the run started from and per non-decreasing factor
+    indices j_1 <= ... <= j_i, of mass the key's times the multinomial
+    i! / (c_0! c_1! ...) times w_{j_1} ... w_{j_i}, c_j counting the j's
+    equal to j.  Entries are sorted by l = j_i: those with l <= j are the
+    first ``ends[j]``.  ``reps`` holds c_l.  A merged table is the run of no
+    copies, ends and reps None."""
+
+    keys: np.ndarray
+    masses: np.ndarray
+    ends: np.ndarray | None = None
+    reps: np.ndarray | None = None
+    copies: int = 0
 
 
-def _step(keys, masses, f_keys, f_masses, plan: Plan):
-    """The table folded with one factor: every candidate at once, one merge."""
-    return _merge((keys[:, None] + f_keys[None, :]).ravel(),
-                  np.outer(masses, f_masses).ravel(), plan)
+class _Pairs(NamedTuple):
+    """Pairs of a run's entries with factor entries: entries [starts[p],
+    starts[p] + counts[p]) with factor entry j[p], their l <= j[p], the last
+    ties[p] of them with l == j[p] (ties None: a merged table)."""
+
+    starts: np.ndarray
+    counts: np.ndarray
+    ties: np.ndarray | None
+    j: np.ndarray
+
+    @classmethod
+    def whole(cls, run: _Run, n: int) -> "_Pairs":
+        """Every entry of the run, in its order, with each factor entry it
+        pairs with, j-major: the candidates come sorted by their l = j."""
+        j, starts = np.arange(n), np.zeros(n, dtype=np.int64)
+        if run.ends is None:
+            return cls(starts, np.full(n, len(run.keys)), None, j)
+        return cls(starts, run.ends, np.diff(run.ends, prepend=0), j)
+
+    def cut(self, lo: int, hi: int) -> "_Pairs":
+        """Pairs lo .. hi - 1."""
+        return _Pairs(*(None if x is None else x[lo:hi] for x in self))
 
 
-def _merge(cand: np.ndarray, cand_mass: np.ndarray, plan: Plan):
+def _sparse(prepared: list, extend: list, plan: Plan):
+    """The ``_Run`` over every prepared (packed keys, masses) factor but the
+    last, and the last: a copy flagged in ``extend`` folded in by
+    ``_run_step``, any other by ``_step``."""
+    run = _Run(np.zeros(1, dtype=plan.key_dtype), np.ones(1, dtype=plan.mass_dtype))
+    for factor, unmerged in zip(prepared[:-1], extend):
+        run = _run_step(run, factor) if unmerged else _Run(*_step(run, factor, plan))
+    return run, prepared[-1]
+
+
+def _step(run: _Run, factor, plan: Plan, keys: bool = True):
+    """The run folded with one more copy of the factor and merged as by
+    ``_merge``: every candidate at once.  A merged table's candidates are laid
+    out table entry by table entry (the order float sums keep), a run's as
+    ``_Pairs.whole``."""
+    f_keys, f_masses = factor
+    if run.ends is None:
+        return _merge((run.keys[:, None] + f_keys[None, :]).ravel(),
+                      np.outer(run.masses, f_masses).ravel(), plan, keys)
+    return _merge(*_gather(run, factor, _Pairs.whole(run, len(f_keys)))[:2], plan, keys)
+
+
+def _run_step(run: _Run, factor) -> _Run:
+    """The run folded with one more copy of the factor, not merged."""
+    pairs = _Pairs.whole(run, len(factor[0]))
+    keys, masses, tied, reps = _gather(run, factor, pairs)
+    new_reps = np.ones(len(keys), dtype=np.int64)
+    if tied is not None:
+        new_reps[tied] += reps
+    return _Run(keys, masses, np.cumsum(pairs.counts), new_reps, run.copies + 1)
+
+
+def _gather(run: _Run, factor, pairs: _Pairs):
+    """The candidates of the pairs, pair by pair: each pair's run entries
+    gathered through one index array, its factor entry's key and mass
+    repeated over them.  A run of i copies multiplies by (i + 1) w_j, and
+    divides a tie's product by its reps + 1, exactly (see the module
+    docstring).  Returns the keys, the masses, and for a run the ties'
+    positions and reps."""
+    f_keys, f_masses = factor
+    t = _ranges(pairs.starts, pairs.counts)
+    cand, cand_mass = run.keys[t], run.masses[t]
+    tied = reps = None
+    if pairs.ties is not None:
+        tied = _ranges(np.cumsum(pairs.counts) - pairs.ties, pairs.ties)
+        reps = run.reps[t[tied]]
+    del t
+    cand += np.repeat(f_keys[pairs.j], pairs.counts)
+    if tied is None:
+        cand_mass *= np.repeat(f_masses[pairs.j], pairs.counts)
+    else:
+        cand_mass *= np.repeat(f_masses[pairs.j] * (run.copies + 1), pairs.counts)
+        cand_mass[tied] //= reps + 1
+    return cand, cand_mass, tied, reps
+
+
+def _merge(cand: np.ndarray, cand_mass: np.ndarray, plan: Plan, keys: bool = True):
     """Reduce the candidates' components mod the modulus, if any, then sum the
     masses of equal keys by a sort and np.add.reduceat: the distinct keys,
-    increasing, and their masses.  Only a component wider than the modulus
-    can reach it.  The inputs are reordered in place.
+    increasing (None when ``keys`` is false), and their masses.  Only a
+    component wider than the modulus can reach it.  The inputs are reordered
+    in place.
 
     When ``_mass_bits`` finds room, each mass is packed below its key and the
     one int64 array is sorted in place by NumPy's default (unstable) sort:
@@ -472,7 +621,7 @@ def _merge(cand: np.ndarray, cand_mass: np.ndarray, plan: Plan):
         np.bitwise_and(cand, (1 << bits) - 1, out=cand_mass)
         cand >>= bits
     first = _run_starts(cand)
-    return cand[first], np.add.reduceat(cand_mass, first)
+    return cand[first] if keys else None, np.add.reduceat(cand_mass, first)
 
 
 def _mass_bits(cand: np.ndarray, cand_mass: np.ndarray) -> int | None:
@@ -496,8 +645,10 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 
 class _Groups(NamedTuple):
-    """The table's packed keys sorted by the residue of their digit 0 mod q: per
-    residue present, increasing, its value and count, and its first sorted index."""
+    """The table's packed keys sorted by the residue of their digit 0 mod q,
+    stably, so a run's entries keep their order by l within a group: per
+    residue present, increasing, its value and count, and its first sorted
+    index."""
 
     order: np.ndarray
     residues: np.ndarray
@@ -514,79 +665,95 @@ class _Groups(NamedTuple):
         return cls(order, res[starts], ends - starts, starts)
 
 
-def _slice_pairs(table: _Groups, f_res: np.ndarray, q: int):
+def _slice_pairs(table: _Groups, last, f_res: np.ndarray, q: int):
     """Every (table group a, factor entry j) pair, ordered by the slice (sum
-    of residues mod q) it feeds, then by a and j; the index where each
-    slice's pairs begin, with len(pairs) appended; and each slice's exact
-    candidate count, the sum of its pairs' table group counts."""
-    c = (table.residues[:, None] + f_res) % q  # pair (a, j) at a * len(f_res) + j
+    of residues mod q) it feeds, then by a and j, as ``_Pairs``: group a's
+    prefix of entries with l <= j, ``last`` holding each entry's l (None: a
+    merged table, whole groups).  Also the index where each slice's pairs
+    begin, with len(pairs) appended, and each slice's exact candidate count,
+    the sum of its pairs' counts."""
+    n = len(f_res)
+    c = (table.residues[:, None] + f_res) % q  # pair (a, j) at a * n + j
     order = np.argsort(c, axis=None, kind="stable")
     first = _run_starts(c.ravel()[order])
     del c
-    a, j = np.divmod(order, len(f_res))
-    sizes = np.add.reduceat(table.counts[a], first)
-    return a, j, np.append(first, len(order)), sizes
+    a, j = np.divmod(order, n)
+    if last is None:
+        counts, ties = table.counts[a], None
+    else:  # per group, how many entries have each l, and how many at most it
+        group = np.repeat(np.arange(len(table.counts)), table.counts)
+        ties = np.bincount(group * n + last[table.order], minlength=len(table.counts) * n)
+        del group
+        counts = ties.reshape(-1, n).cumsum(axis=1).ravel()[order]
+        ties = ties[order]
+    sizes = np.add.reduceat(counts, first)
+    return _Pairs(table.starts[a], counts, ties, j), np.append(first, len(order)), sizes
 
 
-def _last_step(prepared: list, plan: Plan, cap):
-    """The masses of the table over the prepared factors, the first n - 1
-    folded in by ``_sparse``, the last by ``_slices``, each slice after its cap."""
-    for s_keys, s_masses in _slices(_sparse(prepared[:-1], plan), prepared[-1], plan):
+def _last_step(prepared: list, extend: list, plan: Plan, cap):
+    """The masses of the table over the prepared factors, all but the last
+    copy folded in by ``_sparse``, the last by ``_slices``, each slice after
+    its cap.  Merged keys are gathered only for the cap, and a slice is
+    released before the next one is built."""
+    for s_keys, s_masses in _slices(*_sparse(prepared, extend, plan), plan, cap is not None):
         if cap is not None:
             s_masses = s_masses[(plan.unpack(s_keys) <= cap).all(axis=1)]
+        del s_keys
         yield s_masses
+        del s_masses
 
 
-def _slices(table, factor, plan: Plan):
-    """The merged keys and masses of the table folded with the factor: one
-    ``_step`` when the step fits _SLICE_CANDIDATES or no q > 1 is admissible,
-    else one ``_slice`` per residue class mod the first q of ``_moduli``
-    whose largest slice fits, or its last."""
-    keys, masses = table
-    f_keys, f_masses = factor
-    qs = [] if len(keys) * len(f_keys) <= _SLICE_CANDIDATES else list(_moduli(plan))
+def _slices(run: _Run, factor, plan: Plan, keys: bool):
+    """The merged keys and masses of the run folded with the factor, as by
+    ``_merge``: one ``_step`` when its candidates fit _SLICE_CANDIDATES or no
+    q > 1 is admissible, else one ``_slice`` per residue class mod the first
+    q of ``_moduli`` whose largest slice fits, or its last.  The search
+    starts at the first q with q * _SLICE_CANDIDATES >= the candidates: the
+    largest of q slices holds at least 1/q of them."""
+    f_keys = factor[0]
+    n = len(f_keys)
+    total = len(run.keys) * n if run.ends is None else int(run.ends.sum())
+    qs = [] if total <= _SLICE_CANDIDATES else list(_moduli(plan, total))
     if not qs:
-        yield _step(keys, masses, f_keys, f_masses, plan)
+        yield _step(run, factor, plan, keys)
         return
-    for q in qs:
-        groups = _Groups.of(keys, plan, q)
+    last = None if run.ends is None else np.repeat(np.arange(n), np.diff(run.ends, prepend=0))
+    lower = next((i for i, q in enumerate(qs) if q * _SLICE_CANDIDATES >= total), len(qs) - 1)
+    for q in qs[lower:]:
+        groups = _Groups.of(run.keys, plan, q)
         f_res = (f_keys // plan.strides[0] % q).astype(np.int64)
-        a, j, bounds, sizes = _slice_pairs(groups, f_res, q)
+        pairs, bounds, sizes = _slice_pairs(groups, last, f_res, q)
         if sizes.max() <= _SLICE_CANDIDATES:
             break
-    keys, masses = keys[groups.order], masses[groups.order]
+    del last
+    order = groups.order
+    run = run._replace(keys=run.keys[order], masses=run.masses[order],
+                       reps=None if run.reps is None else run.reps[order])
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        yield _slice((keys, masses, groups), factor, a[lo:hi], j[lo:hi], plan)
+        yield _slice(run, factor, pairs.cut(lo, hi), plan, keys)
 
 
-def _moduli(plan: Plan):
+def _moduli(plan: Plan, total: int):
     """The admissible q > 1, increasing: the powers of b (see the module
     docstring) that divide the modulus, with two residues adding up within
-    int64, up to the first past which every class holds one value of digit 0."""
+    int64, up to the first past which every class holds one value of digit 0.
+    Under a modulus b is sought up to the step's ``total`` candidates only."""
     modulus, q = plan.modulus, 1
     limit = plan.widths[0] if modulus is None else modulus
-    base = 2 if modulus is None else _least_prime_factor(modulus)
+    base = 2 if modulus is None else _least_prime_factor(modulus, total)
+    if base is None:
+        return
     while q < limit and (modulus is None or modulus % (q * base) == 0) and (
             2 * q * base < _INT64_LIMIT):
         q *= base
         yield q
 
 
-def _slice(table, factor, a: np.ndarray, j: np.ndarray, plan: Plan):
-    """One slice's merged keys and masses.  ``table`` is (keys, masses,
-    groups) in its groups' sorted order, ``factor`` the prepared (keys,
-    masses); the slice pairs every table entry of group a[i] with factor
-    entry j[i].  Candidates are laid out pair by pair, each pair's table
-    group gathered by one index array, the factor entry repeated over it."""
-    keys, masses, groups = table
-    f_keys, f_masses = factor
-    runs = groups.counts[a]
-    t = _ranges(groups.starts[a], runs)
-    cand, cand_mass = keys[t], masses[t]
-    del t
-    cand += np.repeat(f_keys[j], runs)
-    cand_mass *= np.repeat(f_masses[j], runs)
-    return _merge(cand, cand_mass, plan)
+def _slice(run: _Run, factor, pairs: _Pairs, plan: Plan, keys: bool):
+    """One slice's merged keys and masses, as by ``_merge``: ``run`` in its
+    groups' sorted order, ``factor`` the prepared (keys, masses), the slice's
+    ``pairs``."""
+    return _merge(*_gather(run, factor, pairs)[:2], plan, keys)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -597,9 +764,12 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _least_prime_factor(n: int) -> int:
-    """The smallest prime factor of n >= 2, by trial division."""
-    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+def _least_prime_factor(n: int, bound: int) -> int | None:
+    """The smallest prime factor of n >= 2, by trial division up to bound:
+    None when n has no factor up to bound and is not known to be prime."""
+    top = math.isqrt(n)
+    d = next((d for d in range(2, min(top, bound) + 1) if n % d == 0), None)
+    return d if d is not None else n if top <= bound else None
 
 
 def _pack(cols, lo, strides, key_dtype) -> np.ndarray:

@@ -6,13 +6,20 @@ so the sliced fold runs on inputs small enough for the oracles.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellipsephic
 from ellipsephic import (
     DigitSet,
     InvariantError,
@@ -131,23 +138,36 @@ def test_sliced_count_peak_memory():
     assert plan.nbytes >= peak
 
 
+def phi_factor(xs):
+    """The prepared-to-be (columns, weights) of k = 2 keys (x, x**2), unit weights."""
+    return [xs, [x * x for x in xs]], None
+
+
+def folds(xs, s):
+    """The run fold's input, [factor] * s, and the ordered fold's, s equal
+    copies that are distinct objects."""
+    return {"run": [phi_factor(xs)] * s, "ordered": [phi_factor(xs) for _ in range(s)]}
+
+
 def test_mass_check_survives_slicing(monkeypatch):
-    """One candidate's mass lost in one slice is an InvariantError."""
+    """One candidate's mass lost in one slice is an InvariantError, whether
+    the last copy folds into a run's entries or into a merged table."""
     real = _tables._slice
-    calls = []
-
-    def lossy(*args):
-        keys, masses = real(*args)
-        if not calls:
-            masses[0] -= 1  # unit weights: every candidate carries mass 1
-        calls.append(len(keys))
-        return keys, masses
-
-    monkeypatch.setattr(_tables, "_slice", lossy)
     monkeypatch.setattr(_tables, "_SLICE_CANDIDATES", 1000)
-    with pytest.raises(InvariantError, match="table mass"):
-        mitm_count(SpacedSystem.pure_powers(2, 5), 2, SQUARES_1875[:60])
-    assert len(calls) > 1
+    for fold, factors in folds(SQUARES_1875[:60], 2).items():
+        calls = []
+
+        def lossy(run, *args, calls=calls):
+            keys, masses = real(run, *args)
+            if not calls:
+                masses[0] -= 1  # unit weights: every merged mass is an integer >= 1
+            calls.append(run.copies)
+            return keys, masses
+
+        monkeypatch.setattr(_tables, "_slice", lossy)
+        with pytest.raises(InvariantError, match="table mass"):
+            _tables.power_sum_squares(factors, budget=_tables.DEFAULT_BUDGET)
+        assert len(calls) > 1 and set(calls) == {1 if fold == "run" else 0}, fold
 
 
 @pytest.mark.parametrize("modulus", [None, 3**40])
@@ -218,45 +238,158 @@ def test_forced_slices_without_a_finer_q(monkeypatch, kind, modulus):
 
 
 def spied(monkeypatch):
-    """Record the keys of the table and factor each ``_slices`` call folds
-    and each ``_Groups.of`` input, and count the ``_step`` calls."""
-    seen = {"slices": [], "groups": [], "steps": 0}
-    real_slices, real_of, real_step = _tables._slices, _tables._Groups.of, _tables._step
+    """Record the run and factor each ``_slices`` call folds, each
+    ``_Groups.of`` input and the q of each ``_slice_pairs`` build, and count
+    the ``_step`` and ``_run_step`` calls."""
+    seen = {"slices": [], "groups": [], "qs": [], "steps": 0, "run_steps": 0}
+    real_slices, real_of = _tables._slices, _tables._Groups.of
+    real_pairs, real_step, real_run_step = (_tables._slice_pairs, _tables._step,
+                                            _tables._run_step)
 
-    def slices(table, factor, plan):
-        seen["slices"].append((table[0], factor[0]))
-        return real_slices(table, factor, plan)
+    def slices(run, factor, *args):
+        seen["slices"].append((run, factor[0]))
+        return real_slices(run, factor, *args)
 
     def of(*args):
         seen["groups"].append(args[0])
         return real_of(*args)
 
+    def pairs(*args):
+        seen["qs"].append(args[-1])
+        return real_pairs(*args)
+
     def step(*args):
         seen["steps"] += 1
         return real_step(*args)
 
+    def run_step(*args):
+        seen["run_steps"] += 1
+        return real_run_step(*args)
+
     monkeypatch.setattr(_tables, "_slices", slices)
     monkeypatch.setattr(_tables._Groups, "of", of)
+    monkeypatch.setattr(_tables, "_slice_pairs", pairs)
     monkeypatch.setattr(_tables, "_step", step)
+    monkeypatch.setattr(_tables, "_run_step", run_step)
     return seen
 
 
 def test_only_the_table_is_grouped(monkeypatch):
-    """A forced-slice count groups the table's keys at each q it tries, never
-    the last factor's, and folds that factor by slices, not by ``_step``."""
+    """A forced-slice count groups the table's keys, a run's unmerged
+    entries or a merged table, once at each q it tries and never the last
+    factor's, and folds that factor by slices, not by ``_step``.  The first
+    two copies are two ``_run_step`` calls on a run, two ``_step`` calls
+    otherwise."""
     system, members = SpacedSystem.pure_powers(2, 5), SQUARES_1875[:12]
     want = brute_force_count(system, 3, members).count
     monkeypatch.setattr(_tables, "_SLICE_CANDIDATES", 1)
-    seen = spied(monkeypatch)
-    assert mitm_count(system, 3, members).count == want
-    [(table, factor)] = seen["slices"]
-    assert len(table) != len(factor) == len(members)
-    assert len(seen["groups"]) > 1 and all(keys is table for keys in seen["groups"])
-    assert seen["steps"] == 2  # the first two factors, by ``_sparse``
+    for fold, factors in folds(members, 3).items():
+        with pytest.MonkeyPatch.context() as m:
+            seen = spied(m)
+            assert _tables.power_sum_squares(factors, budget=_tables.DEFAULT_BUDGET) == want
+        [(run, factor)] = seen["slices"]
+        # the run holds one entry per multiset of two members, C(13, 2); the
+        # merged table one per distinct key
+        assert len(run.keys) == (math.comb(13, 2) if fold == "run" else len(set(
+            (a + b, a * a + b * b) for a in members for b in members)))
+        assert len(factor) == len(members) and run.copies == (2 if fold == "run" else 0)
+        assert seen["groups"] and all(keys is run.keys for keys in seen["groups"])
+        assert len(seen["groups"]) == len(seen["qs"])
+        assert (seen["run_steps"], seen["steps"]) == ((2, 0) if fold == "run" else (0, 2))
 
 
-def test_a_last_step_that_fits_is_one_step(monkeypatch):
+def test_a_last_step_that_fits_is_one_step():
+    """A last copy within _SLICE_CANDIDATES is one ``_step``, no grouping:
+    after two ``_run_step`` calls on a run, after two ``_step`` calls otherwise."""
+    for fold, factors in folds(SQUARES_1875[:12], 3).items():
+        with pytest.MonkeyPatch.context() as m:
+            seen = spied(m)
+            _tables.power_sum_squares(factors, budget=_tables.DEFAULT_BUDGET)
+        assert len(seen["slices"]) == 1 and seen["groups"] == []
+        assert (seen["run_steps"], seen["steps"]) == ((2, 1) if fold == "run" else (0, 3))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_run_fold_matches_ordered_tuples(data):
+    """mitm_count folds [factor] * s as a run whenever the keys allow it; for
+    s = 1 .. 4, sliced or not, it is the scan of the ordered s-tuples."""
+    system = data.draw(systems())
+    members = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True))
+    s = data.draw(st.integers(1, 4))
+    weights = data.draw(weight_assignments(members))
+    cap = data.draw(st.one_of(st.none(), st.integers(0, 4 * 30**system.k)))
+
+    def count():
+        return mitm_count(system, s, members, weights, key_cap=cap).count
+
+    got = forced(count) if data.draw(st.booleans()) else count()
+    want = ordered_tuple_count(system, s, sorted(members), weights, None, cap)
+    if weights is not None and not weights.exact:
+        assert math.isclose(got, want, rel_tol=1e-12)
+    else:
+        assert got == want
+
+
+def admissible_q(keys, f_keys, ends, plan, q):
+    """Candidates per residue class of digit 0 mod q, counted pair by pair
+    from the run's entries: entry e pairs with factor entries j >= l_e."""
+    n = len(f_keys)
+    last = (np.full(len(keys), -1) if ends is None
+            else np.repeat(np.arange(n), np.diff(ends, prepend=0)))
+    pairs = np.arange(n)[None, :] >= last[:, None]
+    digit = lambda k: k // plan.strides[0] % q  # noqa: E731
+    classes = (digit(keys)[:, None] + digit(f_keys)[None, :]) % q
+    return np.bincount(classes[pairs], minlength=q)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_q_search_starts_at_the_lower_bound(monkeypatch, seed):
+    """The q search builds pairs from the first q with q * _SLICE_CANDIDATES
+    >= the step's candidates on: the same q as a scan of every admissible q
+    from b upward, with no build below the bound."""
+    rng = np.random.default_rng(seed)
+    members = sorted(rng.choice(np.arange(1, 400), size=int(rng.integers(8, 30)),
+                                replace=False).tolist())
+    s = int(rng.integers(2, 4))
+    fold = ["run", "ordered"][seed % 2]
+    modulus = [None, None, 27, 25][seed % 4]
+    factors = folds(members, s)[fold]
+    args = dict(modulus=modulus, budget=_tables.DEFAULT_BUDGET)
+    whole = _tables.power_sum_table(factors, **args).sum_squares()
+    monkeypatch.setattr(_tables, "_SLICE_CANDIDATES", int(rng.integers(1, 200)))
     seen = spied(monkeypatch)
-    mitm_count(SpacedSystem.pure_powers(2, 5), 3, SQUARES_1875[:12])
-    assert len(seen["slices"]) == 1 and seen["groups"] == []
-    assert seen["steps"] == 3  # two by ``_sparse``, one by ``_slices``
+    assert _tables.power_sum_squares(factors, **args) == whole
+    [(run, f_keys)] = seen["slices"]
+    assert run.copies == (s - 1 if fold == "run" and modulus is None else 0)
+    total = len(run.keys) * len(f_keys) if run.ends is None else int(run.ends.sum())
+    plan = _tables.price([_tables.Shape.of(*f) for f in factors], modulus=modulus,
+                         budget=_tables.DEFAULT_BUDGET)
+    qs = list(_tables._moduli(plan, total))
+    limit = _tables._SLICE_CANDIDATES
+    fits = [admissible_q(run.keys, f_keys, run.ends, plan, q).max() <= limit for q in qs]
+    scanned = qs[fits.index(True)] if True in fits else qs[-1]
+    assert seen["qs"][-1] == scanned
+    lower = next((i for i, q in enumerate(qs) if q * limit >= total), len(qs) - 1)
+    assert seen["qs"] == qs[lower : qs.index(scanned) + 1]
+
+
+def test_a_large_prime_modulus_takes_one_step():
+    """Two factors of keys 1 .. 600 under the prime modulus 2**61 - 1: the
+    least prime factor is sought only up to the step's 360,000 candidates, so
+    the count is one step and ends, equal to the whole table's.  Run in a
+    child process so that a hang fails at the timeout."""
+    code = textwrap.dedent("""
+        from ellipsephic import _tables
+        factors = [([list(range(1, 601))], None)] * 2
+        args = dict(modulus=2**61 - 1, budget=_tables.DEFAULT_BUDGET)
+        print(_tables.power_sum_squares(factors, **args),
+              _tables.power_sum_table(factors, **args).sum_squares())
+    """)
+    src = str(Path(ellipsephic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    got, want = map(int, done.stdout.split())
+    # keys 2 .. 1200 below the modulus: m(v) counts the ordered pairs of sum v
+    assert got == want == sum(min(v - 1, 1201 - v) ** 2 for v in range(2, 1201))

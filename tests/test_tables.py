@@ -517,21 +517,151 @@ SQUARES_1875 = list(iter_members(DigitSet(5, (0, 1, 4)), 1875))
 
 
 def test_sliced_count_takes_the_fused_sort():
-    """k = 2, s = 3 over the 161 base-5 squares members up to 1875: both
-    sparse steps and every slice of the last merge int64 keys with their
-    masses packed below them."""
-    slices = []
+    """k = 2, s = 3 over the 161 base-5 squares members up to 1875: every
+    slice of the last copy, and each sparse step before it, merges int64
+    keys with their masses packed below them.  ``mitm_count``'s [factor] * 3
+    folds the first two copies as a run, merged by no step; three distinct
+    copies take two ordered steps."""
+    cols = [SQUARES_1875, [x * x for x in SQUARES_1875]]
+    copies = [(list(cols), None) for _ in range(3)]
     real_slice = _tables._slice
+    for steps, counted_by in (
+            (0, lambda: mitm_count(SpacedSystem.pure_powers(2, 5), 3, SQUARES_1875).count),
+            (2, lambda: power_sum_squares(copies, budget=DEFAULT_BUDGET))):
+        slices = []
 
-    def counted(*args):
-        slices.append(1)
-        return real_slice(*args)
+        def counted(*args, slices=slices):
+            slices.append(1)
+            return real_slice(*args)
 
-    with recorded_mass_bits() as seen, mock.patch.object(_tables, "_slice", counted):
-        count = mitm_count(SpacedSystem.pure_powers(2, 5), 3, SQUARES_1875).count
-    assert count == 25_384_553
-    assert len(slices) > 1 and len(seen) == 2 + len(slices)
-    assert None not in seen
+        with recorded_mass_bits() as seen, mock.patch.object(_tables, "_slice", counted):
+            count = counted_by()
+        assert count == 25_384_553
+        assert len(slices) > 1 and len(seen) == steps + len(slices)
+        assert None not in seen
+
+
+# --- the run fold: [factor] * s over non-decreasing index tuples ------------
+
+LAYOUTS = ["A", "AA", "AAA", "AAAA", "AAB", "ABA"]
+
+
+def laid_out(layout, a, b):
+    """Factors by layout letter: repeats of one letter are the same object."""
+    return [{"A": a, "B": b}[c] for c in layout]
+
+
+def equal_copies(factors):
+    """The factors as equal-valued distinct objects, which take the ordered fold."""
+    return [([list(c) for c in cols], None if ws is None else list(ws)) for cols, ws in factors]
+
+
+@contextlib.contextmanager
+def counted_candidates():
+    """The candidates each merge and each unmerged run copy forms, while open."""
+    seen = []
+    real_merge, real_run_step = _tables._merge, _tables._run_step
+
+    def merge(cand, *args):
+        seen.append(len(cand))
+        return real_merge(cand, *args)
+
+    def run_step(*args):
+        run = real_run_step(*args)
+        seen.append(len(run.keys))
+        return run
+
+    with mock.patch.object(_tables, "_merge", merge), \
+            mock.patch.object(_tables, "_run_step", run_step):
+        yield seen
+
+
+def run_fold_factor(data, kind):
+    """Keys of one component in -15 .. 40 with repeats, at least one < 0 so
+    the table is sparse; weights of the kind, "signed" holding zeros and
+    negatives."""
+    n = data.draw(st.integers(1, 7))
+    values = data.draw(st.lists(st.integers(-15, 40), min_size=n, max_size=n))
+    values[0] = -abs(values[0]) - 1
+    weights = {
+        "unit": st.none(),
+        "int": st.lists(st.integers(1, 9), min_size=n, max_size=n),
+        "signed": st.lists(st.integers(-3, 4), min_size=n, max_size=n),
+        "float": st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n),
+    }[kind]
+    return [values], data.draw(weights)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_run_fold_matches_dict_convolution(data):
+    """power_sum_table and power_sum_squares over [A] * s, s = 1 .. 4, and
+    [A, A, B], [A, B, A], sliced or not, against the ordered double loop;
+    the same over equal-valued distinct copies, which take the ordered fold:
+    exactly equal for integers, bit for bit for floats.  Merges and run
+    copies form no more candidates than ``price`` charges."""
+    kind = data.draw(st.sampled_from(["unit", "int", "signed", "float"]))
+    factors = laid_out(data.draw(st.sampled_from(LAYOUTS)),
+                       run_fold_factor(data, kind), run_fold_factor(data, kind))
+    cap = data.draw(st.one_of(st.none(), st.integers(-20, 100)))
+    forced = data.draw(st.booleans())
+    plan = _tables.price([_tables.Shape.of(*f) for f in factors], cap=cap, budget=BUDGET)
+    limit = 1 if forced else _tables._SLICE_CANDIDATES
+    with mock.patch.object(_tables, "_SLICE_CANDIDATES", limit):
+        with counted_candidates() as formed:
+            table = power_sum_table(factors, cap=cap, budget=BUDGET)
+        assert sum(formed) <= plan.work
+        squares = power_sum_squares(factors, cap=cap, budget=BUDGET)
+        apart = power_sum_table(equal_copies(factors), cap=cap, budget=BUDGET)
+        apart_squares = power_sum_squares(equal_copies(factors), cap=cap, budget=BUDGET)
+    full = dict_convolution([(cols[0], ws) for cols, ws in factors], None)
+    want = {v: m for v, m in full.items() if cap is None or v <= cap}
+    got = {v: m for v, m in zip(table.keys[:, 0].tolist(), table.masses.tolist()) if m != 0}
+    assert np.array_equal(table.keys, apart.keys)
+    if kind == "float":
+        assert table.masses.tobytes() == apart.masses.tobytes()
+        assert squares.hex() == apart_squares.hex()
+        assert got.keys() == want.keys()
+        assert all(math.isclose(got[v], want[v], rel_tol=1e-12) for v in want)
+    else:
+        assert table.masses.tolist() == apart.masses.tolist()
+        assert got == want
+        assert squares == apart_squares == sum(m * m for m in want.values())
+
+
+def largest_below(limit, power, factor):
+    """The largest w with factor * w**power < limit."""
+    w = 1
+    while factor * (2 * w) ** power < limit:
+        w *= 2
+    lo, hi = w, 2 * w  # factor * lo**power < limit <= factor * hi**power
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if factor * mid**power < limit else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_run_fold_at_the_mass_bound(above):
+    """[F] * 3 with total mass w: folded as a run while 3 * w**3 < 2**63,
+    where its products mass * w_j * 3 stay int64 before the exact division;
+    past it, with masses still int64, by the ordered fold.  Both give the
+    ordered tables of equal-valued copies and of the double loop."""
+    w = largest_below(1 << 63, 3, 3) + above
+    factor = ([[-2, 0, 3]], [w - 2, 1, 1])
+    plan = _tables.price([_tables.Shape.of(*factor)] * 3, budget=BUDGET)
+    assert plan.mass_dtype is np.int64 and (plan.mass_bound * 3 >= 1 << 63) == above
+    runs = []
+    real_run_step = _tables._run_step
+    with mock.patch.object(_tables, "_run_step", lambda *a: runs.append(1) or real_run_step(*a)):
+        table = power_sum_table([factor] * 3, budget=BUDGET)
+        squares = power_sum_squares([factor] * 3, budget=BUDGET)
+    assert len(runs) == (0 if above else 4)  # two copies unmerged per call
+    apart = power_sum_table(equal_copies([factor] * 3), budget=BUDGET)
+    assert table.masses.tolist() == apart.masses.tolist()
+    want = dict_convolution([([-2, 0, 3], [w - 2, 1, 1])] * 3, None)
+    assert dict(zip(table.keys[:, 0].tolist(), table.masses.tolist())) == want
+    assert squares == sum(m * m for m in want.values())
 
 
 def test_multiplicity_table_keys_are_int64(table_dict):
