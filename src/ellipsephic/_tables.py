@@ -18,7 +18,9 @@ priced, reduced, packed and converted a single time.
   the byte budget: a 1-D array indexed by key value, each factor folded in by
   a shift or a scatter step, whichever ``_dense_step`` prices lower; a
   scatter loops over the shorter of the table's nonzero rows and the
-  factor's distinct values.  ``power_sum_dense`` returns that array itself.
+  factor's distinct values.  The leading copies of a run are folded over
+  multisets instead (below), the last of them scattered into the array.
+  ``power_sum_dense`` returns that array itself.
 * sparse -- otherwise: each key tuple is packed into one integer in mixed
   radix, every pairwise sum of table and factor entries (a *candidate*) is
   formed at once, and equal keys are merged by a sort and ``np.add.reduceat``.
@@ -28,7 +30,7 @@ priced, reduced, packed and converted a single time.
   masses.  Masses of equal keys then add in another order, which leaves an
   int64 sum unchanged.  Object keys or masses, float masses and wider pairs
   take a stable argsort instead, so float sums keep their order bit for bit.
-* run fold -- the sparse backend folds a run of consecutive copies of one
+* run fold -- both backends fold a run of consecutive copies of one
   factor (``[factor] * s``, recognised by id) over non-decreasing factor
   indices, so each multiset of entries is formed once rather than once per
   ordering.  An entry of the run's state carries a key, a mass, l (the
@@ -40,13 +42,18 @@ priced, reduced, packed and converted a single time.
   the product is mu + 1 times the next such mass.  Entries stay sorted by l,
   each copy laying its candidates out j by j, so those pairing with j are a
   prefix.  They merge by key only after the run, each key's mass then being
-  the ordered m(v).  A run of c copies takes this fold only when there is no
-  modulus (classes collide mod p**B), keys and masses are int64 with
+  the ordered m(v).  c copies of a run fold only when there is no modulus
+  (classes collide mod p**B), keys and masses are int64 with
   mass_bound * c < 2**63 (each product is at most c times a term of the
   mass bound, so it fits before the division), and at every copy its
   candidates stay within what ``price`` charged the ordered step (see
-  ``_extends``).  So no plan or refusal depends on it; float masses keep
-  the ordered fold and its summation order.
+  ``_extends``).  So no plan or refusal depends on it; float and object
+  masses keep the ordered fold and its summation order.  The sparse
+  backend folds a whole run or none of it.  The dense one folds a run's
+  leading copies, over the factor's distinct values: every one but the
+  last drops the entries whose key reaches the array's length, and the
+  last adds its candidates into the array by ``np.add.at``, since entries
+  of distinct multisets can share a key.
 * count-only -- ``power_sum_squares`` returns sum_v m(v)**2 alone.  Keys whose
   component 0 differs mod q differ, so the sum splits over the classes
   c = v_0 mod q.  The sparse backend folds every copy but the last as above,
@@ -68,16 +75,19 @@ priced, reduced, packed and converted a single time.
   p**B of the congruence counts), so q divides the modulus and reducing a
   key mod it keeps its class; it is sought by trial division up to the
   step's candidate count only, and a modulus with no factor that small
-  admits no q.  The dense backend builds its whole array, which is the table.
+  admits no q.  The dense backend builds its whole array, which is the
+  table, and widens and squares it _DENSE_CHUNK entries at a time
+  (exact masses; float ones whole, keeping their summation order).
 
 dtypes follow from a-priori bounds: packed keys and masses are int64 when the
 packed range and the mass bound fit, else Python integers (object arrays);
 float weights use float64.  The mass bound is the product of the factors'
 total |mass|, an exact factor's counted as at least 1, and bounds every
 partial sum.  A dense plan with int64 masses and a bound below 2**31 works in
-an int32 array and returns it widened to int64, so every table, array and
-sum of squares handed out is in the plan's dtype.  Rational weights arrive
-as integers over one common D (``WeightAssignment``); callers divide it out once.
+an int32 array; its nonzero masses, its array or its chunks are widened to
+int64 as they are handed out, so every table, array and sum of squares is in
+the plan's dtype.  Rational weights arrive as integers over one common D
+(``WeightAssignment``); callers divide it out once.
 """
 
 from __future__ import annotations
@@ -105,6 +115,13 @@ _SCATTER_ELEMENT = 10
 _ADDS_PER_CANDIDATE = 160
 # Candidates per slice of a count-only last step, about 10 MB of working set.
 _SLICE_CANDIDATES = 1 << 18
+# Bytes of a dense run fold's unmerged entry: its int64 key, mass and reps,
+# and the gather index of the step that forms it.
+_RUN_ENTRY_BYTES = 32
+# Entries per chunk of the dense backend's temporaries: a run fold's last
+# copy forms its candidates, and a count widens and squares its array, this
+# many at a time, about 0.3 MB of working set.
+_DENSE_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -206,11 +223,12 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     key bound over _ADDS_PER_CANDIDATE.  Raises BudgetError at the first
     step whose running work or bytes exceed the budget.
 
-    These are the ordered fold's costs.  The sparse backend's run fold (see
-    the module docstring) forms at most b * C(n + r - 1, r) candidates at
-    the r-th copy of a run entered with at most b keys, and is taken only
-    where that stays within the charge above, so the plan does not depend
-    on it.
+    These are the ordered fold's costs.  The run fold (see the module
+    docstring) forms at most b * C(n + r - 1, r) candidates at the r-th copy
+    of a run entered with at most b keys, and is taken only where that stays
+    within the charge above (on a dense plan, within the step's scatter
+    price, and only where that is the cheaper kind), so the plan does not
+    depend on it.
     """
     # a float for float weights; an exact factor's total counts as at least 1,
     # so an all-zero factor leaves the bound over every other factor
@@ -233,17 +251,16 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     n = (top if cap is None else max(-1, min(top, cap))) + 1
     dense = k == 1 and modulus is None and min([sh.ranges[0][0] for sh in shapes]) >= 0
     length = n if dense and 2 * n * mass_item <= budget.max_table_bytes else None
-    cur, top, adds, work = 1, 0, 0, 0
+    adds, work = 0, 0
     nbytes = 0 if length is None else 2 * length * mass_item
+    steps = None if length is None else _dense_prices(shapes, bounds, length)
     for i, (sh, keys) in enumerate(zip(shapes, bounds)):
         if length is None:
             work += keys * sh.entries
             nbytes = max(nbytes, keys * sh.entries * step_bytes)
         else:
-            top += sh.ranges[0][1]
-            nxt = min(length, top + 1)
-            adds += min(_dense_step(sh.entries, cur, min(cur, keys), min(sh.entries, nxt)))
-            work, cur = -(-adds // _ADDS_PER_CANDIDATE), nxt
+            adds += min(next(steps))
+            work = -(-adds // _ADDS_PER_CANDIDATE)
         if work > budget.max_tuples or nbytes > budget.max_table_bytes:
             raise BudgetError(f"table needs {work} candidates and {nbytes} bytes by factor {i + 1}"
                               f" of {len(shapes)}, allowed {budget.max_tuples} and "
@@ -273,6 +290,17 @@ def _key_bounds(shapes: Sequence[Shape], modulus):
     return bounds, spans, largest
 
 
+def _dense_prices(shapes: Sequence[Shape], bounds: list, length: int):
+    """``price``'s (shift, scatter) prices of each dense step, from the array
+    length before it and the key bound b_i as its nonzero rows."""
+    cur, top = 1, 0
+    for sh, keys in zip(shapes, bounds):
+        top += sh.ranges[0][1]
+        nxt = min(length, top + 1)
+        yield _dense_step(sh.entries, cur, min(cur, keys), min(sh.entries, nxt))
+        cur = nxt
+
+
 def power_sum_table(
     factors: Sequence[tuple[Sequence[Sequence[int]], Sequence | None]],
     *,
@@ -293,9 +321,9 @@ def power_sum_table(
     """
     prepared, plan, mass, extend = _prepare(factors, modulus, cap, budget)
     if plan.length is not None:
-        dense = _dense(prepared, plan)
-        nz = np.flatnonzero(dense)
-        keys, masses = nz.reshape(-1, 1), dense[nz]
+        dense = _dense(prepared, extend, plan)
+        nz = np.flatnonzero(dense != 0)  # a boolean scan, several times faster
+        keys, masses = nz.reshape(-1, 1), dense[nz].astype(plan.mass_dtype, copy=False)
     else:
         keys, masses = _step(*_sparse(prepared, extend, plan), plan)
         keys = plan.unpack(keys)
@@ -321,14 +349,14 @@ def power_sum_dense(
     such keys would need more bytes per candidate than the array per key),
     or when the cap + 1 entries returned would not fit it.
     """
-    prepared, plan, _, _ = _prepare(factors, None, cap, budget)
+    prepared, plan, _, extend = _prepare(factors, None, cap, budget)
     item = _OBJECT_ITEM_BYTES if plan.mass_dtype is object else 8
     if plan.length is None or (cap + 1) * item > budget.max_table_bytes:
         raise BudgetError(f"no dense table of keys up to {cap} fits {budget.max_table_bytes} bytes")
-    dense = _dense(prepared, plan)
+    dense = _dense(prepared, extend, plan)
     if len(dense) <= cap:  # every sum is below the cap
         dense = np.concatenate((dense, np.zeros(cap + 1 - len(dense), dtype=dense.dtype)))
-    return dense
+    return dense.astype(plan.mass_dtype, copy=False)
 
 
 def power_sum_squares(
@@ -342,15 +370,19 @@ def power_sum_squares(
 
     Priced and checked as ``power_sum_table`` is; the sparse backend folds the
     last factor in one slice at a time (see the module docstring), applies the
-    cap per slice and checks the slices' total mass.  An int for unit and
-    integer weights, else a float, summed slice by slice.
+    cap per slice and checks the slices' total mass; the dense one widens its
+    array _DENSE_CHUNK entries at a time, or a float one whole.  An int
+    for unit and integer weights, else a float, summed slice by slice.
     """
     prepared, plan, mass, extend = _prepare(factors, modulus, cap, budget)
+    exact = plan.mass_dtype is not np.float64
     if plan.length is not None:  # the zeros of the dense array add nothing
-        slices = [_dense(prepared, plan)]
+        dense = _dense(prepared, extend, plan)
+        step = _DENSE_CHUNK if exact else max(len(dense), 1)  # floats keep their order
+        slices = (dense[lo : lo + step].astype(plan.mass_dtype, copy=False)
+                  for lo in range(0, len(dense), step))
     else:
         slices = _last_step(prepared, extend, plan, cap)
-    exact = plan.mass_dtype is not np.float64
     total, squares = 0, 0 if exact else 0.0
     for masses in slices:
         if exact:
@@ -390,24 +422,41 @@ def _prepare(factors, modulus, cap, budget):
 
 
 def _extends(shapes: list, plan: Plan) -> list:
-    """Per factor, whether the run fold leaves that copy unmerged: every copy
-    of a folded run but its last.  A run of c >= 2 copies of one factor of n
-    entries, entered at factor i by a table of at most b_i = min(W_i, M_i)
-    keys, is folded when the plan is sparse, without a modulus, with int64
-    keys and masses and mass_bound * c < 2**63, and at its r-th copy, r >= 2,
-    its at most b_i * C(n + r - 1, r) candidates are within the
-    b_{i + r - 1} * n that ``price`` charged the ordered step there."""
+    """Per factor, whether the run fold leaves that copy unmerged: every
+    folded copy of a run but its last.  A run of c >= 2 copies of one factor
+    of n entries, entered at factor i by a table of at most b_i = min(W_i,
+    M_i) keys, folds its first r copies when there is no modulus, keys and
+    masses are int64 and mass_bound * r < 2**63, and each copy r' = 2 .. r
+    passes the backend's test.  Sparse, whole runs only: the at most
+    b_i * C(n + r' - 1, r') candidates are within the b_{i + r' - 1} * n that
+    ``price`` charged the ordered step.  Dense, the leading copies: price's
+    ordered step at r' scatters, the fold's element adds
+    n * _SCATTER_CALL + _SCATTER_ELEMENT * b_i * C(n + r' - 1, r') are within
+    its scatter price, and the b_i * C(n + r' - 2, r' - 1) entries held
+    unmerged before it, at _RUN_ENTRY_BYTES each, within the plan's bytes."""
     extend = [False] * len(shapes)
-    if plan.length is not None or plan.modulus is not None or not (
-            plan.key_dtype is plan.mass_dtype is np.int64):
+    if plan.modulus is not None or not (plan.key_dtype is plan.mass_dtype is np.int64):
         return extend
     bounds, i = _key_bounds(shapes, None)[0], 0
+    prices = None if plan.length is None else list(_dense_prices(shapes, bounds, plan.length))
+
+    def fits(i: int, n: int, r: int) -> bool:  # the r-th copy of the run entered at factor i
+        folds = bounds[i] * math.comb(n + r - 1, r)
+        if prices is None:
+            return folds <= bounds[i + r - 1] * n
+        shift, scatter = prices[i + r - 1]
+        return (scatter < shift and n * _SCATTER_CALL + _SCATTER_ELEMENT * folds <= scatter
+                and bounds[i] * math.comb(n + r - 2, r - 1) * _RUN_ENTRY_BYTES <= plan.nbytes)
+
     for _, same in itertools.groupby(shapes, key=id):
         copies, n = len(list(same)), shapes[i].entries
-        if copies > 1 and plan.mass_bound * copies < _INT64_LIMIT and all(
-                bounds[i] * math.comb(n + r - 1, r) <= bounds[i + r - 1] * n
-                for r in range(2, copies + 1)):
-            extend[i : i + copies - 1] = [True] * (copies - 1)
+        folded = 1
+        while (folded < copies and plan.mass_bound * (folded + 1) < _INT64_LIMIT
+               and fits(i, n, folded + 1)):
+            folded += 1
+        if prices is None and folded < copies:  # the sparse fold takes whole runs
+            folded = 1
+        extend[i : i + folded - 1] = [True] * (folded - 1)
         i += copies
     return extend
 
@@ -431,16 +480,22 @@ def _dense_step(entries: int, cur_len: int, nnz: int, distinct: int) -> tuple[in
     return entries * (_SHIFT_CALL + cur_len), nnz * (_SCATTER_CALL + _SCATTER_ELEMENT * distinct)
 
 
-def _dense(prepared: list, plan: Plan) -> np.ndarray:
-    """Convolution of the prepared (values, masses) lists into an array of
-    the plan's mass dtype, indexed by key value below its length.
+def _dense(prepared: list, extend: list, plan: Plan) -> np.ndarray:
+    """Convolution of the prepared (values, masses) lists into an array
+    indexed by key value below the plan's length, in the work dtype: the
+    plan's mass dtype, or int32 for an int64 plan whose mass bound is below
+    2**31, which bounds every partial sum as it does the int64 one.
 
-    Each step takes the kind ``_dense_step`` prices lower: a *shift*, one
-    shifted add of the current array per factor entry, or a *scatter* of the
-    current array's nonzero indices, its rows, over the factor's distinct
-    values uv below the length of nxt, increasing, with their masses um
-    summed by ``_merge``.  A scatter loops over the shorter of the two index
-    sets: ``nxt[i + uv] += cur[i] * um`` per row i, or
+    A run's copies flagged in ``extend``, and the copy after them, are
+    folded over multisets (see the module docstring): the flagged ones by
+    ``_run_step`` over the factor's distinct values uv, increasing, and
+    their masses um summed by ``_merge``, each dropping the entries whose
+    key reaches the length (keys are >= 0, so they only grow); the next by
+    ``_scatter_run``.  Every other step takes the kind ``_dense_step``
+    prices lower: a *shift*, one shifted add of the current array per
+    factor entry, or a *scatter* of the current array's nonzero indices, its
+    rows, over uv.  A scatter loops over the shorter of the two index sets:
+    ``nxt[i + uv] += cur[i] * um`` per row i, or
     ``nxt[rows + v] += cur[rows] * m`` per value v of mass m, each cut where
     the sums reach the end of nxt.  Neither rows nor uv has repeats, so each
     fancy-index add is exact.  ``_dense_step`` prices the row loop; for the
@@ -452,29 +507,38 @@ def _dense(prepared: list, plan: Plan) -> np.ndarray:
     per element, a scatter row 2.5 us plus 5 ns per value.  Counting element
     operations alone, without the per-call terms, picks scatter for small
     dense tables and made such steps several times slower.  These
-    int64-timed constants are not retuned for the value loop or int32
-    arrays, since new values would move step kinds and refusals.
-
-    An int64 plan whose mass bound is below 2**31 works in int32, which
-    bounds every partial sum as it does the int64 one, and widens the
-    finished array once.
+    int64-timed constants are not retuned for the value loop, int32 arrays
+    or the run fold, since new values would move step kinds and refusals.
     """
     dtype = plan.mass_dtype
     if dtype is np.int64 and plan.mass_bound < _INT32_LIMIT:
         dtype = np.int32
     cur = np.ones(1, dtype=dtype)
-    top = 0
-    for f_values, f_masses in prepared:
+    run, top = None, 0
+    for (f_values, f_masses), unmerged in zip(prepared, extend):
         top += max(f_values, default=0)
-        nxt = np.zeros(min(plan.length, top + 1), dtype=dtype)
+        length = min(plan.length, top + 1)
         vals = np.array(f_values)  # object past int64, so cut before the cast
-        below = vals < len(nxt)
+        below = vals < length
         masses = np.array(f_masses, dtype=dtype)[below]
         uv, um = _merge(vals[below].astype(np.int64), masses, plan)
+        if unmerged or run is not None:  # a copy of a folded run
+            if run is None:  # the run starts from the table's nonzero rows
+                rows = np.flatnonzero(cur != 0)
+                run = _Run(rows, cur[rows].astype(np.int64))
+            factor = (uv, um.astype(np.int64, copy=False))
+            if unmerged:
+                run = _cut(_run_step(run, factor), length)
+            else:
+                cur = np.zeros(length, dtype=dtype)
+                _scatter_run(cur, run, factor)
+                run = None
+            continue
+        nxt = np.zeros(length, dtype=dtype)
         um = um.astype(dtype, copy=False)  # np.add.reduceat sums int32 in int64
         shift, scatter = _dense_step(len(f_values), len(cur), np.count_nonzero(cur), len(uv))
         if scatter < shift:
-            rows = np.flatnonzero(cur)
+            rows = np.flatnonzero(cur != 0)
             if len(uv) < len(rows):
                 row_masses = cur[rows]
                 cuts = np.searchsorted(rows, len(nxt) - uv)
@@ -490,12 +554,36 @@ def _dense(prepared: list, plan: Plan) -> np.ndarray:
                 if n > 0:
                     nxt[a : a + n] += cur[:n] if w == 1 else cur[:n] * w
         cur = nxt
-    return cur.astype(plan.mass_dtype, copy=False)
+    return cur
+
+
+def _cut(run: _Run, length: int) -> _Run:
+    """The run without its entries of key >= length, ``ends`` recounted."""
+    keep = run.keys < length
+    if keep.all():
+        return run
+    kept = np.concatenate(([0], np.cumsum(keep)))[run.ends]
+    return _Run(run.keys[keep], run.masses[keep], kept, run.reps[keep], run.copies)
+
+
+def _scatter_run(out: np.ndarray, run: _Run, factor) -> None:
+    """Add the run folded with its last copy into ``out``: its candidates,
+    as ``_gather`` forms them, for consecutive factor values at a time,
+    about _DENSE_CHUNK of them, those of key below len(out) added by
+    ``np.add.at``, since keys repeat within a run.  Each mass lands in
+    ``out``'s dtype, being a term of the mass bound."""
+    pairs = _Pairs.whole(run, len(factor[0]))
+    chunk = _run_starts((np.cumsum(pairs.counts) - 1) // _DENSE_CHUNK)
+    bounds = np.append(chunk, len(pairs.j)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        keys, masses = _gather(run, factor, pairs.cut(lo, hi))[:2]
+        keep = keys < len(out)
+        np.add.at(out, keys[keep], masses[keep].astype(out.dtype, copy=False))
 
 
 class _Run(NamedTuple):
-    """A sparse table on its way through a run of copies of one factor,
-    its entries not merged.  After i = ``copies`` copies there is one entry
+    """A table on its way through a run of copies of one factor, its
+    entries not merged.  After i = ``copies`` copies there is one entry
     per key of the table the run started from and per non-decreasing factor
     indices j_1 <= ... <= j_i, of mass the key's times the multinomial
     i! / (c_0! c_1! ...) times w_{j_1} ... w_{j_i}, c_j counting the j's

@@ -50,14 +50,14 @@ def dict_convolution(factors, cap):
     return {v: m for v, m in table.items() if m != 0}
 
 
-def kernel_table(factors, cap):
-    """power_sum_table on the dense backend (the sparse one may not run)."""
+def kernel_table(factors, cap, same=False):
+    """power_sum_table on the dense backend (the sparse one may not run),
+    each factor a new object, or with ``same`` one object for all of them."""
+    args = [([values], weights) for values, weights in factors]
+    if same:
+        args = [args[0]] * len(args)
     with mock.patch.object(_tables, "_sparse", side_effect=AssertionError("sparse")):
-        table = power_sum_table(
-            [([values], weights) for values, weights in factors],
-            cap=cap,
-            budget=BUDGET,
-        )
+        table = power_sum_table(args, cap=cap, budget=BUDGET)
     return dict(zip(table.keys[:, 0].tolist(), table.masses.tolist()))
 
 
@@ -157,34 +157,47 @@ def numpy_spy():
 SQUARES_625 = [0] + [m * m for m in iter_members(DigitSet(5, (0, 1, 4)), 625)]
 
 
+def recorded_extends():
+    """mock.patch of ``_extends`` that records the fold flags it returns."""
+    seen, real = [], _tables._extends
+    return seen, mock.patch.object(_tables, "_extends", lambda *a: seen.append(real(*a)) or seen[-1])
+
+
 def test_dense_steps_take_both_kinds():
-    """Each scatter step searches the shorter index set's partner: the
-    factor's distinct values uv when it loops over the nonzero rows, the
-    rows when it loops over uv."""
+    """[factor] * s as one object: the int64 cases fold the copies flagged
+    (see ``_extends``) over multisets; each ordered scatter step searches
+    the shorter index set's partner: the factor's distinct values uv when
+    it loops over the nonzero rows, the rows when it loops over uv.  Float
+    and object masses never fold."""
     squares = [x * x for x in range(120)]
     runs = list(range(40)) * 2
     cases = [
-        # pairs of squares stay sparse and scatter; their 2,750 distinct sums
-        # below the cap fill the table enough for the third step to shift
-        ([(squares, None)] * 2, 10**4, ["uv"] * 2),
-        ([(squares, None)] * 3, 10**4, ["uv"] * 2),
+        # pairs of squares stay sparse, so the first two copies fold; their
+        # 2,750 distinct sums below the cap fill the table enough for a
+        # third step to shift
+        (squares, None, 2, 10**4, [True, False], []),
+        (squares, None, 3, 10**4, [True, False, False], []),
         # the first step scatters a single row; the dense table then shifts
-        ([(runs, None)] * 3, None, ["uv"]),
+        (runs, None, 3, None, [False] * 3, ["uv"]),
         # exact masses near 2**62 are held as Python integers
-        ([(squares, [(1 << 62) - x for x in range(120)])] * 2, None, ["uv"] * 2),
+        (squares, [(1 << 62) - x for x in range(120)], 2, None, [False] * 2, ["uv"] * 2),
     ]
     # the squares of the 82 base-5 {0, 1, 4} members up to 625 and 0: the
     # third step scatters the 1,401 sums of two below the cap over the 82
-    # values, so it loops over the values
+    # values, so it loops over the values; unit masses fold the first two
     n = len(SQUARES_625)
-    for weights in (None, [0.5 + x / 7 for x in range(n)], [(1 << 62) - x for x in range(n)]):
-        cases.append(([(SQUARES_625, weights)] * 3, 10**5, ["uv", "uv", "rows"]))
-    for factors, cap, searched in cases:
-        with numpy_spy() as spy:
-            got = kernel_table(factors, cap)
-        values = set(factors[0][0])
-        assert ["uv" if set(a) <= values else "rows" for a in spy.searched] == searched
-        want = dict_convolution(factors, cap)
+    for weights, folds, searched in (
+            (None, [True, False, False], ["rows"]),
+            ([0.5 + x / 7 for x in range(n)], [False] * 3, ["uv", "uv", "rows"]),
+            ([(1 << 62) - x for x in range(n)], [False] * 3, ["uv", "uv", "rows"])):
+        cases.append((SQUARES_625, weights, 3, 10**5, folds, searched))
+    for values, weights, s, cap, folds, searched in cases:
+        seen, patched = recorded_extends()
+        with numpy_spy() as spy, patched:
+            got = kernel_table([(values, weights)] * s, cap, same=True)
+        assert seen == [folds]
+        assert ["uv" if set(a) <= set(values) else "rows" for a in spy.searched] == searched
+        want = dict_convolution([(values, weights)] * s, cap)
         assert sorted(got) == sorted(want)
         for v, m in want.items():  # exact for integers, last bits for floats
             assert got[v] == m if type(m) is int else math.isclose(got[v], m, rel_tol=1e-12)
@@ -674,3 +687,133 @@ def test_multiplicity_table_keys_are_int64(table_dict):
     assert table.keys.dtype == np.int64 and table.keys.shape == (len(want), 2)
     # len is the row count, which the CLI writes and the benchmark counts as entries
     assert table.masses.dtype == np.int64 and len(table) == len(table.masses) == len(want)
+
+
+# --- the dense run fold: [factor] * s over multisets on the dense array -----
+
+@contextlib.contextmanager
+def dense_fold_candidates():
+    """(copy r of the run, candidates formed) for each copy the dense fold
+    takes: the entries each ``_run_step`` forms, and the candidates
+    ``_scatter_run`` gathers for the last copy."""
+    seen = []
+    real_run_step, real_scatter = _tables._run_step, _tables._scatter_run
+
+    def run_step(run, factor):
+        out = real_run_step(run, factor)
+        seen.append((out.copies, len(out.keys)))
+        return out
+
+    def scatter(out, run, factor):
+        seen.append((run.copies + 1, int(run.ends.sum())))
+        return real_scatter(out, run, factor)
+
+    with mock.patch.object(_tables, "_run_step", run_step), \
+            mock.patch.object(_tables, "_scatter_run", scatter):
+        yield seen
+
+
+def dense_scatter_prices(shapes, plan):
+    """``price``'s scatter price of each dense step."""
+    bounds = _tables._key_bounds(shapes, None)[0]
+    return [scatter for _, scatter in _tables._dense_prices(shapes, bounds, plan.length)]
+
+
+def check_dense_run(factor, s, cap):
+    """power_sum_table, power_sum_dense and power_sum_squares over
+    [factor] * s, passed as one object, against the ordered double loop, the
+    last also in small chunks.  Returns the fold flags and the (copy,
+    candidates) the fold formed: a copy r >= 2 adds, at n * _SCATTER_CALL
+    plus _SCATTER_ELEMENT per candidate, no more than price's scatter price
+    of the ordered step it replaces."""
+    (values,), weights = factor
+    shapes = [_tables.Shape.of(*factor)] * s
+    plan = _tables.price(shapes, cap=cap, budget=BUDGET)
+    seen, patched = recorded_extends()
+    with dense_fold_candidates() as formed, patched, \
+            mock.patch.object(_tables, "_sparse", side_effect=AssertionError("sparse")):
+        table = power_sum_table([factor] * s, cap=cap, budget=BUDGET)
+    dense = power_sum_dense([factor] * s, cap=cap, budget=BUDGET)
+    squares = power_sum_squares([factor] * s, cap=cap, budget=BUDGET)
+    # the last copy's scatter and the sum of squares in chunks of about 50
+    with mock.patch.object(_tables, "_DENSE_CHUNK", 50):
+        assert power_sum_squares([factor] * s, cap=cap, budget=BUDGET) == squares
+    want = dict_convolution([(values, weights)] * s, cap)
+    got = dict(zip(table.keys[:, 0].tolist(), table.masses.tolist()))
+    assert {v: m for v, m in got.items() if m != 0} == want
+    assert dense.dtype == table.masses.dtype == plan.mass_dtype
+    assert dense.tolist() == [want.get(v, 0) for v in range(cap + 1)]
+    assert squares == sum(m * m for m in want.values())
+    folds = seen[0]
+    folded = sum(folds) + 1 if any(folds) else 0
+    assert [r for r, _ in formed] == list(range(1, folded + 1))
+    prices, n = dense_scatter_prices(shapes, plan), len(values)
+    for r, candidates in formed[1:]:
+        assert n * _tables._SCATTER_CALL + _tables._SCATTER_ELEMENT * candidates <= prices[r - 1]
+    return folds, formed
+
+
+# squares spread far apart, unsorted and with repeats: their steps scatter
+# and fold
+spread_values = st.lists(st.integers(0, 40), min_size=2, max_size=8).map(
+    lambda xs: [50 * x * x for x in xs]
+)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_dense_run_fold_matches_dict_convolution(data):
+    """[factor] * s, s = 1 .. 5, on the dense backend: repeated values, zero
+    and negative masses, caps that cut mid-run, int32 work arrays and, for
+    "wide" masses (total |mass| T with T**s >= 2**31), int64 ones."""
+    s = data.draw(st.integers(1, 5))
+    values = data.draw(st.one_of(spread_values, spread_values, spread_values, dense_values))
+    n = len(values)
+    kind = data.draw(st.sampled_from(["unit", "int", "signed", "wide"]))
+    lo = 1 << (32 // s + 1)
+    weights = data.draw({
+        "unit": st.none(),
+        "int": st.lists(st.integers(1, 9), min_size=n, max_size=n),
+        "signed": st.lists(st.integers(-3, 4), min_size=n, max_size=n),
+        "wide": st.lists(st.integers(lo, 2 * lo).flatmap(lambda w: st.sampled_from([w, -w])),
+                         min_size=n, max_size=n),
+    }[kind])
+    top = s * max(values)
+    cap = data.draw(st.one_of(st.just(top), st.integers(max(values), top), st.integers(0, top)))
+    check_dense_run(([values], weights), s, cap)
+
+
+def test_dense_run_fold_adds_colliding_multisets():
+    """{0, 1, 2, 3} spread by 10**4, so that price's steps scatter, three
+    times: all three copies fold, and after two the run holds equal keys of
+    distinct multisets ({0, 2} and {1, 1}), which the last copy must add up,
+    not overwrite.  Unit and signed masses work in int32, the wide ones in
+    int64; a cap cuts the last copy."""
+    values = [0, 10**4, 2 * 10**4, 3 * 10**4]
+    real_scatter, collided = _tables._scatter_run, []
+
+    def scatter(out, run, factor):
+        collided.append(len(np.unique(run.keys)) < len(run.keys))
+        return real_scatter(out, run, factor)
+
+    for weights in (None, [1, -2, 0, 3], [1000, -700, 0, 300]):
+        for cap in (9 * 10**4, 5 * 10**4):
+            collided.clear()
+            with mock.patch.object(_tables, "_scatter_run", scatter):
+                folds, formed = check_dense_run(([values], weights), 3, cap)
+            assert folds == [True, True, False]
+            assert collided == [True] * 4  # the table, the array, both sums of squares
+            # C(6, 3) candidates; under the lower cap the run drops {3, 3},
+            # which only value 3 pairs with
+            assert formed == [(1, 4), (2, 10), (3, 20 if cap == 9 * 10**4 else 19)]
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_dense_run_fold_at_the_mass_bound(above):
+    """[F] * 3 with total mass w on the dense backend: all three copies
+    fold while 3 * w**3 < 2**63; past it, with 2 * w**3 still below, the
+    first two fold and the third takes an ordered step."""
+    w = largest_below(1 << 63, 3, 3) + above
+    factor = ([[0, 10**4, 3 * 10**4]], [w - 2, 1, 1])
+    folds, _ = check_dense_run(factor, 3, 9 * 10**4)
+    assert folds == [True, not above, False]
