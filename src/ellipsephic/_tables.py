@@ -16,11 +16,10 @@ priced, reduced, packed and converted a single time.
 
 * dense -- one key component, no modulus, all keys >= 0, and the array fits
   the byte budget: a 1-D array indexed by key value, each factor folded in by
-  a shift or a scatter step, whichever ``_dense_step`` prices lower; a
-  scatter loops over the shorter of the table's nonzero rows and the
-  factor's distinct values.  The leading copies of a run are folded over
-  multisets instead (below), the last of them scattered into the array.
-  ``power_sum_dense`` returns that array itself.
+  a shift or a scatter step, whichever ``_dense_step`` prices lower, or the
+  leading copies of a run over multisets (below); a scatter and a run's last
+  copy add their candidates into the array alike.  ``power_sum_dense``
+  returns that array itself.
 * sparse -- otherwise: each key tuple is packed into one integer in mixed
   radix, every pairwise sum of table and factor entries (a *candidate*) is
   formed at once, and equal keys are merged by a sort and ``np.add.reduceat``.
@@ -118,9 +117,9 @@ _SLICE_CANDIDATES = 1 << 18
 # Bytes of a dense run fold's unmerged entry: its int64 key, mass and reps,
 # and the gather index of the step that forms it.
 _RUN_ENTRY_BYTES = 32
-# Entries per chunk of the dense backend's temporaries: a run fold's last
-# copy forms its candidates, and a count widens and squares its array, this
-# many at a time, about 0.3 MB of working set.
+# Entries per chunk of the dense backend's temporaries: a scatter step or a
+# run fold's last copy forms its candidates, and a count widens and squares
+# its array, this many at a time, about 0.3 MB of working set.
 _DENSE_CHUNK = 1 << 13
 
 
@@ -475,8 +474,9 @@ def _sum_squares(masses: np.ndarray, mass_bound):
 
 
 def _dense_step(entries: int, cur_len: int, nnz: int, distinct: int) -> tuple[int, int]:
-    """(shift, scatter) prices of a dense step in element adds, a Python-level loop
-    iteration with its NumPy calls counting as _SHIFT_CALL or _SCATTER_CALL."""
+    """(shift, scatter) prices of a dense step in element adds: a shift per factor
+    entry, a ``_scatter_run`` per nonzero row, their NumPy calls counting as
+    _SHIFT_CALL or _SCATTER_CALL (timed on per-row loops; see ``_dense``)."""
     return entries * (_SHIFT_CALL + cur_len), nnz * (_SCATTER_CALL + _SCATTER_ELEMENT * distinct)
 
 
@@ -488,27 +488,22 @@ def _dense(prepared: list, extend: list, plan: Plan) -> np.ndarray:
 
     A run's copies flagged in ``extend``, and the copy after them, are
     folded over multisets (see the module docstring): the flagged ones by
-    ``_run_step`` over the factor's distinct values uv, increasing, and
-    their masses um summed by ``_merge``, each dropping the entries whose
-    key reaches the length (keys are >= 0, so they only grow); the next by
-    ``_scatter_run``.  Every other step takes the kind ``_dense_step``
-    prices lower: a *shift*, one shifted add of the current array per
-    factor entry, or a *scatter* of the current array's nonzero indices, its
-    rows, over uv.  A scatter loops over the shorter of the two index sets:
-    ``nxt[i + uv] += cur[i] * um`` per row i, or
-    ``nxt[rows + v] += cur[rows] * m`` per value v of mass m, each cut where
-    the sums reach the end of nxt.  Neither rows nor uv has repeats, so each
-    fancy-index add is exact.  ``_dense_step`` prices the row loop; for the
-    value loop, the shorter one, its scatter price is an upper bound.
+    ``_run_step``, each dropping the entries whose key reaches the length
+    (keys are >= 0, so they only grow).  Every other step takes the kind
+    ``_dense_step`` prices lower: a *shift*, one shifted add of the current
+    array per factor entry, or a *scatter*.  A scatter and the last folded
+    copy are ``_scatter_run`` from the array's nonzero indices, its rows,
+    with their masses in the plan's mass dtype (a merged table, the run of
+    no copies), over the factor's distinct values below the length.
 
     A table with few nonzeros, such as the squares or their pairwise sums,
     scatters; a dense one shifts.  The constants were timed on a 2-core x86
     host with int64 and float64 masses: a shifted add took 1.3 us plus 0.5 ns
     per element, a scatter row 2.5 us plus 5 ns per value.  Counting element
     operations alone, without the per-call terms, picks scatter for small
-    dense tables and made such steps several times slower.  These
-    int64-timed constants are not retuned for the value loop, int32 arrays
-    or the run fold, since new values would move step kinds and refusals.
+    dense tables and made such steps several times slower.  These constants,
+    timed on a loop over the rows, are not retuned for ``_scatter_run``,
+    int32 arrays or the run fold: new values would move kinds and refusals.
     """
     dtype = plan.mass_dtype
     if dtype is np.int64 and plan.mass_bound < _INT32_LIMIT:
@@ -520,40 +515,28 @@ def _dense(prepared: list, extend: list, plan: Plan) -> np.ndarray:
         length = min(plan.length, top + 1)
         vals = np.array(f_values)  # object past int64, so cut before the cast
         below = vals < length
-        masses = np.array(f_masses, dtype=dtype)[below]
-        uv, um = _merge(vals[below].astype(np.int64), masses, plan)
-        if unmerged or run is not None:  # a copy of a folded run
-            if run is None:  # the run starts from the table's nonzero rows
-                rows = np.flatnonzero(cur != 0)
-                run = _Run(rows, cur[rows].astype(np.int64))
-            factor = (uv, um.astype(np.int64, copy=False))
-            if unmerged:
-                run = _cut(_run_step(run, factor), length)
-            else:
-                cur = np.zeros(length, dtype=dtype)
-                _scatter_run(cur, run, factor)
-                run = None
-            continue
-        nxt = np.zeros(length, dtype=dtype)
-        um = um.astype(dtype, copy=False)  # np.add.reduceat sums int32 in int64
-        shift, scatter = _dense_step(len(f_values), len(cur), np.count_nonzero(cur), len(uv))
-        if scatter < shift:
+        masses = np.array(f_masses, dtype=plan.mass_dtype)[below]
+        factor = _merge(vals[below].astype(np.int64), masses, plan)
+        if run is None and not unmerged:  # an ordered step
+            shift, scatter = _dense_step(len(f_values), len(cur), np.count_nonzero(cur),
+                                         len(factor[0]))
+            if scatter >= shift:
+                nxt = np.zeros(length, dtype=dtype)
+                for a, w in zip(f_values, f_masses):
+                    n = min(len(cur), len(nxt) - a)
+                    if n > 0:
+                        nxt[a : a + n] += cur[:n] if w == 1 else cur[:n] * w
+                cur = nxt
+                continue
+        if run is None:  # a scatter, or a folded run, starts from the nonzero rows
             rows = np.flatnonzero(cur != 0)
-            if len(uv) < len(rows):
-                row_masses = cur[rows]
-                cuts = np.searchsorted(rows, len(nxt) - uv)
-                for v, m, cut in zip(uv.tolist(), um.tolist(), cuts.tolist()):
-                    nxt[rows[:cut] + v] += row_masses[:cut] * m
-            else:
-                cuts = np.searchsorted(uv, len(nxt) - rows)
-                for i, cut in zip(rows.tolist(), cuts.tolist()):
-                    nxt[i + uv[:cut]] += cur[i] * um[:cut]
+            run = _Run(rows, cur[rows].astype(plan.mass_dtype, copy=False))
+        if unmerged:
+            run = _cut(_run_step(run, factor), length)
         else:
-            for a, w in zip(f_values, f_masses):
-                n = min(len(cur), len(nxt) - a)
-                if n > 0:
-                    nxt[a : a + n] += cur[:n] if w == 1 else cur[:n] * w
-        cur = nxt
+            cur = np.zeros(length, dtype=dtype)
+            _scatter_run(cur, run, factor)
+            run = None
     return cur
 
 
@@ -567,10 +550,10 @@ def _cut(run: _Run, length: int) -> _Run:
 
 
 def _scatter_run(out: np.ndarray, run: _Run, factor) -> None:
-    """Add the run folded with its last copy into ``out``: its candidates,
-    as ``_gather`` forms them, for consecutive factor values at a time,
-    about _DENSE_CHUNK of them, those of key below len(out) added by
-    ``np.add.at``, since keys repeat within a run.  Each mass lands in
+    """Add the run (or merged table) folded with one more copy into ``out``:
+    its candidates, as ``_gather`` forms them, for consecutive factor values
+    at a time, about _DENSE_CHUNK of them, those of key below len(out) added
+    by ``np.add.at``, since keys repeat within a run.  Each mass lands in
     ``out``'s dtype, being a term of the mass bound."""
     pairs = _Pairs.whole(run, len(factor[0]))
     chunk = _run_starts((np.cumsum(pairs.counts) - 1) // _DENSE_CHUNK)

@@ -362,13 +362,14 @@ def rep_profile(
 ) -> RepProfile:
     """Exact ordered t-tuple representation counts for all 0 <= n <= horizon.
 
-    Computed by t ordered convolutions of the source values up to the horizon
-    (the dense backend of ``_tables``).  While the partial table is sparse, as
-    the sums of one or two squares are, a step scatters the nonzero counts
-    over the source values, looping over whichever of the two is fewer; once
-    it fills in, a step shifts the whole table once per source value.  Counts
-    are 64-bit when the a-priori bound (#source)**t rules out overflow, and
-    Python integers otherwise; below 2**31 the steps run in 32 bits and the
+    Computed by the dense backend of ``_tables`` from t copies of the source
+    values up to the horizon, its leading copies folded over multisets of
+    values where that costs no more than the ordered steps.  While the
+    partial table is sparse, as the sums of one or two squares are, a step
+    scatters its nonzero counts over the source values; once it fills in, a
+    step shifts the whole table once per source value.  Counts are 64-bit
+    when the a-priori bound (#source)**t rules out overflow, and Python
+    integers otherwise; below 2**31 the steps run in 32 bits and the
     finished array is widened once.  The table is priced before any source
     value is listed: an explicit source's values come from its own tuple,
     and the i**k of a generated one number one more than the integer k-th

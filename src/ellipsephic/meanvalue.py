@@ -7,8 +7,9 @@ which each engine prices before listing it.  Two counters are provided:
 * brute_force_count -- scans every (x, y) tuple pair; the ground-truth oracle.
 * mitm_count -- meet-in-the-middle: sum_v m(v)^2 over the multiplicity table
   m(v) of power-sum keys over ordered s-tuples of one side, from the shared
-  power-sum kernel in ``_tables`` (s ordered convolutions of the member list,
-  the sparse backend folding the last one in slice by slice); brute-force
+  power-sum kernel in ``_tables`` (s copies of the member list, folded over
+  multisets of members where that costs no more than the ordered steps, the
+  sparse backend folding the last copy in slice by slice); brute-force
   equality guards its correctness.
 
 ``multiplicity_table`` returns that table m(v) itself, the kernel's ``Table``
@@ -308,8 +309,9 @@ def multiplicity_table(
     ``masses`` are tuple counts for unit weights (None) and integers over D**s
     for exact weights, int64 or object, or float64 for float weights, and
     ``table.sum_squares()`` is ``mitm_count`` on the same arguments times
-    D**(2s).  Members outside the weights' support are dropped.  Built by s
-    ordered convolutions of the member list (see ``_tables``), refused
+    D**(2s).  Members outside the weights' support are dropped.  Built from
+    s copies of the member list, folded over multisets of members where that
+    costs no more than the ordered steps (see ``_tables``), and refused
     before it starts when its predicted work or bytes exceed the budget.
     """
     if s < 0:

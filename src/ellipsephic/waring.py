@@ -70,10 +70,12 @@ def representation_table(
     *,
     budget: Budget = DEFAULT_BUDGET,
 ) -> RepresentationTable:
-    """Exact R(n) for all n <= bound, by s ordered convolutions of the k-th powers.
+    """Exact R(n) for all n <= bound, by the s-fold convolution of the k-th powers.
 
     Only members with x**k <= bound can occur in a representation, so the
     member list is the ellipsephic enumeration up to the integer k-th root.
+    The s copies of the k-th powers are folded over multisets of members
+    where that costs no more than the ordered steps (see ``_tables``).
     Partial sums above the bound are dropped as they arise, and the overflow
     is the remaining mass Y**s - sum R(n).  The table is priced from Y, a
     ``MemberSet``'s count, and refused before any member is enumerated.

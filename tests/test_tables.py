@@ -4,6 +4,7 @@ pricing, and the merge of candidates against a Counter."""
 import contextlib
 import itertools
 import math
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -88,6 +89,9 @@ def draw_weights(data, kind, n):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_dense_table_matches_dict_convolution(data):
+    """Distinct factors on the dense backend: power_sum_table,
+    power_sum_dense and power_sum_squares against the double loop, with
+    scatters in chunks of _DENSE_CHUNK or of 7 candidates."""
     kind = data.draw(weight_kinds)
     factors = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -95,13 +99,24 @@ def test_dense_table_matches_dict_convolution(data):
         factors.append((values, draw_weights(data, kind, len(values))))
     top = sum(max(values) for values, _ in factors)
     cap = data.draw(st.one_of(st.none(), st.integers(0, top)))
-    got, want = kernel_table(factors, cap), dict_convolution(factors, cap)
+    chunk = data.draw(st.sampled_from([_tables._DENSE_CHUNK, 7]))
+    args = [([values], weights) for values, weights in factors]
+    with mock.patch.object(_tables, "_DENSE_CHUNK", chunk):
+        got = kernel_table(factors, cap)
+        dense = power_sum_dense(args, cap=top if cap is None else cap, budget=BUDGET)
+        squares = power_sum_squares(args, cap=cap, budget=BUDGET)
+    want = dict_convolution(factors, cap)
+    want_dense = [want.get(v, 0) for v in range(len(dense))]
+    want_squares = sum(m * m for m in want.values())
     assert sorted(got) == sorted(want)
+    assert len(dense) == (top if cap is None else cap) + 1
     if kind == "float":
         for v, m in want.items():
             assert math.isclose(got[v], m, rel_tol=1e-12)
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(dense.tolist(), want_dense))
+        assert math.isclose(squares, want_squares, rel_tol=1e-12)
     else:
-        assert got == want
+        assert got == want and dense.tolist() == want_dense and squares == want_squares
 
 
 def test_dense_array_is_the_table_up_to_the_cap():
@@ -128,29 +143,45 @@ def test_dense_array_is_the_table_up_to_the_cap():
 
 
 class _NumpySpy:
-    """numpy for _tables, recording the dtype of each array np.zeros makes and
-    the sorted array searched by the one searchsorted call of a scatter step."""
+    """numpy for _tables, recording the dtype of each work array ``_dense``
+    itself makes by np.zeros (not the index arrays of the helpers it calls),
+    one per step but a folded run's unmerged copies, each labelled a step
+    "shift" until ``numpy_spy`` relabels it."""
 
     def __init__(self):
-        self.dtypes, self.searched = [], []
+        self.dtypes, self.steps = [], []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def zeros(self, *args, **kwargs):
         out = np.zeros(*args, **kwargs)
-        self.dtypes.append(out.dtype)
+        if sys._getframe(1).f_code is _tables._dense.__code__:
+            self.dtypes.append(out.dtype)
+            self.steps.append("shift")
         return out
-
-    def searchsorted(self, a, *args, **kwargs):
-        self.searched.append(a.tolist())
-        return np.searchsorted(a, *args, **kwargs)
 
 
 @contextlib.contextmanager
 def numpy_spy():
+    """The spy as _tables' numpy, its ``steps`` the kind of each dense step:
+    "shift"; "scatter", an ordered step by ``_scatter_run`` of the merged
+    table; or "fold", a copy of a folded run by ``_run_step`` or, the last,
+    by ``_scatter_run``."""
     spy = _NumpySpy()
-    with mock.patch.object(_tables, "np", spy):
+    real_run_step, real_scatter = _tables._run_step, _tables._scatter_run
+
+    def run_step(*args):
+        spy.steps.append("fold")
+        return real_run_step(*args)
+
+    def scatter(out, run, factor):
+        spy.steps[-1] = "fold" if run.copies else "scatter"  # out is the last array made
+        return real_scatter(out, run, factor)
+
+    with mock.patch.object(_tables, "np", spy), \
+            mock.patch.object(_tables, "_run_step", run_step), \
+            mock.patch.object(_tables, "_scatter_run", scatter):
         yield spy
 
 
@@ -165,38 +196,37 @@ def recorded_extends():
 
 def test_dense_steps_take_both_kinds():
     """[factor] * s as one object: the int64 cases fold the copies flagged
-    (see ``_extends``) over multisets; each ordered scatter step searches
-    the shorter index set's partner: the factor's distinct values uv when
-    it loops over the nonzero rows, the rows when it loops over uv.  Float
-    and object masses never fold."""
+    (see ``_extends``) over multisets; every other step shifts, or scatters
+    through ``_scatter_run`` as the last folded copy does.  Float and object
+    masses never fold."""
     squares = [x * x for x in range(120)]
     runs = list(range(40)) * 2
     cases = [
         # pairs of squares stay sparse, so the first two copies fold; their
         # 2,750 distinct sums below the cap fill the table enough for a
         # third step to shift
-        (squares, None, 2, 10**4, [True, False], []),
-        (squares, None, 3, 10**4, [True, False, False], []),
+        (squares, None, 2, 10**4, [True, False], ["fold"] * 2),
+        (squares, None, 3, 10**4, [True, False, False], ["fold", "fold", "shift"]),
         # the first step scatters a single row; the dense table then shifts
-        (runs, None, 3, None, [False] * 3, ["uv"]),
+        (runs, None, 3, None, [False] * 3, ["scatter", "shift", "shift"]),
         # exact masses near 2**62 are held as Python integers
-        (squares, [(1 << 62) - x for x in range(120)], 2, None, [False] * 2, ["uv"] * 2),
+        (squares, [(1 << 62) - x for x in range(120)], 2, None, [False] * 2, ["scatter"] * 2),
     ]
     # the squares of the 82 base-5 {0, 1, 4} members up to 625 and 0: the
     # third step scatters the 1,401 sums of two below the cap over the 82
-    # values, so it loops over the values; unit masses fold the first two
+    # values; unit masses fold the first two
     n = len(SQUARES_625)
-    for weights, folds, searched in (
-            (None, [True, False, False], ["rows"]),
-            ([0.5 + x / 7 for x in range(n)], [False] * 3, ["uv", "uv", "rows"]),
-            ([(1 << 62) - x for x in range(n)], [False] * 3, ["uv", "uv", "rows"])):
-        cases.append((SQUARES_625, weights, 3, 10**5, folds, searched))
-    for values, weights, s, cap, folds, searched in cases:
+    for weights, folds, steps in (
+            (None, [True, False, False], ["fold", "fold", "scatter"]),
+            ([0.5 + x / 7 for x in range(n)], [False] * 3, ["scatter"] * 3),
+            ([(1 << 62) - x for x in range(n)], [False] * 3, ["scatter"] * 3)):
+        cases.append((SQUARES_625, weights, 3, 10**5, folds, steps))
+    for values, weights, s, cap, folds, steps in cases:
         seen, patched = recorded_extends()
         with numpy_spy() as spy, patched:
             got = kernel_table([(values, weights)] * s, cap, same=True)
         assert seen == [folds]
-        assert ["uv" if set(a) <= set(values) else "rows" for a in spy.searched] == searched
+        assert spy.steps == steps
         want = dict_convolution([(values, weights)] * s, cap)
         assert sorted(got) == sorted(want)
         for v, m in want.items():  # exact for integers, last bits for floats
@@ -693,9 +723,11 @@ def test_multiplicity_table_keys_are_int64(table_dict):
 
 @contextlib.contextmanager
 def dense_fold_candidates():
-    """(copy r of the run, candidates formed) for each copy the dense fold
-    takes: the entries each ``_run_step`` forms, and the candidates
-    ``_scatter_run`` gathers for the last copy."""
+    """(copy r of the run, candidates formed) for each copy that
+    ``_run_step`` or ``_scatter_run`` takes: the entries each ``_run_step``
+    forms, and the candidates ``_scatter_run`` gathers, for an ordered
+    scatter (a merged table, the run of no copies: r = 1) every pair of a
+    table entry and a factor value."""
     seen = []
     real_run_step, real_scatter = _tables._run_step, _tables._scatter_run
 
@@ -705,7 +737,8 @@ def dense_fold_candidates():
         return out
 
     def scatter(out, run, factor):
-        seen.append((run.copies + 1, int(run.ends.sum())))
+        candidates = len(run.keys) * len(factor[0]) if run.ends is None else int(run.ends.sum())
+        seen.append((run.copies + 1, candidates))
         return real_scatter(out, run, factor)
 
     with mock.patch.object(_tables, "_run_step", run_step), \
@@ -746,7 +779,9 @@ def check_dense_run(factor, s, cap):
     assert squares == sum(m * m for m in want.values())
     folds = seen[0]
     folded = sum(folds) + 1 if any(folds) else 0
-    assert [r for r, _ in formed] == list(range(1, folded + 1))
+    # the fold's copies, then one merged table's copy per ordered scatter
+    assert [r for r, _ in formed] == list(range(1, folded + 1)) + [1] * (len(formed) - folded)
+    formed = formed[:folded]
     prices, n = dense_scatter_prices(shapes, plan), len(values)
     for r, candidates in formed[1:]:
         assert n * _tables._SCATTER_CALL + _tables._SCATTER_ELEMENT * candidates <= prices[r - 1]
