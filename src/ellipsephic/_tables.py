@@ -56,27 +56,32 @@ priced, reduced, packed and converted a single time.
 * count-only -- ``power_sum_squares`` returns sum_v m(v)**2 alone.  Keys whose
   component 0 differs mod q differ, so the sum splits over the classes
   c = v_0 mod q.  The sparse backend folds every copy but the last as above,
-  a run's left unmerged, and the last in one *slice* per class: each group
-  of residue a of the table, or of the run's entries, paired with each
-  factor entry j of residue c - a, merged, summed and dropped.  A run's
-  group keeps its entries in order of l, so the entries pairing with j are
-  the group's prefix with l <= j; a merged table pairs whole groups.  Only
-  the table is grouped, so a slice's candidate count, the sum of its pairs'
-  prefix sizes, is known before any candidate exists.  Merged keys are
-  gathered only when a cap needs them.  A step within _SLICE_CANDIDATES (a
-  working set, not the budget: price's bytes would leave whole steps of
-  gigabytes unsliced), or whose keys admit no q > 1, is one merge of all its
-  candidates, as the last step of ``power_sum_table``.  Otherwise q is the
-  smallest power b, b**2, ... whose largest slice fits, sought from the
-  first with q * _SLICE_CANDIDATES >= the step's candidates, else the finest
-  q the keys admit below 2**62, where sums of two residues still fit int64.
-  b is 2, or under a modulus its smallest prime factor (p for the moduli
-  p**B of the congruence counts), so q divides the modulus and reducing a
-  key mod it keeps its class; it is sought by trial division up to the
-  step's candidate count only, and a modulus with no factor that small
-  admits no q.  The dense backend builds its whole array, which is the
-  table, and widens and squares it _DENSE_CHUNK entries at a time
-  (exact masses; float ones whole, keeping their summation order).
+  a run's left unmerged, and the last in one *slice* per class: each factor
+  entry j paired with the group of residue c - (j's residue) of the table,
+  or of the run's entries, merged, summed and dropped.  A slice thus has at
+  most n pairs, built only when it is merged.  A run's group keeps its
+  entries in order of l, so the entries pairing with j are the group's
+  prefix with l <= j, counted off the grouped entries' ranks g * n + l,
+  which increase; a merged table pairs whole groups.  Only the table is
+  grouped, so a slice's candidate count, the sum of its pairs' prefix
+  sizes, is known before any candidate exists; the q search sums them over
+  blocks of groups, never every group with every factor entry at once.
+  Merged keys are gathered only when a cap needs them.  A step within
+  _SLICE_CANDIDATES (a cache-sized working set, so each slice merges in
+  cache and reuses the last one's pages; not the budget: price's bytes
+  would leave whole steps of gigabytes unsliced), or whose keys admit no
+  q > 1, is one merge of all its candidates, as the last step of
+  ``power_sum_table``.  Otherwise q is the smallest power b, b**2, ... whose
+  largest slice fits, sought from the first with q * _SLICE_CANDIDATES >=
+  the step's candidates, else the finest q the keys admit below 2**62,
+  where sums of two residues still fit int64.  b is 2, or under a modulus
+  its smallest prime factor (p for the moduli p**B of the congruence
+  counts), so q divides the modulus and reducing a key mod it keeps its
+  class; it is sought by trial division up to the step's candidate count
+  only, and a modulus with no factor that small admits no q.  The dense
+  backend builds its whole array, which is the table, and widens and
+  squares it _DENSE_CHUNK entries at a time (exact masses; float ones
+  whole, keeping their summation order).
 
 dtypes follow from a-priori bounds: packed keys and masses are int64 when the
 packed range and the mass bound fit, else Python integers (object arrays);
@@ -112,8 +117,14 @@ _SCATTER_ELEMENT = 10
 # Timed before the fused sort of _merge made most int64 candidates cheaper; it
 # is not retuned, since a new value would move which jobs are refused.
 _ADDS_PER_CANDIDATE = 160
-# Candidates per slice of a count-only last step, about 10 MB of working set.
-_SLICE_CANDIDATES = 1 << 18
+# Candidates per slice of a count-only last step, sized to the cache: a slice's
+# int64 keys, masses and merge temporaries, about 1 MiB each, fit a 2 MiB L2
+# and stay below the heap's trim threshold once the allocator has raised it,
+# so slice after slice reuses the same pages.  On a 2-core x86 host 2**17 was
+# fastest of 2**15 .. 2**18; at 2**18 the k = 2, s = 3, Y = 161 count maps its
+# temporaries afresh, about 4,500 page faults a call.  Not the budget either:
+# price's bytes would leave whole steps of gigabytes unsliced.
+_SLICE_CANDIDATES = 1 << 17
 # Bytes of a dense run fold's unmerged entry: its int64 key, mass and reps,
 # and the gather index of the step that forms it.
 _RUN_ENTRY_BYTES = 32
@@ -553,9 +564,10 @@ def _scatter_run(out: np.ndarray, run: _Run, factor) -> None:
     """Add the run (or merged table) folded with one more copy into ``out``:
     its candidates, as ``_gather`` forms them, for consecutive factor values
     at a time, about _DENSE_CHUNK of them, those of key below len(out) added
-    by ``np.add.at``, since keys repeat within a run.  Each mass lands in
-    ``out``'s dtype, being a term of the mass bound."""
-    pairs = _Pairs.whole(run, len(factor[0]))
+    by ``np.add.at``, since keys repeat within a run.  A merged table forms
+    only those (see ``_Pairs.whole``).  Each mass lands in ``out``'s dtype,
+    being a term of the mass bound."""
+    pairs = _Pairs.whole(run, factor[0], len(out))
     chunk = _run_starts((np.cumsum(pairs.counts) - 1) // _DENSE_CHUNK)
     bounds = np.append(chunk, len(pairs.j)).tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -592,12 +604,17 @@ class _Pairs(NamedTuple):
     j: np.ndarray
 
     @classmethod
-    def whole(cls, run: _Run, n: int) -> "_Pairs":
+    def whole(cls, run: _Run, f_keys: np.ndarray, length: int | None = None) -> "_Pairs":
         """Every entry of the run, in its order, with each factor entry it
-        pairs with, j-major: the candidates come sorted by their l = j."""
+        pairs with, j-major: the candidates come sorted by their l = j.  With
+        a ``length``, a merged table, whose keys increase, pairs each factor
+        entry only with the keys that stay below it when added."""
+        n = len(f_keys)
         j, starts = np.arange(n), np.zeros(n, dtype=np.int64)
         if run.ends is None:
-            return cls(starts, np.full(n, len(run.keys)), None, j)
+            counts = (np.full(n, len(run.keys)) if length is None
+                      else np.searchsorted(run.keys, length - f_keys))
+            return cls(starts, counts, None, j)
         return cls(starts, run.ends, np.diff(run.ends, prepend=0), j)
 
     def cut(self, lo: int, hi: int) -> "_Pairs":
@@ -624,12 +641,12 @@ def _step(run: _Run, factor, plan: Plan, keys: bool = True):
     if run.ends is None:
         return _merge((run.keys[:, None] + f_keys[None, :]).ravel(),
                       np.outer(run.masses, f_masses).ravel(), plan, keys)
-    return _merge(*_gather(run, factor, _Pairs.whole(run, len(f_keys)))[:2], plan, keys)
+    return _merge(*_gather(run, factor, _Pairs.whole(run, f_keys))[:2], plan, keys)
 
 
 def _run_step(run: _Run, factor) -> _Run:
     """The run folded with one more copy of the factor, not merged."""
-    pairs = _Pairs.whole(run, len(factor[0]))
+    pairs = _Pairs.whole(run, factor[0])
     keys, masses, tied, reps = _gather(run, factor, pairs)
     new_reps = np.ones(len(keys), dtype=np.int64)
     if tied is not None:
@@ -716,49 +733,84 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 
 class _Groups(NamedTuple):
-    """The table's packed keys sorted by the residue of their digit 0 mod q,
-    stably, so a run's entries keep their order by l within a group: per
-    residue present, increasing, its value and count, and its first sorted
-    index."""
+    """A run's entries, or a merged table's, grouped by the residue of their
+    digit 0 mod q: ``order`` sorts them by it stably, so a run's entries keep
+    their order by l within a group.  Per residue present, increasing, its
+    value and first sorted index.  Each sorted entry's rank is
+    g * n + l, g its group's index (l = 0 in a merged table, whose entries
+    pair with every j), and increases: ``ranks`` holds each rank present,
+    ``bounds`` the index where its entries start, len(order) appended.
+    ``tied``: a run, whose pairs carry their ties."""
 
     order: np.ndarray
     residues: np.ndarray
-    counts: np.ndarray
     starts: np.ndarray
+    ranks: np.ndarray
+    bounds: np.ndarray
+    tied: bool
 
     @classmethod
-    def of(cls, packed: np.ndarray, plan: Plan, q: int) -> "_Groups":
-        res = (packed // plan.strides[0] % q).astype(np.int64)
+    def of(cls, run: _Run, n: int, plan: Plan, q: int) -> "_Groups":
+        res = (run.keys // plan.strides[0] % q).astype(np.int64)
         order = np.argsort(res, kind="stable")
         res = res[order]
         starts = _run_starts(res)
-        ends = np.concatenate((starts[1:], [len(res)]))
-        return cls(order, res[starts], ends - starts, starts)
+        rank = np.repeat(np.arange(len(starts)) * n, np.diff(starts, append=len(res)))
+        if run.ends is not None:
+            rank += np.repeat(np.arange(n), np.diff(run.ends, prepend=0))[order]
+        first = _run_starts(rank)
+        return cls(order, res[starts], starts, rank[first], np.append(first, len(rank)),
+                   run.ends is not None)
 
 
-def _slice_pairs(table: _Groups, last, f_res: np.ndarray, q: int):
-    """Every (table group a, factor entry j) pair, ordered by the slice (sum
-    of residues mod q) it feeds, then by a and j, as ``_Pairs``: group a's
-    prefix of entries with l <= j, ``last`` holding each entry's l (None: a
-    merged table, whole groups).  Also the index where each slice's pairs
-    begin, with len(pairs) appended, and each slice's exact candidate count,
-    the sum of its pairs' counts."""
+def _slice_sizes(groups: _Groups, f_res: np.ndarray, q: int):
+    """Each slice's class c, the sum of its pairs' residues mod q, increasing,
+    and its candidate count, for the classes with candidates: pair (group g,
+    factor entry j) feeds class (residues[g] + f_res[j]) mod q with group g's
+    entries of l <= j.  Summed over blocks of groups whose pairs, groups x n,
+    stay within a slice's working set or the run's own entries, so no array
+    holds every pair at once."""
     n = len(f_res)
-    c = (table.residues[:, None] + f_res) % q  # pair (a, j) at a * n + j
-    order = np.argsort(c, axis=None, kind="stable")
-    first = _run_starts(c.ravel()[order])
-    del c
-    a, j = np.divmod(order, n)
-    if last is None:
-        counts, ties = table.counts[a], None
-    else:  # per group, how many entries have each l, and how many at most it
-        group = np.repeat(np.arange(len(table.counts)), table.counts)
-        ties = np.bincount(group * n + last[table.order], minlength=len(table.counts) * n)
-        del group
-        counts = ties.reshape(-1, n).cumsum(axis=1).ravel()[order]
-        ties = ties[order]
-    sizes = np.add.reduceat(counts, first)
-    return _Pairs(table.starts[a], counts, ties, j), np.append(first, len(order)), sizes
+    step = max(1, max(_SLICE_CANDIDATES, len(groups.order)) // n)
+    classes = sizes = np.zeros(0, dtype=np.int64)
+    for g0 in range(0, len(groups.residues), step):
+        res = groups.residues[g0 : g0 + step]
+        lo, hi = np.searchsorted(groups.ranks, [g0 * n, (g0 + len(res)) * n])
+        # per (group, l) of the block, how many entries have it; then how many at most l
+        counts = np.zeros(len(res) * n, dtype=np.int64)
+        counts[groups.ranks[lo:hi] - g0 * n] = np.diff(groups.bounds[lo : hi + 1])
+        counts = counts.reshape(-1, n).cumsum(axis=1)
+        c = (res[:, None] + f_res) % q
+        fed = counts > 0
+        classes = np.concatenate((classes, c[fed]))
+        sizes = np.concatenate((sizes, counts[fed]))
+        del c, counts, fed
+        order = np.argsort(classes)
+        classes, sizes = classes[order], sizes[order]
+        first = _run_starts(classes)
+        classes, sizes = classes[first], np.add.reduceat(sizes, first)
+    return classes, sizes
+
+
+def _slice_pairs(groups: _Groups, f_res: np.ndarray, q: int, c: int) -> _Pairs:
+    """Slice c's pairs, as ``_Pairs`` ordered by group, then by j: each factor
+    entry j with the group of residue (c - f_res[j]) mod q, if present, and
+    that group's prefix of entries with l <= j, which ends where the first
+    rank past g * n + j starts; at most n pairs."""
+    n = len(f_res)
+    a = (c - f_res) % q
+    g = np.minimum(np.searchsorted(groups.residues, a), len(groups.residues) - 1)
+    j = np.flatnonzero(groups.residues[g] == a)
+    g = g[j]
+    by_group = np.argsort(g, kind="stable")
+    g, j = g[by_group], j[by_group]
+    rank = g * n + j
+    past = np.searchsorted(groups.ranks, rank, side="right")
+    ends = groups.bounds[past]
+    ties = None
+    if groups.tied:  # rank g * n + j, if present, is the one before past
+        ties = np.where(groups.ranks[past - 1] == rank, ends - groups.bounds[past - 1], 0)
+    return _Pairs(groups.starts[g], ends - groups.starts[g], ties, j)
 
 
 def _last_step(prepared: list, extend: list, plan: Plan, cap):
@@ -780,7 +832,9 @@ def _slices(run: _Run, factor, plan: Plan, keys: bool):
     q > 1 is admissible, else one ``_slice`` per residue class mod the first
     q of ``_moduli`` whose largest slice fits, or its last.  The search
     starts at the first q with q * _SLICE_CANDIDATES >= the candidates: the
-    largest of q slices holds at least 1/q of them."""
+    largest of q slices holds at least 1/q of them.  Each q is tried on the
+    slices' sizes alone (``_slice_sizes``); a slice's pairs are built only
+    when it is merged."""
     f_keys = factor[0]
     n = len(f_keys)
     total = len(run.keys) * n if run.ends is None else int(run.ends.sum())
@@ -788,20 +842,18 @@ def _slices(run: _Run, factor, plan: Plan, keys: bool):
     if not qs:
         yield _step(run, factor, plan, keys)
         return
-    last = None if run.ends is None else np.repeat(np.arange(n), np.diff(run.ends, prepend=0))
     lower = next((i for i, q in enumerate(qs) if q * _SLICE_CANDIDATES >= total), len(qs) - 1)
     for q in qs[lower:]:
-        groups = _Groups.of(run.keys, plan, q)
+        groups = _Groups.of(run, n, plan, q)
         f_res = (f_keys // plan.strides[0] % q).astype(np.int64)
-        pairs, bounds, sizes = _slice_pairs(groups, last, f_res, q)
+        classes, sizes = _slice_sizes(groups, f_res, q)
         if sizes.max() <= _SLICE_CANDIDATES:
             break
-    del last
     order = groups.order
     run = run._replace(keys=run.keys[order], masses=run.masses[order],
                        reps=None if run.reps is None else run.reps[order])
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        yield _slice(run, factor, pairs.cut(lo, hi), plan, keys)
+    for c in classes.tolist():
+        yield _slice(run, factor, _slice_pairs(groups, f_res, q, c), plan, keys)
 
 
 def _moduli(plan: Plan, total: int):

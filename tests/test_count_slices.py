@@ -119,20 +119,25 @@ def test_forced_slices_keep_congruence_mean_value_exact():
 SQUARES_1875 = list(iter_members(DigitSet(5, (0, 1, 4)), 1875))
 
 
-def test_sliced_count_peak_memory():
-    """Base-5 squares, k = 2, s = 3, Y = 161: the whole last step would hold
-    about 2.1 million candidates (87.5 MiB traced); slices of at most
-    _SLICE_CANDIDATES keep the traced peak far below it, and below the bytes
-    ``price`` charges the table, so the budget still bounds the allocation."""
-    system = SpacedSystem.pure_powers(2, 5)
+def traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran."""
     tracemalloc.start()
     try:
-        count = mitm_count(system, 3, SQUARES_1875).count
-        _, peak = tracemalloc.get_traced_memory()
+        return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sliced_count_peak_memory():
+    """Base-5 squares, k = 2, s = 3, Y = 161: the run fold's last step forms
+    C(163, 3) = 708,561 candidates, which one merge would hold at once;
+    slices of at most _SLICE_CANDIDATES keep the traced peak within 4.30 MiB,
+    and below the bytes ``price`` charges the table, so the budget still
+    bounds the allocation."""
+    system = SpacedSystem.pure_powers(2, 5)
+    count, peak = traced_peak(lambda: mitm_count(system, 3, SQUARES_1875).count)
     assert count == 25_384_553
-    assert peak < 30 << 20
+    assert peak <= 4.30 * (1 << 20)
     cols = [[x**j for x in SQUARES_1875] for j in (1, 2)]
     plan = _tables.price([_tables.Shape.of(cols, None)] * 3, budget=_tables.DEFAULT_BUDGET)
     assert plan.nbytes >= peak
@@ -147,6 +152,23 @@ def folds(xs, s):
     """The run fold's input, [factor] * s, and the ordered fold's, s equal
     copies that are distinct objects."""
     return {"run": [phi_factor(xs)] * s, "ordered": [phi_factor(xs) for _ in range(s)]}
+
+
+def test_finest_slices_hold_no_pair_per_group_and_entry():
+    """The first 60 squares members, k = 2, s = 3, sliced at the finest q
+    the keys admit, which leaves a group for nearly every entry of the run
+    (C(61, 2) = 1,830 multisets of two) or of the merged table: the traced
+    peak stays within 32 int64 arrays of entries + n, so no array holds a
+    pair per group and factor entry (groups x n), and the count is the
+    unsliced one."""
+    xs = SQUARES_1875[:60]
+    entries, n = math.comb(len(xs) + 1, 2), len(xs)
+    for fold, factors in folds(xs, 3).items():
+        want = _tables.power_sum_squares(factors, budget=_tables.DEFAULT_BUDGET)
+        got, peak = traced_peak(lambda: forced(
+            lambda: _tables.power_sum_squares(factors, budget=_tables.DEFAULT_BUDGET)))
+        assert got == want, fold
+        assert peak <= 32 * 8 * (entries + n), fold
 
 
 def test_mass_check_survives_slicing(monkeypatch):
@@ -239,10 +261,13 @@ def test_forced_slices_without_a_finer_q(monkeypatch, kind, modulus):
 
 def spied(monkeypatch):
     """Record the run and factor each ``_slices`` call folds, each
-    ``_Groups.of`` input and the q of each ``_slice_pairs`` build, and count
-    the ``_step`` and ``_run_step`` calls."""
-    seen = {"slices": [], "groups": [], "qs": [], "steps": 0, "run_steps": 0}
-    real_slices, real_of = _tables._slices, _tables._Groups.of
+    ``_Groups.of`` input, the q of each ``_slice_sizes`` call (one per q
+    tried) and the classes and sizes of the last, and the number of pairs of
+    each ``_slice_pairs`` build, and count the ``_step`` and ``_run_step``
+    calls."""
+    seen = {"slices": [], "groups": [], "qs": [], "sizes": None, "pairs": [], "steps": 0,
+            "run_steps": 0}
+    real_slices, real_of, real_sizes = _tables._slices, _tables._Groups.of, _tables._slice_sizes
     real_pairs, real_step, real_run_step = (_tables._slice_pairs, _tables._step,
                                             _tables._run_step)
 
@@ -254,9 +279,15 @@ def spied(monkeypatch):
         seen["groups"].append(args[0])
         return real_of(*args)
 
-    def pairs(*args):
+    def sizes(*args):
         seen["qs"].append(args[-1])
-        return real_pairs(*args)
+        seen["sizes"] = real_sizes(*args)
+        return seen["sizes"]
+
+    def pairs(*args):
+        out = real_pairs(*args)
+        seen["pairs"].append(len(out.j))
+        return out
 
     def step(*args):
         seen["steps"] += 1
@@ -268,6 +299,7 @@ def spied(monkeypatch):
 
     monkeypatch.setattr(_tables, "_slices", slices)
     monkeypatch.setattr(_tables._Groups, "of", of)
+    monkeypatch.setattr(_tables, "_slice_sizes", sizes)
     monkeypatch.setattr(_tables, "_slice_pairs", pairs)
     monkeypatch.setattr(_tables, "_step", step)
     monkeypatch.setattr(_tables, "_run_step", run_step)
@@ -277,9 +309,9 @@ def spied(monkeypatch):
 def test_only_the_table_is_grouped(monkeypatch):
     """A forced-slice count groups the table's keys, a run's unmerged
     entries or a merged table, once at each q it tries and never the last
-    factor's, and folds that factor by slices, not by ``_step``.  The first
-    two copies are two ``_run_step`` calls on a run, two ``_step`` calls
-    otherwise."""
+    factor's, and folds that factor by slices, not by ``_step``, each slice
+    pairing each factor entry with at most one group.  The first two copies
+    are two ``_run_step`` calls on a run, two ``_step`` calls otherwise."""
     system, members = SpacedSystem.pure_powers(2, 5), SQUARES_1875[:12]
     want = brute_force_count(system, 3, members).count
     monkeypatch.setattr(_tables, "_SLICE_CANDIDATES", 1)
@@ -293,8 +325,9 @@ def test_only_the_table_is_grouped(monkeypatch):
         assert len(run.keys) == (math.comb(13, 2) if fold == "run" else len(set(
             (a + b, a * a + b * b) for a in members for b in members)))
         assert len(factor) == len(members) and run.copies == (2 if fold == "run" else 0)
-        assert seen["groups"] and all(keys is run.keys for keys in seen["groups"])
+        assert seen["groups"] and all(grouped is run for grouped in seen["groups"])
         assert len(seen["groups"]) == len(seen["qs"])
+        assert len(seen["pairs"]) > 1 and max(seen["pairs"]) <= len(members)
         assert (seen["run_steps"], seen["steps"]) == ((2, 0) if fold == "run" else (0, 2))
 
 
@@ -345,9 +378,10 @@ def admissible_q(keys, f_keys, ends, plan, q):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_q_search_starts_at_the_lower_bound(monkeypatch, seed):
-    """The q search builds pairs from the first q with q * _SLICE_CANDIDATES
-    >= the step's candidates on: the same q as a scan of every admissible q
-    from b upward, with no build below the bound."""
+    """The q search sizes the slices from the first q with q *
+    _SLICE_CANDIDATES >= the step's candidates on: the same q as a scan of
+    every admissible q from b upward, none tried below the bound, and at it
+    the classes and sizes of that scan's pair-by-pair count."""
     rng = np.random.default_rng(seed)
     members = sorted(rng.choice(np.arange(1, 400), size=int(rng.integers(8, 30)),
                                 replace=False).tolist())
@@ -370,6 +404,10 @@ def test_q_search_starts_at_the_lower_bound(monkeypatch, seed):
     fits = [admissible_q(run.keys, f_keys, run.ends, plan, q).max() <= limit for q in qs]
     scanned = qs[fits.index(True)] if True in fits else qs[-1]
     assert seen["qs"][-1] == scanned
+    counts = admissible_q(run.keys, f_keys, run.ends, plan, scanned)
+    classes, sizes = seen["sizes"]
+    assert classes.tolist() == np.flatnonzero(counts).tolist()
+    assert sizes.tolist() == counts[classes].tolist()
     lower = next((i for i, q in enumerate(qs) if q * limit >= total), len(qs) - 1)
     assert seen["qs"] == qs[lower : qs.index(scanned) + 1]
 

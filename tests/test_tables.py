@@ -725,11 +725,12 @@ def test_multiplicity_table_keys_are_int64(table_dict):
 def dense_fold_candidates():
     """(copy r of the run, candidates formed) for each copy that
     ``_run_step`` or ``_scatter_run`` takes: the entries each ``_run_step``
-    forms, and the candidates ``_scatter_run`` gathers, for an ordered
-    scatter (a merged table, the run of no copies: r = 1) every pair of a
-    table entry and a factor value."""
+    forms, and the candidates each ``_scatter_run`` gathers, for an ordered
+    scatter (a merged table, the run of no copies: r = 1) its pairs of a
+    row and a factor value, of which none may reach the array's end."""
     seen = []
-    real_run_step, real_scatter = _tables._run_step, _tables._scatter_run
+    real_run_step, real_scatter, real_gather = (_tables._run_step, _tables._scatter_run,
+                                                _tables._gather)
 
     def run_step(run, factor):
         out = real_run_step(run, factor)
@@ -737,9 +738,17 @@ def dense_fold_candidates():
         return out
 
     def scatter(out, run, factor):
-        candidates = len(run.keys) * len(factor[0]) if run.ends is None else int(run.ends.sum())
-        seen.append((run.copies + 1, candidates))
-        return real_scatter(out, run, factor)
+        gathered = []
+
+        def gather(*args):
+            cand = real_gather(*args)
+            gathered.append(len(cand[0]))
+            assert run.ends is not None or (cand[0] < len(out)).all()
+            return cand
+
+        with mock.patch.object(_tables, "_gather", gather):
+            real_scatter(out, run, factor)
+        seen.append((run.copies + 1, sum(gathered)))
 
     with mock.patch.object(_tables, "_run_step", run_step), \
             mock.patch.object(_tables, "_scatter_run", scatter):
@@ -786,6 +795,21 @@ def check_dense_run(factor, s, cap):
     for r, candidates in formed[1:]:
         assert n * _tables._SCATTER_CALL + _tables._SCATTER_ELEMENT * candidates <= prices[r - 1]
     return folds, formed
+
+
+def test_ordered_scatter_forms_only_kept_candidates():
+    """The squares up to 625 and 0, three times, cap 10**5, unit masses: the
+    first two copies fold, and the third scatters the rows (the sums of two
+    below the cap) over the factor values, pairing each value only with the
+    rows that it keeps below the cap."""
+    cap = 10**5
+    rows = {a + b for a in SQUARES_625 for b in SQUARES_625 if a + b <= cap}
+    values = {v for v in SQUARES_625 if v <= cap}
+    kept = sum(r + v <= cap for r in rows for v in values)
+    assert (len(rows), len(values), kept) == (1401, 54, 69_965)  # 75,654 pairs in all
+    with dense_fold_candidates() as formed:
+        kernel_table([(SQUARES_625, None)] * 3, cap, same=True)
+    assert formed[-1] == (1, kept)
 
 
 # squares spread far apart, unsorted and with repeats: their steps scatter
