@@ -11,8 +11,9 @@ multisets (the run fold below).
 peak bytes and key layout from one ``Shape`` per factor before anything is
 allocated; ``power_sum_table``, ``power_sum_dense``, ``power_sum_squares`` and
 the callers that refuse before enumerating call it.  ``_prepare`` then turns
-each distinct factor into the backend's input once, so [factor] * s is
-priced, reduced, packed and converted a single time.
+each distinct factor into the backend's input once: a sparse plan's
+[factor] * s is reduced, packed and converted a single time, while the dense
+backend converts and cuts each copy's values again at its own step.
 
 * dense -- one key component, no modulus, all keys >= 0, and the array fits
   the byte budget: a 1-D array indexed by key value, each factor folded in by
@@ -41,16 +42,15 @@ priced, reduced, packed and converted a single time.
   the product is mu + 1 times the next such mass.  Entries stay sorted by l,
   each copy laying its candidates out j by j, so those pairing with j are a
   prefix.  They merge by key only after the run, each key's mass then being
-  the ordered m(v).  c copies of a run fold only when there is no modulus
-  (classes collide mod p**B), keys and masses are int64 with
-  mass_bound * c < 2**63 (each product is at most c times a term of the
-  mass bound, so it fits before the division), and at every copy its
-  candidates stay within what ``price`` charged the ordered step (see
-  ``_extends``).  So no plan or refusal depends on it; float and object
-  masses keep the ordered fold and its summation order.  The sparse
-  backend folds a whole run or none of it.  The dense one folds a run's
-  leading copies, over the factor's distinct values: every one but the
-  last drops the entries whose key reaches the array's length, and the
+  the ordered m(v).  ``price`` lists the copies that fold (see there): c
+  of them only with no modulus (classes collide mod p**B), int64 keys and
+  masses and mass_bound * c < 2**63 (each product is at most c times a term
+  of the mass bound, so it fits before the division), and within its
+  charge of the ordered steps, so no charge or refusal depends on the fold;
+  float and object masses keep the ordered fold and its summation order.
+  The sparse backend folds a whole run or none of it.  The dense one folds
+  a run's leading copies, over the factor's distinct values: every one but
+  the last drops the entries whose key reaches the array's length, and the
   last adds its candidates into the array by ``np.add.at``, since entries
   of distinct multisets can share a key.
 * count-only -- ``power_sum_squares`` returns sum_v m(v)**2 alone.  Keys whose
@@ -202,6 +202,7 @@ class Plan(NamedTuple):
     mass_bound: object
     work: int
     nbytes: int
+    folds: tuple
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         """Packed keys of the whole table as an (n, k) array of components."""
@@ -233,12 +234,20 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     key bound over _ADDS_PER_CANDIDATE.  Raises BudgetError at the first
     step whose running work or bytes exceed the budget.
 
-    These are the ordered fold's costs.  The run fold (see the module
-    docstring) forms at most b * C(n + r - 1, r) candidates at the r-th copy
-    of a run entered with at most b keys, and is taken only where that stays
-    within the charge above (on a dense plan, within the step's scatter
-    price, and only where that is the cheaper kind), so the plan does not
-    depend on it.
+    These are the ordered fold's costs.  ``folds`` flags, per factor,
+    whether the run fold (see the module docstring) leaves that copy
+    unmerged: every folded copy of a run but its last.  A run of c >= 2
+    copies of one factor of n entries, entered at factor i by a table of at
+    most b_i = min(W_i, M_i) keys, folds its first r copies when there is no
+    modulus, keys and masses are int64 and mass_bound * r < 2**63, and each
+    copy r' = 2 .. r stays within the charge above.  Sparse, whole runs
+    only: the at most b_i * C(n + r' - 1, r') candidates are within the
+    b_{i + r' - 1} * n charged the ordered step.  Dense, the leading copies:
+    the ordered step at r' scatters (the cheaper kind), the fold's element
+    adds n * _SCATTER_CALL + _SCATTER_ELEMENT * b_i * C(n + r' - 1, r') are
+    within its scatter price, and the b_i * C(n + r' - 2, r' - 1) entries
+    held unmerged before it, at _RUN_ENTRY_BYTES each, within the plan's
+    bytes.
     """
     # a float for float weights; an exact factor's total counts as at least 1,
     # so an all-zero factor leaves the bound over every other factor
@@ -263,20 +272,23 @@ def price(shapes: Sequence[Shape], *, modulus=None, cap=None, budget: Budget) ->
     length = n if dense and 2 * n * mass_item <= budget.max_table_bytes else None
     adds, work = 0, 0
     nbytes = 0 if length is None else 2 * length * mass_item
-    steps = None if length is None else _dense_prices(shapes, bounds, length)
+    steps = None if length is None else list(_dense_prices(shapes, bounds, length))
     for i, (sh, keys) in enumerate(zip(shapes, bounds)):
         if length is None:
             work += keys * sh.entries
             nbytes = max(nbytes, keys * sh.entries * step_bytes)
         else:
-            adds += min(next(steps))
+            adds += min(steps[i])
             work = -(-adds // _ADDS_PER_CANDIDATE)
         if work > budget.max_tuples or nbytes > budget.max_table_bytes:
             raise BudgetError(f"table needs {work} candidates and {nbytes} bytes by factor {i + 1}"
                               f" of {len(shapes)}, allowed {budget.max_tuples} and "
                               f"{budget.max_table_bytes}")
+    folds = (False,) * len(shapes)
+    if modulus is None and key_dtype is mass_dtype is np.int64:
+        folds = _run_folds(shapes, bounds, steps, mass_bound, nbytes)
     return Plan(length, widths, strides, offsets, modulus, key_dtype, mass_dtype, mass_bound,
-                work, nbytes)
+                work, nbytes, folds)
 
 
 def _key_bounds(shapes: Sequence[Shape], modulus):
@@ -298,6 +310,33 @@ def _key_bounds(shapes: Sequence[Shape], modulus):
         multisets = multisets * (sh.entries + c - 1) // c  # M_i
         bounds.append(min(multisets, key_range))
     return bounds, spans, largest
+
+
+def _run_folds(shapes: Sequence[Shape], bounds: list, prices: list | None, mass_bound: int,
+               nbytes: int) -> tuple:
+    """``price``'s ``folds`` (see there) of int64 keys and masses and no
+    modulus, from its key bounds and, on a dense plan, its step prices."""
+    folds, i = [False] * len(shapes), 0
+
+    def fits(i: int, n: int, r: int) -> bool:  # the r-th copy of the run entered at factor i
+        formed = bounds[i] * math.comb(n + r - 1, r)
+        if prices is None:
+            return formed <= bounds[i + r - 1] * n
+        shift, scatter = prices[i + r - 1]
+        return (scatter < shift and n * _SCATTER_CALL + _SCATTER_ELEMENT * formed <= scatter
+                and bounds[i] * math.comb(n + r - 2, r - 1) * _RUN_ENTRY_BYTES <= nbytes)
+
+    for _, same in itertools.groupby(shapes, key=id):
+        copies, n = len(list(same)), shapes[i].entries
+        folded = 1
+        while (folded < copies and mass_bound * (folded + 1) < _INT64_LIMIT
+               and fits(i, n, folded + 1)):
+            folded += 1
+        if prices is None and folded < copies:  # the sparse fold takes whole runs
+            folded = 1
+        folds[i : i + folded - 1] = [True] * (folded - 1)
+        i += copies
+    return tuple(folds)
 
 
 def _dense_prices(shapes: Sequence[Shape], bounds: list, length: int):
@@ -329,13 +368,13 @@ def power_sum_table(
     cap the total mass must equal the product of the factor masses (checked
     in the exact dtypes, skipped for floats); a mismatch is an InvariantError.
     """
-    prepared, plan, mass, extend = _prepare(factors, modulus, cap, budget)
+    prepared, plan, mass = _prepare(factors, modulus, cap, budget)
     if plan.length is not None:
-        dense = _dense(prepared, extend, plan)
+        dense = _dense(prepared, plan)
         nz = np.flatnonzero(dense != 0)  # a boolean scan, several times faster
         keys, masses = nz.reshape(-1, 1), dense[nz].astype(plan.mass_dtype, copy=False)
     else:
-        keys, masses = _step(*_sparse(prepared, extend, plan), plan)
+        keys, masses = _step(*_sparse(prepared, plan), plan)
         keys = plan.unpack(keys)
         if cap is not None:
             keep = (keys <= cap).all(axis=1)
@@ -359,11 +398,11 @@ def power_sum_dense(
     such keys would need more bytes per candidate than the array per key),
     or when the cap + 1 entries returned would not fit it.
     """
-    prepared, plan, _, extend = _prepare(factors, None, cap, budget)
+    prepared, plan, _ = _prepare(factors, None, cap, budget)
     item = _OBJECT_ITEM_BYTES if plan.mass_dtype is object else 8
     if plan.length is None or (cap + 1) * item > budget.max_table_bytes:
         raise BudgetError(f"no dense table of keys up to {cap} fits {budget.max_table_bytes} bytes")
-    dense = _dense(prepared, extend, plan)
+    dense = _dense(prepared, plan)
     if len(dense) <= cap:  # every sum is below the cap
         dense = np.concatenate((dense, np.zeros(cap + 1 - len(dense), dtype=dense.dtype)))
     return dense.astype(plan.mass_dtype, copy=False)
@@ -384,15 +423,15 @@ def power_sum_squares(
     array _DENSE_CHUNK entries at a time, or a float one whole.  An int
     for unit and integer weights, else a float, summed slice by slice.
     """
-    prepared, plan, mass, extend = _prepare(factors, modulus, cap, budget)
+    prepared, plan, mass = _prepare(factors, modulus, cap, budget)
     exact = plan.mass_dtype is not np.float64
     if plan.length is not None:  # the zeros of the dense array add nothing
-        dense = _dense(prepared, extend, plan)
+        dense = _dense(prepared, plan)
         step = _DENSE_CHUNK if exact else max(len(dense), 1)  # floats keep their order
         slices = (dense[lo : lo + step].astype(plan.mass_dtype, copy=False)
                   for lo in range(0, len(dense), step))
     else:
-        slices = _last_step(prepared, extend, plan, cap)
+        slices = _last_step(prepared, plan, cap)
     total, squares = 0, 0 if exact else 0.0
     for masses in slices:
         if exact:
@@ -409,8 +448,8 @@ def _prepare(factors, modulus, cap, budget):
     once, masses 1 for unit weights: for a dense plan its one column and its
     masses as lists, for a sparse one its keys reduced mod the modulus and
     packed, and its masses as an array of the plan's mass dtype.  Returns
-    them in factor order, the plan, the product of the factors' total masses
-    and ``_extends``' flags."""
+    them in factor order, the plan and the product of the factors' total
+    masses."""
     distinct = {id(f): f for f in factors}  # [factor] * s is prepared once
     shapes = {i: Shape.of(*f) for i, f in distinct.items()}
     in_order = [shapes[id(f)] for f in factors]
@@ -428,47 +467,7 @@ def _prepare(factors, modulus, cap, budget):
         distinct[i] = (_pack(cols, lo, plan.strides, plan.key_dtype),
                        np.array(ms, dtype=plan.mass_dtype))
     mass = math.prod([totals[id(f)] for f in factors])
-    return [distinct[id(f)] for f in factors], plan, mass, _extends(in_order, plan)
-
-
-def _extends(shapes: list, plan: Plan) -> list:
-    """Per factor, whether the run fold leaves that copy unmerged: every
-    folded copy of a run but its last.  A run of c >= 2 copies of one factor
-    of n entries, entered at factor i by a table of at most b_i = min(W_i,
-    M_i) keys, folds its first r copies when there is no modulus, keys and
-    masses are int64 and mass_bound * r < 2**63, and each copy r' = 2 .. r
-    passes the backend's test.  Sparse, whole runs only: the at most
-    b_i * C(n + r' - 1, r') candidates are within the b_{i + r' - 1} * n that
-    ``price`` charged the ordered step.  Dense, the leading copies: price's
-    ordered step at r' scatters, the fold's element adds
-    n * _SCATTER_CALL + _SCATTER_ELEMENT * b_i * C(n + r' - 1, r') are within
-    its scatter price, and the b_i * C(n + r' - 2, r' - 1) entries held
-    unmerged before it, at _RUN_ENTRY_BYTES each, within the plan's bytes."""
-    extend = [False] * len(shapes)
-    if plan.modulus is not None or not (plan.key_dtype is plan.mass_dtype is np.int64):
-        return extend
-    bounds, i = _key_bounds(shapes, None)[0], 0
-    prices = None if plan.length is None else list(_dense_prices(shapes, bounds, plan.length))
-
-    def fits(i: int, n: int, r: int) -> bool:  # the r-th copy of the run entered at factor i
-        folds = bounds[i] * math.comb(n + r - 1, r)
-        if prices is None:
-            return folds <= bounds[i + r - 1] * n
-        shift, scatter = prices[i + r - 1]
-        return (scatter < shift and n * _SCATTER_CALL + _SCATTER_ELEMENT * folds <= scatter
-                and bounds[i] * math.comb(n + r - 2, r - 1) * _RUN_ENTRY_BYTES <= plan.nbytes)
-
-    for _, same in itertools.groupby(shapes, key=id):
-        copies, n = len(list(same)), shapes[i].entries
-        folded = 1
-        while (folded < copies and plan.mass_bound * (folded + 1) < _INT64_LIMIT
-               and fits(i, n, folded + 1)):
-            folded += 1
-        if prices is None and folded < copies:  # the sparse fold takes whole runs
-            folded = 1
-        extend[i : i + folded - 1] = [True] * (folded - 1)
-        i += copies
-    return extend
+    return [distinct[id(f)] for f in factors], plan, mass
 
 
 def _check_mass(total: int, expected: int) -> None:
@@ -491,13 +490,13 @@ def _dense_step(entries: int, cur_len: int, nnz: int, distinct: int) -> tuple[in
     return entries * (_SHIFT_CALL + cur_len), nnz * (_SCATTER_CALL + _SCATTER_ELEMENT * distinct)
 
 
-def _dense(prepared: list, extend: list, plan: Plan) -> np.ndarray:
+def _dense(prepared: list, plan: Plan) -> np.ndarray:
     """Convolution of the prepared (values, masses) lists into an array
     indexed by key value below the plan's length, in the work dtype: the
     plan's mass dtype, or int32 for an int64 plan whose mass bound is below
     2**31, which bounds every partial sum as it does the int64 one.
 
-    A run's copies flagged in ``extend``, and the copy after them, are
+    A run's copies flagged in ``plan.folds``, and the copy after them, are
     folded over multisets (see the module docstring): the flagged ones by
     ``_run_step``, each dropping the entries whose key reaches the length
     (keys are >= 0, so they only grow).  Every other step takes the kind
@@ -521,7 +520,7 @@ def _dense(prepared: list, extend: list, plan: Plan) -> np.ndarray:
         dtype = np.int32
     cur = np.ones(1, dtype=dtype)
     run, top = None, 0
-    for (f_values, f_masses), unmerged in zip(prepared, extend):
+    for (f_values, f_masses), unmerged in zip(prepared, plan.folds):
         top += max(f_values, default=0)
         length = min(plan.length, top + 1)
         vals = np.array(f_values)  # object past int64, so cut before the cast
@@ -622,12 +621,12 @@ class _Pairs(NamedTuple):
         return _Pairs(*(None if x is None else x[lo:hi] for x in self))
 
 
-def _sparse(prepared: list, extend: list, plan: Plan):
+def _sparse(prepared: list, plan: Plan):
     """The ``_Run`` over every prepared (packed keys, masses) factor but the
-    last, and the last: a copy flagged in ``extend`` folded in by
+    last, and the last: a copy flagged in ``plan.folds`` folded in by
     ``_run_step``, any other by ``_step``."""
     run = _Run(np.zeros(1, dtype=plan.key_dtype), np.ones(1, dtype=plan.mass_dtype))
-    for factor, unmerged in zip(prepared[:-1], extend):
+    for factor, unmerged in zip(prepared[:-1], plan.folds):
         run = _run_step(run, factor) if unmerged else _Run(*_step(run, factor, plan))
     return run, prepared[-1]
 
@@ -813,12 +812,12 @@ def _slice_pairs(groups: _Groups, f_res: np.ndarray, q: int, c: int) -> _Pairs:
     return _Pairs(groups.starts[g], ends - groups.starts[g], ties, j)
 
 
-def _last_step(prepared: list, extend: list, plan: Plan, cap):
+def _last_step(prepared: list, plan: Plan, cap):
     """The masses of the table over the prepared factors, all but the last
     copy folded in by ``_sparse``, the last by ``_slices``, each slice after
     its cap.  Merged keys are gathered only for the cap, and a slice is
     released before the next one is built."""
-    for s_keys, s_masses in _slices(*_sparse(prepared, extend, plan), plan, cap is not None):
+    for s_keys, s_masses in _slices(*_sparse(prepared, plan), plan, cap is not None):
         if cap is not None:
             s_masses = s_masses[(plan.unpack(s_keys) <= cap).all(axis=1)]
         del s_keys

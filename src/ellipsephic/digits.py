@@ -370,22 +370,19 @@ def rep_profile(
     step shifts the whole table once per source value.  Counts are 64-bit
     when the a-priori bound (#source)**t rules out overflow, and Python
     integers otherwise; below 2**31 the steps run in 32 bits and the
-    finished array is widened once.  The table is priced before any source
-    value is listed: an explicit source's values come from its own tuple,
-    and the i**k of a generated one number one more than the integer k-th
-    root of the horizon.
+    finished array is widened once.  A generated source's table is priced
+    before any i**k is listed, from their number, one more than the integer
+    k-th root of the horizon; an explicit source's values come from its own
+    tuple, priced by ``power_sum_dense`` itself.
     """
     if t < 2:
         raise ValidationError(f"t must be >= 2, got {t}")
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
-    if source.kind == "explicit":
-        shape = Shape.of([source.up_to(horizon)], None)
-    else:
+    if source.kind != "explicit":
         k = 2 if source.kind == "squares" else source.exponent
         root = integer_root(horizon, k)
-        shape = Shape(root + 1, ((0, root**k),), root + 1)
-    price([shape] * t, cap=horizon, budget=budget)
+        price([Shape(root + 1, ((0, root**k),), root + 1)] * t, cap=horizon, budget=budget)
     factor = ([source.up_to(horizon)], None)
     counts = power_sum_dense([factor] * t, cap=horizon, budget=budget)
     counts.flags.writeable = False

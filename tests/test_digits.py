@@ -18,6 +18,7 @@ from ellipsephic import (
     DigitSource,
     InvariantError,
     MemberSet,
+    SpacedSystem,
     ValidationError,
     count_members,
     digit_set_text,
@@ -49,6 +50,16 @@ def test_base_must_be_odd_prime():
         DigitSet(2, (0, 1))
     with pytest.raises(ValidationError, match="base not an odd prime"):
         DigitSet(9, (0, 1))
+
+
+def test_composite_base_past_the_trial_divisors():
+    """Odd composites with no factor among the Miller-Rabin bases, which
+    only a witness rejects: 41 * 43, and 3215031751 = 151 * 751 * 28351, a
+    strong pseudoprime to bases 2, 3, 5 and 7."""
+    with pytest.raises(ValidationError, match="base not an odd prime"):
+        DigitSet(1763, (0, 1))
+    with pytest.raises(ValidationError, match="base not an odd prime"):
+        SpacedSystem.pure_powers(1, 3215031751)
 
 
 def test_digit_range_and_duplicates():

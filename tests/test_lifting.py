@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,20 @@ def test_decomposition_budget():
     weights = unit_tuple_weights(list(range(1, 40)), 2)
     with pytest.raises(BudgetError):
         carry_decomposition(3, 2, 2, weights, budget=Budget(max_tuples=100))
+
+
+def test_decomposition_refuses_the_carry_table_unread():
+    """(2t - 1)**depth = 3**5 carry vectors past the tuple budget are refused
+    before a weight is read."""
+
+    class Unreadable(Mapping):
+        def _read(self, *args):
+            raise AssertionError("a weight was read")
+
+        __getitem__ = __iter__ = __len__ = _read
+
+    with pytest.raises(BudgetError, match="carry table"):
+        carry_decomposition(3, 2, 5, Unreadable(), budget=Budget(max_tuples=3**5 - 1))
 
 
 def test_decomposition_budget_counts_class_pairs():

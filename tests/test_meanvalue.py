@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ellipsephic import (
     Budget,
     BudgetError,
+    CountResult,
     DigitSet,
     MemberSet,
     SpacedSystem,
@@ -167,6 +168,17 @@ def test_mitm_examples():
     sys1 = SpacedSystem.pure_powers(1, 3)
     assert mitm_count(sys1, 2, E9).count == 28
     assert mitm_count(sys1, 1, [5, 7, 11]).count == 3
+
+
+def test_mitm_without_members_counts_zero():
+    """No member left to count: an empty list, weights whose support misses
+    every member, and the base-5 {0, 4} members up to 3, of which there are
+    none."""
+    system = SpacedSystem.pure_powers(2, 5)
+    elsewhere = WeightAssignment.from_pairs({2: 1})
+    for members, weights in (([], None), ([1, 5, 6], elsewhere),
+                             (MemberSet(DigitSet(5, (0, 4)), 3), None)):
+        assert mitm_count(system, 3, members, weights) == CountResult(0, 3, 2, 0, "mitm")
 
 
 def test_mitm_equals_brute_small_grid():

@@ -188,15 +188,21 @@ def numpy_spy():
 SQUARES_625 = [0] + [m * m for m in iter_members(DigitSet(5, (0, 1, 4)), 625)]
 
 
-def recorded_extends():
-    """mock.patch of ``_extends`` that records the fold flags it returns."""
-    seen, real = [], _tables._extends
-    return seen, mock.patch.object(_tables, "_extends", lambda *a: seen.append(real(*a)) or seen[-1])
+def recorded_folds():
+    """mock.patch of ``price`` that records each plan's fold flags as a list."""
+    seen, real = [], _tables.price
+
+    def priced(*args, **kwargs):
+        plan = real(*args, **kwargs)
+        seen.append(list(plan.folds))
+        return plan
+
+    return seen, mock.patch.object(_tables, "price", priced)
 
 
 def test_dense_steps_take_both_kinds():
     """[factor] * s as one object: the int64 cases fold the copies flagged
-    (see ``_extends``) over multisets; every other step shifts, or scatters
+    (see ``price``) over multisets; every other step shifts, or scatters
     through ``_scatter_run`` as the last folded copy does.  Float and object
     masses never fold."""
     squares = [x * x for x in range(120)]
@@ -222,7 +228,7 @@ def test_dense_steps_take_both_kinds():
             ([(1 << 62) - x for x in range(n)], [False] * 3, ["scatter"] * 3)):
         cases.append((SQUARES_625, weights, 3, 10**5, folds, steps))
     for values, weights, s, cap, folds, steps in cases:
-        seen, patched = recorded_extends()
+        seen, patched = recorded_folds()
         with numpy_spy() as spy, patched:
             got = kernel_table([(values, weights)] * s, cap, same=True)
         assert seen == [folds]
@@ -455,7 +461,7 @@ INT64_MAX = (1 << 63) - 1
 
 def merge_plan(modulus=None, width=None):
     """A plan of one key component, all that _merge reads of it."""
-    return _tables.Plan(None, [width or 1], [1], [0], modulus, np.int64, np.int64, 0, 0, 0)
+    return _tables.Plan(None, [width or 1], [1], [0], modulus, np.int64, np.int64, 0, 0, 0, ())
 
 
 @contextlib.contextmanager
@@ -771,7 +777,7 @@ def check_dense_run(factor, s, cap):
     (values,), weights = factor
     shapes = [_tables.Shape.of(*factor)] * s
     plan = _tables.price(shapes, cap=cap, budget=BUDGET)
-    seen, patched = recorded_extends()
+    seen, patched = recorded_folds()
     with dense_fold_candidates() as formed, patched, \
             mock.patch.object(_tables, "_sparse", side_effect=AssertionError("sparse")):
         table = power_sum_table([factor] * s, cap=cap, budget=BUDGET)
@@ -876,3 +882,32 @@ def test_dense_run_fold_at_the_mass_bound(above):
     factor = ([[0, 10**4, 3 * 10**4]], [w - 2, 1, 1])
     folds, _ = check_dense_run(factor, 3, 9 * 10**4)
     assert folds == [True, not above, False]
+
+
+def test_price_lists_the_folded_copies():
+    """``price``'s fold flags, True where the run fold leaves a copy
+    unmerged.  Sparse runs fold whole or not at all: [A] * 3 all but its
+    last copy, the run of two in [A, A, B] its first, and [A, B, A], runs
+    of one, none.  Float masses, a modulus, or a mass bound w**3 with
+    3 * w**3 >= 2**63 fold nothing sparse; a dense plan then still folds
+    the run's leading copies.  The squares up to 625 fold their first two
+    copies of three at cap 10**5; the third scatters."""
+    a = _tables.Shape.of([[0, 1, 2, 3], [0, 5, 7, 9]], None)
+    b = _tables.Shape.of([[0, 4], [1, 2]], None)
+    floats = _tables.Shape.of([[0, 1, 2, 3], [0, 5, 7, 9]], [0.5, 1.5, 2.0, 1.0])
+    cases = [
+        ([a] * 3, {}, (True, True, False)),
+        ([a, a, b], {}, (True, False, False)),
+        ([a, b, a], {}, (False,) * 3),
+        ([floats] * 3, {}, (False,) * 3),
+        ([a] * 3, {"modulus": 7}, (False,) * 3),
+        ([_tables.Shape.of([SQUARES_625], None)] * 3, {"cap": 10**5}, (True, False, False)),
+    ]
+    for above in (False, True):
+        w = largest_below(1 << 63, 3, 3) + above
+        sparse = _tables.Shape.of([[-2, 0, 3]], [w - 2, 1, 1])
+        dense = _tables.Shape.of([[0, 10**4, 3 * 10**4]], [w - 2, 1, 1])
+        cases.append(([sparse] * 3, {}, (not above, not above, False)))
+        cases.append(([dense] * 3, {"cap": 9 * 10**4}, (True, not above, False)))
+    for shapes, options, folds in cases:
+        assert _tables.price(shapes, budget=BUDGET, **options).folds == folds
